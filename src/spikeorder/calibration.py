@@ -12,6 +12,8 @@ into the ridge family
     c3b = sqrt(loglog p) [q(.80) - q(.05)] - m   (Fisher, heavy-tailed edge)
 
 where n is the primary sample count (T for the auto-covariance family).
+Results are keyed by the sizes the family uses, so an auto-covariance
+calibration ignores n.
 The same noise runs also calibrate the ratio tolerance d_T of the
 consecutive-ratio baseline: the largest observed value of
 max(1 - l2/l1, 1 - l3/l2) over the noise runs, i.e. the smallest tolerance
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .rmt import mp_quantile
-from .spectra import AutocovModel, FisherModel, PopulationModel, simulate
+from .spectra import at_size, simulate
 
 __all__ = [
     "CalibrationResult",
@@ -39,6 +41,7 @@ __all__ = [
     "calibrate_ridge",
     "estimate_sigma2",
     "load_cached",
+    "loglog",
     "py_constant",
     "PyConstant",
 ]
@@ -149,7 +152,7 @@ class CalibrationResult:
         return cls(**d)
 
 
-def _loglog(x: float) -> float:
+def loglog(x) -> float:
     if x <= math.e:
         raise ConfigurationError(f"log log undefined or nonpositive at {x}")
     return math.log(math.log(x))
@@ -161,22 +164,6 @@ def _rank_quantile(sorted_vals: np.ndarray, alpha: float) -> float:
     rank = math.ceil(r * alpha - 1e-9)
     rank = min(max(rank, 1), r)
     return float(sorted_vals[rank - 1])
-
-
-def _noise_model(kind: str, p: int, n, T):
-    if kind == "population":
-        if n is None:
-            raise ConfigurationError("population calibration needs n")
-        return PopulationModel(p=p, n=n)
-    if kind == "fisher":
-        if n is None or T is None:
-            raise ConfigurationError("fisher calibration needs n and T")
-        return FisherModel(p=p, n=n, T=T)
-    if kind == "autocov":
-        if T is None:
-            raise ConfigurationError("autocov calibration needs T")
-        return AutocovModel(p=p, T=T)
-    raise ConfigurationError(f"unknown model kind {kind!r}")
 
 
 def _cache_path(cache_dir, kind, p, n, T, reps, seed):
@@ -220,16 +207,18 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = 500,
     Replications get independent counter-based RNG streams spawned from the
     master seed and are reduced in replication order, so the result does not
     depend on the worker count.  With ``cache_dir`` set, results are reused
-    across runs keyed by (kind, p, n, T, reps, seed).
+    across runs keyed by (kind, p, n, T, reps, seed), where a size the family
+    does not use is keyed as absent.
     """
     if reps < 2:
         raise ConfigurationError(f"calibration needs R >= 2, got {reps}")
+    model = at_size(kind, p, n, T)
+    n, T = getattr(model, "n", None), getattr(model, "T", None)
     if cache_dir is not None and not force:
         cached = load_cached(cache_dir, kind, p, n, T, reps, seed)
         if cached is not None:
             return cached
 
-    model = _noise_model(kind, p, n, T)
     children = np.random.SeedSequence(seed).spawn(reps)
 
     def one(idx: int):
@@ -273,9 +262,8 @@ def aggregate_gaps(kind: str, p: int, n, T, seed: int, gaps, lwy_stats) -> Calib
     spread95 = quantiles[0.95] - quantiles[0.05]
     spread80 = quantiles[0.8] - quantiles[0.05]
 
-    count = T if kind == "autocov" else n
-    ll_n = _loglog(count)
-    ll_p = _loglog(p)
+    ll_n = loglog(at_size(kind, p, n, T).count)
+    ll_p = loglog(p)
     raw = {
         "c1": ll_n * spread95 - m,
         "c2": math.sqrt(ll_n) * spread95 - m,

@@ -6,35 +6,28 @@ line for machine consumption.
 """
 
 import configparser
+import dataclasses
 import json
 import os
 import sys
 
 import click
 
-from . import rmt
-from .calibration import calibrate_ridge, py_constant
+from . import rmt, spectra
+from .calibration import calibrate_ridge
 from .errors import ConfigurationError, NumericalError, SpikeOrderError
-from .estimators import (
-    EstimatorConfig,
-    loglog_rate,
-    lwy_estimator,
-    py_estimator,
-    tvacle,
-    vacle,
-    wy_estimator,
-)
 from .harness import (
     ESTIMATOR_NAMES,
     EstimatorSetting,
     ExperimentConfig,
     GridPoint,
+    build_estimator,
     run_experiment,
     summarize,
 )
-from .spectra import AutocovModel, FisherModel, PopulationModel, ingest_spectrum
+from .spectra import AutocovModel, at_size, ingest_spectrum
 
-FAMILIES = ("population", "fisher", "autocov")
+FAMILIES = tuple(spectra.FAMILIES)
 
 
 def _cache_dir(value):
@@ -88,14 +81,6 @@ def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
            "clamped": list(result.clamped), "cache_dir": cache}, as_json)
 
 
-def _family_edge(family, p, n, t_, sigma2):
-    if family == "population":
-        return (1.0 + (p / n) ** 0.5) ** 2
-    if family == "fisher":
-        return rmt.FisherLaw(c=p / n, y=p / t_, sigma2=1.0).upper_edge
-    return rmt.AutocovLaw(y=p / t_).b1
-
-
 @main.command()
 @click.argument("spectrum", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(ESTIMATOR_NAMES), required=True)
@@ -137,69 +122,26 @@ def estimate(spectrum, method, family, n, t_, sigma2, tau, L, c_n, k1, k2, d_t,
 def _run_estimate(spectrum, method, family, n, t_, sigma2, tau, L, c_n, k1, k2,
                   d_t, py_c, py_start_index, column, cal_reps, cal_seed,
                   cache_dir, trace_path, plot_data, as_json):
-    if family == "population":
-        if n is None:
-            raise ConfigurationError("population spectra need --n")
-        scale_power, spec_T = 1, None
-    elif family == "fisher":
-        if n is None or t_ is None:
-            raise ConfigurationError("fisher spectra need --n and --t")
-        scale_power, spec_T = 1, t_
-    else:
-        if t_ is None:
-            raise ConfigurationError("autocov spectra need --t")
-        scale_power, spec_T = 2, t_
-        n = n if n is not None else t_
-
-    spec = ingest_spectrum(spectrum, n=n, T=spec_T, scale_power=scale_power,
-                           column=column)
-    p = spec.p
-    if sigma2 == "estimated":
-        sigma2_val = "estimated"
-    else:
+    raw = ingest_spectrum(spectrum, column=column)
+    model = at_size(family, raw.p, n, t_)
+    spec = dataclasses.replace(raw, n=model.count, T=getattr(model, "T", None),
+                               scale_power=model.scale_power)
+    sigma2_mode = "estimated" if sigma2 == "estimated" else "known"
+    if sigma2_mode == "known":
         try:
-            sigma2_val = float(sigma2)
+            model = dataclasses.replace(model, sigma2=float(sigma2))
         except ValueError:
             raise ConfigurationError(
                 f"--sigma2 must be a float or 'estimated', got {sigma2!r}"
             ) from None
-    tau_val = tau if tau is not None else (0.8 if family == "fisher" else 0.5)
+    setting = EstimatorSetting(method, c_n=c_n, tau=tau, L=L, k1=k1, k2=k2,
+                               d_t=d_t, py_C=py_c, py_start_index=py_start_index)
 
-    trace = None
-    if method in ("vacle", "tvacle"):
-        if c_n is None:
-            kind = family
-            calib = calibrate_ridge(kind, p=p, n=n, T=t_, reps=cal_reps,
-                                    seed=cal_seed, cache_dir=_cache_dir(cache_dir))
-            ridge = {"vacle": "c1", "tvacle": "c3a" if family == "fisher" else "c2"}[method]
-            c_n = calib.ridge(ridge)
-        cfg = EstimatorConfig(
-            c_n=c_n, tau=tau_val, L=L, sigma2=sigma2_val,
-            e=_family_edge(family, p, n, t_, sigma2_val) if method == "tvacle" else None,
-            k1=k1, k2=k2,
-        )
-        q_hat, trace = (tvacle if method == "tvacle" else vacle)(spec, cfg)
-    elif method == "py":
-        if family != "population" and n is None:
-            raise ConfigurationError("py needs --n")
-        s2 = sigma2_val
-        if s2 == "estimated":
-            from .calibration import estimate_sigma2
-            s2 = estimate_sigma2(spec)
-        C = py_c if py_c is not None else py_constant(p / n).value
-        q_hat = py_estimator(spec, s2, C, L=L, start_index=py_start_index).q_hat
-    elif method == "lwy":
-        if d_t is None:
-            calib = calibrate_ridge(family, p=p, n=n, T=t_, reps=cal_reps,
-                                    seed=cal_seed, cache_dir=_cache_dir(cache_dir))
-            d_t = calib.d_t_lwy
-        q_hat = lwy_estimator(spec, d_t, L=L).q_hat
-    else:  # wy
-        if family != "fisher":
-            raise ConfigurationError("the wy estimator applies to fisher spectra only")
-        s2 = 1.0 if sigma2_val == "estimated" else sigma2_val
-        edge = rmt.FisherLaw(c=p / n, y=p / t_, sigma2=s2).upper_edge
-        q_hat = wy_estimator(spec, edge, loglog_rate(p))
+    def calibrate():
+        return calibrate_ridge(family, p=spec.p, n=n, T=t_, reps=cal_reps,
+                               seed=cal_seed, cache_dir=_cache_dir(cache_dir))
+
+    q_hat, trace = build_estimator(setting, model, calibrate, sigma2_mode)(spec)
 
     if trace_path and trace is not None:
         with open(trace_path, "w") as fh:
@@ -211,25 +153,32 @@ def _run_estimate(spectrum, method, family, n, t_, sigma2, tau, L, c_n, k1, k2,
                 fh.write(f"{i},{r!r},{trace.tau!r}\n")
 
     if as_json:
-        payload = {"method": method, "family": family, "p": p, "q_hat": int(q_hat)}
+        payload = {"method": method, "family": family, "p": spec.p, "q_hat": int(q_hat)}
         click.echo(json.dumps(payload))
     else:
         click.echo(f"q_hat = {int(q_hat)}")
 
 
+def _floats(text):
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+# [model] key -> (model field, parser); keys of another family's model are ignored
+_MODEL_KEYS = {
+    "spikes": ("spikes", _floats), "alpha": ("alpha", _floats),
+    "noise_diag": ("noise_diag", _floats), "theta": ("theta", _floats),
+    "gamma": ("gamma_diag", _floats), "sigma2": ("sigma2", float),
+    "burn_in": ("burn_in", int),
+}
+
 # configuration file schema: section -> allowed keys
 _CONFIG_KEYS = {
-    "model": {"kind", "spikes", "sigma2", "alpha", "noise_diag", "theta",
-              "gamma", "burn_in"},
+    "model": {"kind", *_MODEL_KEYS},
     "harness": {"grid", "reps", "seed", "estimators", "sigma2_mode"},
     "calibration": {"reps", "seed"},
     "estimator": {"tau", "l", "k1", "k2", "d_t", "py_c", "py_start_index"},
     "io": {"out", "trace"},
 }
-
-
-def _floats(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_grid(text):
@@ -289,31 +238,12 @@ def load_experiment_config(path, seed=None, reps=None, out=None):
     first = grid[0]
 
     model_sec = parser["model"] if parser.has_section("model") else {}
-    kind = model_sec.get("kind")
-    if kind not in FAMILIES:
-        raise ConfigurationError(f"model.kind must be one of {FAMILIES}, got {kind!r}")
-    sigma2 = float(model_sec.get("sigma2", "1.0"))
-    if kind == "population":
-        if first.n is None:
-            raise ConfigurationError("population grid entries need p and n")
-        model = PopulationModel(p=first.p, n=first.n,
-                                spikes=_floats(model_sec.get("spikes", "")),
-                                sigma2=sigma2)
-    elif kind == "fisher":
-        if first.n is None or first.T is None:
-            raise ConfigurationError("fisher grid entries need p, n and T")
-        model = FisherModel(p=first.p, n=first.n, T=first.T,
-                            alpha=_floats(model_sec.get("alpha", "")),
-                            sigma2=sigma2,
-                            noise_diag=_floats(model_sec.get("noise_diag", "1 2")))
-    else:
-        if first.T is None:
-            raise ConfigurationError("autocov grid entries need p and T")
-        model = AutocovModel(p=first.p, T=first.T,
-                             theta=_floats(model_sec.get("theta", "")),
-                             gamma_diag=_floats(model_sec.get("gamma", "")),
-                             sigma2=sigma2,
-                             burn_in=int(model_sec.get("burn_in", "1000")))
+    noise = at_size(model_sec.get("kind", ""), first.p, first.n, first.T)
+    fields = {f.name for f in dataclasses.fields(noise)}
+    model = dataclasses.replace(noise, **{
+        field: parse(model_sec[key]) for key, (field, parse) in _MODEL_KEYS.items()
+        if key in model_sec and field in fields
+    })
     est_over = {}
     if parser.has_section("estimator"):
         sec = parser["estimator"]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import estimate_sigma2
+from .calibration import estimate_sigma2, loglog
 from .errors import ConfigurationError
 from .spectra import Spectrum
 
@@ -41,12 +41,6 @@ __all__ = [
     "lwy_estimator",
     "wy_estimator",
 ]
-
-
-def loglog(x) -> float:
-    if x <= math.e:
-        raise ConfigurationError(f"log log undefined or nonpositive at {x}")
-    return math.log(math.log(x))
 
 
 def loglog_rate(p: int) -> float:

@@ -13,12 +13,12 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rmt
-from .calibration import CalibrationResult, calibrate_ridge, py_constant
+from . import calibration
+from .calibration import calibrate_ridge, py_constant
 from .errors import ConfigurationError
 from .estimators import (
     EstimatorConfig,
@@ -29,7 +29,7 @@ from .estimators import (
     vacle,
     wy_estimator,
 )
-from .spectra import AutocovModel, FisherModel, PopulationModel, simulate
+from .spectra import at_size, simulate
 
 __all__ = [
     "EstimatorSetting",
@@ -37,6 +37,7 @@ __all__ = [
     "ExperimentConfig",
     "SimulationReport",
     "ExperimentResult",
+    "build_estimator",
     "run_experiment",
     "summarize",
     "ESTIMATOR_NAMES",
@@ -53,9 +54,9 @@ class EstimatorSetting:
     """One estimator plus its tuning overrides.
 
     ``ridge`` picks the calibrated ridge for the valley-cliff methods
-    (default c1 for the plain variant, c2 for the transformed one, c3a for
-    the transformed one on Fisher spectra).  ``tau`` defaults to 0.5, or
-    0.8 for the Fisher family.
+    (default c1 for the plain variant, the family's ``transformed_ridge``
+    for the transformed one); ``c_n`` gives the ridge value outright.
+    ``tau`` defaults to the family's ``default_tau``.
     """
 
     name: str
@@ -66,6 +67,7 @@ class EstimatorSetting:
     k2: float = 5.0
     d_t: float | None = None
     py_C: float | None = None
+    c_n: float | None = None
     py_start_index: int = 0
     label: str | None = None
 
@@ -167,104 +169,54 @@ class ExperimentResult:
         })
 
 
-def _place_model(model, point: GridPoint):
-    if isinstance(model, PopulationModel):
-        if point.n is None:
-            raise ConfigurationError("population grid points need p and n")
-        return replace(model, p=point.p, n=point.n)
-    if isinstance(model, FisherModel):
-        if point.n is None or point.T is None:
-            raise ConfigurationError("fisher grid points need p, n and T")
-        return replace(model, p=point.p, n=point.n, T=point.T)
-    if isinstance(model, AutocovModel):
-        if point.T is None:
-            raise ConfigurationError("autocov grid points need p and T")
-        return replace(model, p=point.p, T=point.T)
-    raise ConfigurationError(f"unknown model type {type(model).__name__}")
+def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: str):
+    """Return a callable spectrum -> (q_hat, trace-or-None) for ``model``'s family.
 
-
-def _true_order(model) -> int:
-    if isinstance(model, PopulationModel):
-        return rmt.pop_identifiable_count(model.spikes, c=model.p / model.n,
-                                          sigma2=model.sigma2)
-    if isinstance(model, FisherModel):
-        law = rmt.FisherLaw(c=model.p / model.n, y=model.p / model.T,
-                            sigma2=model.sigma2)
-        return rmt.fisher_identifiable_count(model.spikes, law)
-    law = rmt.AutocovLaw(y=model.p / model.T, sigma2=model.sigma2)
-    return rmt.autocov_identifiable_count(model.signatures, law)
-
-
-def _bulk_edge(model) -> float:
-    """Upper bulk edge on the sigma-normalized scale, for the transformation."""
-    if isinstance(model, PopulationModel):
-        return (1.0 + np.sqrt(model.p / model.n)) ** 2
-    if isinstance(model, FisherModel):
-        law = rmt.FisherLaw(c=model.p / model.n, y=model.p / model.T, sigma2=1.0)
-        return law.upper_edge
-    return rmt.AutocovLaw(y=model.p / model.T).b1
-
-
-def _default_ridge(setting: EstimatorSetting, kind: str) -> str:
-    if setting.ridge is not None:
-        return setting.ridge
-    if setting.name == "vacle":
-        return "c1"
-    return "c3a" if kind == "fisher" else "c2"
-
-
-def _build_estimator(setting: EstimatorSetting, model, calib: CalibrationResult,
-                     sigma2_mode: str):
-    """Return a callable spectrum -> (q_hat, trace-or-None)."""
-    kind = model.kind
-    tau = setting.tau if setting.tau is not None else (0.8 if kind == "fisher" else 0.5)
+    ``calibrate()`` returns the pure-noise CalibrationResult at the model's
+    size; it is called only when the setting lacks a ridge value or ``d_t``
+    that the estimator needs.  ``sigma2_mode`` is "known" (use
+    ``model.sigma2``) or "estimated", which only population spectra allow.
+    """
+    if sigma2_mode == "estimated" and not model.sigma2_estimable:
+        raise ConfigurationError(
+            "sigma2 estimation is only supported for population covariance spectra"
+        )
+    tau = setting.tau if setting.tau is not None else model.default_tau
     sigma2 = "estimated" if sigma2_mode == "estimated" else model.sigma2
     name = setting.name
 
     if name in ("vacle", "tvacle"):
+        c_n = setting.c_n
+        if c_n is None:
+            ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
+            c_n = calibrate().ridge(ridge)
         cfg = EstimatorConfig(
-            c_n=calib.ridge(_default_ridge(setting, kind)),
-            tau=tau, L=setting.L, sigma2=sigma2,
-            e=_bulk_edge(model) if name == "tvacle" else None,
+            c_n=c_n, tau=tau, L=setting.L, sigma2=sigma2,
+            e=model.bulk_edge() if name == "tvacle" else None,
             k1=setting.k1, k2=setting.k2,
         )
         fn = tvacle if name == "tvacle" else vacle
-        def run(spec, _fn=fn, _cfg=cfg):
-            q, trace = _fn(spec, _cfg)
-            return q, trace
-        return run
+        return lambda spec: fn(spec, cfg)
 
     if name == "py":
-        C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.n).value
-        def run(spec, _C=C, _L=setting.L, _s=sigma2, _start=setting.py_start_index):
-            s2 = _resolve_known(spec, _s)
-            est = py_estimator(spec, s2, _C, L=_L, start_index=_start)
+        C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count).value
+        def run(spec):
+            # looked up at call time, like the estimators' own scale estimates
+            s2 = calibration.estimate_sigma2(spec) if sigma2 == "estimated" else sigma2
+            est = py_estimator(spec, s2, C, L=setting.L, start_index=setting.py_start_index)
             return est.q_hat, None
         return run
 
     if name == "lwy":
-        d_t = setting.d_t if setting.d_t is not None else calib.d_t_lwy
-        def run(spec, _d=d_t, _L=setting.L):
-            est = lwy_estimator(spec, _d, L=_L)
-            return est.q_hat, None
-        return run
+        d_t = setting.d_t if setting.d_t is not None else calibrate().d_t_lwy
+        return lambda spec: (lwy_estimator(spec, d_t, L=setting.L).q_hat, None)
 
     # wy: bulk-edge exceedance count, Fisher family only
-    if kind != "fisher":
+    if model.kind != "fisher":
         raise ConfigurationError("the wy estimator applies to Fisher spectra only")
-    law = rmt.FisherLaw(c=model.p / model.n, y=model.p / model.T, sigma2=model.sigma2)
-    edge = law.upper_edge
+    edge = model.sigma2 * model.bulk_edge()
     d_n = loglog_rate(model.p)
-    def run(spec, _edge=edge, _d=d_n, _L=setting.L):
-        return min(wy_estimator(spec, _edge, _d), _L), None
-    return run
-
-
-def _resolve_known(spec, sigma2):
-    if sigma2 == "estimated":
-        from .calibration import estimate_sigma2
-        return estimate_sigma2(spec)
-    return float(sigma2)
+    return lambda spec: (min(wy_estimator(spec, edge, d_n), setting.L), None)
 
 
 def _aggregate(model_id, model, setting, q_true, qs, seed, runtime_s,
@@ -302,15 +254,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
     reports = []
     details = []
     for point in cfg.grid:
-        model = _place_model(cfg.model, point)
+        model = at_size(cfg.model, point.p, point.n, point.T)
         t0 = time.perf_counter()
         calib = calibrate_ridge(
-            model.kind, p=model.p, n=getattr(model, "n", None),
-            T=getattr(model, "T", None), reps=cfg.calibration_reps,
-            seed=cfg.calibration_seed, workers=workers, cache_dir=cache_dir,
+            model.kind, p=model.p, n=point.n, T=point.T,
+            reps=cfg.calibration_reps, seed=cfg.calibration_seed,
+            workers=workers, cache_dir=cache_dir,
         )
-        q_true = _true_order(model)
-        runners = [(s, _build_estimator(s, model, calib, cfg.sigma2_mode))
+        q_true = model.true_order()
+        runners = [(s, build_estimator(s, model, lambda: calib, cfg.sigma2_mode))
                    for s in cfg.estimators]
 
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)

@@ -10,17 +10,22 @@ descending sample eigenvalues:
 * lag-1 auto-covariance factor models: VAR(1) factors plus white noise,
   Sigma = sum_{t=2}^{T+1} y_t y_{t-1}' / T, eigenvalues of M = Sigma Sigma'.
 
+Each model class also describes its family (sizes it needs, primary sample
+count, estimator defaults, oracle order and bulk edge); ``FAMILIES`` maps
+each ``kind`` to its class.
+
 All generators are deterministic functions of (spec, rng) and never share
 state, so replications can run concurrently with one RNG stream each.
 """
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg, signal
 
+from . import rmt
 from .errors import ConfigurationError, IngestionError, SingularMatrixError
 from .rmt import FactorSignature
 
@@ -29,6 +34,8 @@ __all__ = [
     "FisherModel",
     "AutocovModel",
     "Spectrum",
+    "FAMILIES",
+    "at_size",
     "simulate_population",
     "simulate_fisher",
     "simulate_autocov",
@@ -50,6 +57,11 @@ class PopulationModel:
     sigma2: float = 1.0
 
     kind = "population"
+    sizes = ("p", "n")
+    default_tau = 0.5
+    transformed_ridge = "c2"
+    scale_power = 1
+    sigma2_estimable = True
 
     def __post_init__(self):
         spikes = tuple(float(s) for s in self.spikes)
@@ -67,6 +79,17 @@ class PopulationModel:
         if self.sigma2 <= 0:
             raise ConfigurationError("sigma2 must be positive")
 
+    @property
+    def count(self) -> int:
+        return self.n
+
+    def true_order(self) -> int:
+        return rmt.pop_identifiable_count(self.spikes, c=self.p / self.n,
+                                          sigma2=self.sigma2)
+
+    def bulk_edge(self) -> float:
+        return rmt.MpLaw(c=self.p / self.n).upper_edge
+
 
 @dataclass(frozen=True)
 class FisherModel:
@@ -78,8 +101,9 @@ class FisherModel:
     sqrt(alpha2/2); factor 3 loads them antisymmetrically with
     +-sqrt(alpha3/2).  The resulting spikes of Sigma1 Sigma2^{-1} are
     sigma2 + alpha_i / d1.  The noise covariance is diagonal, value d1 on
-    the first floor(p/2) coordinates and d2 on the rest.  ``alpha = ()``
-    gives the pure-noise Fisher matrix (Sigma1 = sigma2 Sigma2).
+    the first floor(p/2) coordinates and d2 on the rest, so unequal d1, d2
+    need p >= 6 to keep the loaded coordinates in the d1 block.
+    ``alpha = ()`` gives the pure-noise Fisher matrix (Sigma1 = sigma2 Sigma2).
     """
 
     p: int
@@ -90,6 +114,11 @@ class FisherModel:
     noise_diag: tuple = (1.0, 2.0)
 
     kind = "fisher"
+    sizes = ("p", "n", "T")
+    default_tau = 0.8
+    transformed_ridge = "c3a"
+    scale_power = 1
+    sigma2_estimable = False
 
     def __post_init__(self):
         alpha = tuple(float(a) for a in self.alpha)
@@ -106,6 +135,22 @@ class FisherModel:
             raise ConfigurationError("p too small for the loading structure")
         if self.sigma2 <= 0 or any(d <= 0 for d in self.noise_diag):
             raise ConfigurationError("sigma2 and noise_diag entries must be positive")
+        if alpha and self.noise_diag[0] != self.noise_diag[1] and self.p // 2 < 3:
+            raise ConfigurationError(
+                f"p = {self.p} puts loaded coordinates in the d2 noise block "
+                "(need p >= 6 when the noise_diag entries differ)"
+            )
+
+    @property
+    def count(self) -> int:
+        return self.n
+
+    def true_order(self) -> int:
+        law = rmt.FisherLaw(c=self.p / self.n, y=self.p / self.T, sigma2=self.sigma2)
+        return rmt.fisher_identifiable_count(self.spikes, law)
+
+    def bulk_edge(self) -> float:
+        return rmt.FisherLaw(c=self.p / self.n, y=self.p / self.T).upper_edge
 
     @property
     def spikes(self) -> tuple:
@@ -148,6 +193,11 @@ class AutocovModel:
     burn_in: int = 1000
 
     kind = "autocov"
+    sizes = ("p", "T")
+    default_tau = 0.5
+    transformed_ridge = "c2"
+    scale_power = 2
+    sigma2_estimable = False
 
     def __post_init__(self):
         theta = tuple(float(t) for t in self.theta)
@@ -175,6 +225,10 @@ class AutocovModel:
             raise ConfigurationError("burn_in must be nonnegative")
 
     @property
+    def count(self) -> int:
+        return self.T
+
+    @property
     def q(self) -> int:
         return len(self.theta)
 
@@ -186,6 +240,34 @@ class AutocovModel:
             g0 = g / (1.0 - th * th)
             out.append(FactorSignature(gamma0=g0, gamma1=th * g0))
         return tuple(out)
+
+    def true_order(self) -> int:
+        law = rmt.AutocovLaw(y=self.p / self.T, sigma2=self.sigma2)
+        return rmt.autocov_identifiable_count(self.signatures, law)
+
+    def bulk_edge(self) -> float:
+        return rmt.AutocovLaw(y=self.p / self.T).b1
+
+
+FAMILIES = {cls.kind: cls for cls in (PopulationModel, FisherModel, AutocovModel)}
+
+
+def at_size(model_or_kind, p: int, n=None, T=None):
+    """The model at sizes (p, n, T), or a family's pure-noise model there.
+
+    ``model_or_kind`` is a model instance or a ``FAMILIES`` key.  Only the
+    sizes the family uses are read; a missing one is a ConfigurationError.
+    """
+    by_kind = isinstance(model_or_kind, str)
+    cls = FAMILIES.get(model_or_kind) if by_kind else type(model_or_kind)
+    if cls not in FAMILIES.values():
+        raise ConfigurationError(
+            f"unknown model {model_or_kind!r}; expected one of {tuple(FAMILIES)}"
+        )
+    sizes = {name: {"p": p, "n": n, "T": T}[name] for name in cls.sizes}
+    if None in sizes.values():
+        raise ConfigurationError(f"{cls.kind} models need {', '.join(cls.sizes)}")
+    return cls(**sizes) if by_kind else replace(model_or_kind, **sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,15 +388,16 @@ def simulate_autocov(spec: AutocovModel, rng: np.random.Generator) -> Spectrum:
     return Spectrum(values=values, p=p, n=T, T=T, scale_power=2)
 
 
+_SIMULATORS = {PopulationModel: simulate_population, FisherModel: simulate_fisher,
+               AutocovModel: simulate_autocov}
+
+
 def simulate(spec, rng: np.random.Generator) -> Spectrum:
-    """Dispatch on the model family."""
-    if isinstance(spec, PopulationModel):
-        return simulate_population(spec, rng)
-    if isinstance(spec, FisherModel):
-        return simulate_fisher(spec, rng)
-    if isinstance(spec, AutocovModel):
-        return simulate_autocov(spec, rng)
-    raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
+    """Draw one spectrum from the generator of the model's family."""
+    generate = _SIMULATORS.get(type(spec))
+    if generate is None:
+        raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
+    return generate(spec, rng)
 
 
 def ingest_spectrum(path, n=None, T=None, scale_power=1, p=None, column=None) -> Spectrum:

@@ -6,8 +6,22 @@ from click.testing import CliRunner
 
 import spikeorder.cli as cli_mod
 from spikeorder.cli import main
+from spikeorder.calibration import calibrate_ridge
 from spikeorder.errors import NumericalError
-from spikeorder.spectra import PopulationModel, simulate_population
+from spikeorder.harness import (
+    EstimatorSetting,
+    ExperimentConfig,
+    GridPoint,
+    build_estimator,
+    run_experiment,
+)
+from spikeorder.spectra import (
+    AutocovModel,
+    FisherModel,
+    PopulationModel,
+    simulate,
+    simulate_population,
+)
 
 
 @pytest.fixture()
@@ -203,6 +217,83 @@ class TestEstimate:
                                    "--d-t", "0.15", "--json"])
         assert res.exit_code == 0
         assert json.loads(res.output)["q_hat"] == 2
+
+
+def write_spectrum(path, spec):
+    path.write_text("\n".join(repr(float(v)) for v in spec.values) + "\n")
+    return str(path)
+
+
+class TestEstimateFamilyRules:
+    @pytest.mark.parametrize("family, sizes, method", [
+        ("fisher", ["--n", "150", "--t", "60"], "wy"),
+        ("fisher", ["--n", "150", "--t", "60"], "py"),
+        ("fisher", ["--n", "150", "--t", "60"], "vacle"),
+        ("autocov", ["--t", "60"], "lwy"),
+        ("autocov", ["--t", "60"], "py"),
+    ])
+    def test_estimated_sigma2_population_only(self, runner, tmp_path, family,
+                                              sizes, method):
+        spec = simulate(FisherModel(p=30, n=150, T=60, alpha=(10.0, 5.0, 5.0)),
+                        np.random.default_rng(0))
+        f = write_spectrum(tmp_path / "eigs.txt", spec)
+        res = runner.invoke(main, ["estimate", f, "--method", method, "--family",
+                                   family, *sizes, "--sigma2", "estimated",
+                                   "--c-n", "0.2", "--d-t", "0.1"])
+        assert res.exit_code == 2
+        assert "population" in res.output
+
+    def test_autocov_calibration_key_ignores_n(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        cfg = ExperimentConfig(
+            model_id="auto", model=AutocovModel(p=30, T=60, theta=(0.6,)),
+            grid=(GridPoint(p=30, T=60),), estimators=(EstimatorSetting("lwy"),),
+            reps=1, calibration_reps=20, calibration_seed=7)
+        run_experiment(cfg, cache_dir=str(cache))
+        before = sorted(cache.iterdir())
+        spec = simulate(AutocovModel(p=30, T=60, theta=(0.6,)), np.random.default_rng(1))
+        f = write_spectrum(tmp_path / "eigs.txt", spec)
+        res = runner.invoke(main, ["estimate", f, "--method", "tvacle", "--family",
+                                   "autocov", "--t", "60", "--cal-reps", "20",
+                                   "--cal-seed", "7", "--cache-dir", str(cache)])
+        assert res.exit_code == 0, res.output
+        assert sorted(cache.iterdir()) == before
+
+
+AGREEMENT_MODELS = {
+    "population": (PopulationModel(p=40, n=160, spikes=(7.0, 6.0, 5.0, 4.0)),
+                   ["--n", "160"]),
+    "fisher": (FisherModel(p=30, n=150, T=60, alpha=(10.0, 5.0, 5.0)),
+               ["--n", "150", "--t", "60"]),
+    "autocov": (AutocovModel(p=30, T=60, theta=(0.6, -0.5, 0.3)), ["--t", "60"]),
+}
+AGREEMENT_CASES = (
+    [(family, method, "known") for family in AGREEMENT_MODELS
+     for method in ("vacle", "tvacle", "py", "lwy")]
+    + [("fisher", "wy", "known")]
+    + [("population", method, "estimated") for method in ("vacle", "tvacle", "py", "lwy")]
+)
+
+
+class TestCliHarnessAgreement:
+    @pytest.mark.parametrize("family, method, sigma2_mode", AGREEMENT_CASES)
+    def test_same_q_hat(self, runner, tmp_path, family, method, sigma2_mode):
+        model, sizes = AGREEMENT_MODELS[family]
+        spec = simulate(model, np.random.default_rng(5))
+        f = write_spectrum(tmp_path / "eigs.txt", spec)
+        cache = str(tmp_path / "cache")
+        calib = calibrate_ridge(family, p=model.p, n=getattr(model, "n", None),
+                                T=getattr(model, "T", None), reps=20, seed=7,
+                                cache_dir=cache)
+        run = build_estimator(EstimatorSetting(method), model, lambda: calib, sigma2_mode)
+        q_harness, _ = run(spec)
+        sigma2 = "estimated" if sigma2_mode == "estimated" else "1.0"
+        res = runner.invoke(main, ["estimate", f, "--method", method, "--family",
+                                   family, *sizes, "--sigma2", sigma2,
+                                   "--cal-reps", "20", "--cal-seed", "7",
+                                   "--cache-dir", cache, "--json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["q_hat"] == q_harness
 
 
 class TestSimulate:

@@ -6,6 +6,7 @@ import pytest
 import spikeorder.harness as harness_mod
 from spikeorder.errors import ConfigurationError
 from spikeorder.harness import (
+    ESTIMATOR_NAMES,
     EstimatorSetting,
     ExperimentConfig,
     GridPoint,
@@ -172,6 +173,34 @@ class TestFamilies:
         )
         reports = run_experiment(cfg, cache_dir=cache_dir).reports
         assert all(r.mean <= 5 for r in reports)
+
+    def test_autocov_py(self, cache_dir):
+        # the py constant is keyed by p over the primary count, T for autocov
+        cfg = ExperimentConfig(
+            model_id="auto_py",
+            model=AutocovModel(p=40, T=80, theta=(0.6,), gamma_diag=(2.0,)),
+            grid=(GridPoint(p=40, T=80),),
+            estimators=(EstimatorSetting("py"), EstimatorSetting("lwy")),
+            reps=3, seed=2, calibration_reps=30,
+        )
+        reports = run_experiment(cfg, cache_dir=cache_dir).reports
+        assert not any(r.partial for r in reports)
+        assert all(np.isfinite(r.mean) for r in reports)
+
+    @pytest.mark.parametrize("family, name", [
+        ("fisher", name) for name in ESTIMATOR_NAMES
+    ] + [("autocov", name) for name in ("vacle", "tvacle", "py", "lwy")])
+    def test_estimated_sigma2_population_only(self, cache_dir, family, name):
+        model, grid = {
+            "fisher": (FisherModel(p=40, n=200, T=80, alpha=(10.0, 5.0, 5.0)),
+                       GridPoint(p=40, n=200, T=80)),
+            "autocov": (AutocovModel(p=40, T=80, theta=(0.6,)), GridPoint(p=40, T=80)),
+        }[family]
+        cfg = ExperimentConfig(model_id="est", model=model, grid=(grid,),
+                               estimators=(EstimatorSetting(name),), reps=2,
+                               seed=1, sigma2_mode="estimated", calibration_reps=30)
+        with pytest.raises(ConfigurationError, match="population"):
+            run_experiment(cfg, cache_dir=cache_dir)
 
     def test_estimated_sigma2_mode(self, cache_dir):
         cfg = small_config(sigma2_mode="estimated", reps=4,

@@ -11,6 +11,7 @@ from spikeorder.spectra import (
     FisherModel,
     PopulationModel,
     Spectrum,
+    at_size,
     ingest_spectrum,
     simulate,
     simulate_autocov,
@@ -157,6 +158,16 @@ class TestFisher:
         with pytest.raises(ConfigurationError):
             FisherModel(p=50, n=100, T=100, alpha=(1.0, 2.0))  # bad length
 
+    def test_unequal_noise_needs_p6(self):
+        # at p = 5 the d1 block is coordinates 0-1, so the loading on
+        # coordinate 2 would see d2 and the reported spikes would be wrong
+        with pytest.raises(ConfigurationError):
+            FisherModel(p=5, n=50, T=60, alpha=(10.0, 5.0, 5.0), noise_diag=(1.0, 2.0))
+        assert FisherModel(p=5, n=50, T=60, alpha=(10.0, 5.0, 5.0),
+                           noise_diag=(2.0, 2.0)).spikes == (6.0, 3.5, 3.5)
+        assert FisherModel(p=6, n=50, T=60, alpha=(10.0, 5.0, 5.0)).spikes == (11.0, 6.0, 6.0)
+        FisherModel(p=5, n=50, T=60)  # pure noise has no loadings
+
     def test_bulk_law_ks(self):
         spec = simulate_fisher(FisherModel(p=400, n=2000, T=800), rng(13))
         law = FisherLaw(c=0.2, y=0.5)
@@ -251,6 +262,17 @@ class TestDispatch:
         assert simulate(AutocovModel(p=10, T=20), rng(0)).scale_power == 2
         with pytest.raises(ConfigurationError):
             simulate(object(), rng(0))
+
+    def test_at_size(self):
+        model = PopulationModel(p=10, n=10, spikes=(5.0,))
+        assert at_size(model, 20, 40) == PopulationModel(p=20, n=40, spikes=(5.0,))
+        assert at_size("autocov", 10, n=99, T=20) == AutocovModel(p=10, T=20)
+        with pytest.raises(ConfigurationError):
+            at_size("fisher", 10, n=40)  # no T
+        with pytest.raises(ConfigurationError):
+            at_size("nope", 10, n=40, T=40)
+        with pytest.raises(ConfigurationError):
+            at_size(object(), 10, n=40, T=40)
 
 
 class TestIngest:
