@@ -24,7 +24,7 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -33,9 +33,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .rmt import mp_quantile
-from .spectra import at_size, simulate
+from .spectra import at_size, replicate, simulate
 
 __all__ = [
+    "DEFAULT_REPS",
+    "DEFAULT_SEED",
     "CalibrationResult",
     "aggregate_gaps",
     "calibrate_ridge",
@@ -49,6 +51,10 @@ __all__ = [
 QUANTILE_ALPHAS = (0.01, 0.05, 0.8, 0.95, 0.99)
 RIDGE_FLOOR = 1e-8
 SCHEMA_VERSION = 1
+
+# one default pure-noise run, so every entry point's default shares a cache entry
+DEFAULT_REPS = 500
+DEFAULT_SEED = 7
 
 # the ratio-tolerance d_T fires the consecutive-ratio rule at i = 1 in this
 # fraction of pure-noise runs; 1.0 picks the largest observed statistic
@@ -171,16 +177,21 @@ def _cache_path(cache_dir, kind, p, n, T, reps, seed):
     return os.path.join(cache_dir, name)
 
 
-def load_cached(cache_dir, kind, p, n=None, T=None, reps=500, seed=0):
-    """Return the cached CalibrationResult or None."""
+def load_cached(cache_dir, kind, p, n=None, T=None, reps=DEFAULT_REPS, seed=DEFAULT_SEED):
+    """Return the cached CalibrationResult, or None (with a warning if unreadable)."""
     path = _cache_path(cache_dir, kind, p, n, T, reps, seed)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != SCHEMA_VERSION:
-        return None
-    return CalibrationResult.from_dict(payload)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload.get("schema") == SCHEMA_VERSION:
+            return CalibrationResult.from_dict(payload)
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ConfigurationError) as exc:
+        warnings.warn(f"ignoring unreadable calibration cache file {path}: {exc!r}",
+                      RuntimeWarning, stacklevel=2)
+    return None
 
 
 def _store(cache_dir, result: CalibrationResult):
@@ -199,19 +210,21 @@ def _store(cache_dir, result: CalibrationResult):
     return path
 
 
-def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = 500,
-                    seed: int = 0, workers: int = 1, cache_dir=None,
+def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
+                    seed: int = DEFAULT_SEED, workers: int = 1, cache_dir=None,
                     force: bool = False) -> CalibrationResult:
     """Pure-noise calibration of the ridges (and the ratio tolerance d_T).
 
-    Replications get independent counter-based RNG streams spawned from the
-    master seed and are reduced in replication order, so the result does not
+    The noise runs go through ``spectra.replicate``, so the result does not
     depend on the worker count.  With ``cache_dir`` set, results are reused
     across runs keyed by (kind, p, n, T, reps, seed), where a size the family
     does not use is keyed as absent.
     """
     if reps < 2:
         raise ConfigurationError(f"calibration needs R >= 2, got {reps}")
+    if p < 3:
+        # the noise statistics read the top three eigenvalues
+        raise ConfigurationError(f"calibration needs p >= 3, got p = {p}")
     model = at_size(kind, p, n, T)
     n, T = getattr(model, "n", None), getattr(model, "T", None)
     if cache_dir is not None and not force:
@@ -219,10 +232,7 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = 500,
         if cached is not None:
             return cached
 
-    children = np.random.SeedSequence(seed).spawn(reps)
-
-    def one(idx: int):
-        rng = np.random.Generator(np.random.Philox(children[idx]))
+    def one(rng):
         v = simulate(model, rng).values
         gap = float(v[0] - v[1])
         # same 0/0 -> 1 ratio convention as the consecutive-ratio estimator
@@ -230,17 +240,10 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = 500,
         r2 = v[2] / v[1] if v[1] > 0 else 1.0
         return gap, max(1.0 - r1, 1.0 - r2)
 
-    gaps = np.empty(reps)
-    lwy_stats = np.empty(reps)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, (gap, stat) in enumerate(pool.map(one, range(reps))):
-                gaps[idx] = gap
-                lwy_stats[idx] = stat
-    else:
-        for idx in range(reps):
-            gaps[idx], lwy_stats[idx] = one(idx)
-
+    draws, error = replicate(one, seed, reps, workers)
+    if error is not None:
+        raise error
+    gaps, lwy_stats = np.array(draws).T
     result = aggregate_gaps(kind, p, n, T, seed, gaps, lwy_stats)
     if cache_dir is not None:
         _store(cache_dir, result)

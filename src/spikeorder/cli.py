@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import rmt, spectra
-from .calibration import calibrate_ridge
+from .calibration import DEFAULT_REPS, DEFAULT_SEED, calibrate_ridge
 from .errors import ConfigurationError, NumericalError, SpikeOrderError
 from .harness import (
     ESTIMATOR_NAMES,
@@ -61,8 +61,8 @@ def main():
 @click.option("--p", type=int, required=True)
 @click.option("--n", type=int, default=None)
 @click.option("--t", "t_", type=int, default=None)
-@click.option("--reps", type=int, default=500, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--reps", type=int, default=DEFAULT_REPS, show_default=True)
+@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--cache-dir", default=None, help="defaults to $SPIKEORDER_CACHE")
 @click.option("--force", is_flag=True, help="recompute even on a cache hit")
@@ -99,8 +99,8 @@ def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
 @click.option("--py-c", type=float, default=None, help="py constant C override")
 @click.option("--py-start-index", type=click.IntRange(0, 1), default=0, show_default=True)
 @click.option("--column", default=None, help="CSV column holding the eigenvalues")
-@click.option("--cal-reps", type=int, default=500, show_default=True)
-@click.option("--cal-seed", type=int, default=7, show_default=True)
+@click.option("--cal-reps", type=int, default=DEFAULT_REPS, show_default=True)
+@click.option("--cal-seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--cache-dir", default=None)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="write the ratio trace as JSON")
@@ -163,24 +163,6 @@ def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-# [model] key -> (model field, parser); keys of another family's model are ignored
-_MODEL_KEYS = {
-    "spikes": ("spikes", _floats), "alpha": ("alpha", _floats),
-    "noise_diag": ("noise_diag", _floats), "theta": ("theta", _floats),
-    "gamma": ("gamma_diag", _floats), "sigma2": ("sigma2", float),
-    "burn_in": ("burn_in", int),
-}
-
-# configuration file schema: section -> allowed keys
-_CONFIG_KEYS = {
-    "model": {"kind", *_MODEL_KEYS},
-    "harness": {"grid", "reps", "seed", "estimators", "sigma2_mode"},
-    "calibration": {"reps", "seed"},
-    "estimator": {"tau", "l", "k1", "k2", "d_t", "py_c", "py_start_index"},
-    "io": {"out", "trace"},
-}
-
-
 def _parse_grid(text):
     points = []
     for chunk in text.split(";"):
@@ -201,6 +183,47 @@ def _parse_grid(text):
     return tuple(points)
 
 
+# [model] key -> (model field, parser); keys of another family's model are ignored
+_MODEL_KEYS = {
+    "spikes": ("spikes", _floats), "alpha": ("alpha", _floats),
+    "noise_diag": ("noise_diag", _floats), "theta": ("theta", _floats),
+    "gamma": ("gamma_diag", _floats), "sigma2": ("sigma2", float),
+    "burn_in": ("burn_in", int),
+}
+
+# [estimator] key -> (EstimatorSetting field, parser); applied to every estimator
+_ESTIMATOR_KEYS = {
+    "tau": ("tau", float), "l": ("L", int), "k1": ("k1", float), "k2": ("k2", float),
+    "d_t": ("d_t", float), "py_c": ("py_C", float), "py_start_index": ("py_start_index", int),
+}
+
+# [harness] and [calibration] keys -> (ExperimentConfig field, parser)
+_HARNESS_KEYS = {"grid": ("grid", _parse_grid), "reps": ("reps", int), "seed": ("seed", int),
+                 "sigma2_mode": ("sigma2_mode", str)}
+_CALIBRATION_KEYS = {"reps": ("calibration_reps", int), "seed": ("calibration_seed", int)}
+
+# configuration file schema: section -> allowed keys
+_CONFIG_KEYS = {
+    "model": {"kind", *_MODEL_KEYS},
+    "harness": {"estimators", *_HARNESS_KEYS},
+    "calibration": set(_CALIBRATION_KEYS),
+    "estimator": set(_ESTIMATOR_KEYS),
+    "io": {"out", "trace"},
+}
+
+
+def _values(parser, section, table):
+    """{field: parsed value} for the keys of ``table`` set in ``section``."""
+    out = {}
+    for key, (field, parse) in table.items():
+        if parser.has_option(section, key):
+            try:
+                out[field] = parse(parser.get(section, key))
+            except ValueError as exc:
+                raise ConfigurationError(f"bad value for {section}.{key}: {exc}") from None
+    return out
+
+
 def _parse_estimators(text, overrides):
     settings = []
     for chunk in text.split(","):
@@ -208,13 +231,7 @@ def _parse_estimators(text, overrides):
         if not chunk:
             continue
         name, _, ridge = chunk.partition(":")
-        settings.append(EstimatorSetting(
-            name=name, ridge=ridge or None,
-            tau=overrides.get("tau"), L=overrides.get("l", 20),
-            k1=overrides.get("k1", 5.0), k2=overrides.get("k2", 5.0),
-            d_t=overrides.get("d_t"), py_C=overrides.get("py_c"),
-            py_start_index=overrides.get("py_start_index", 0),
-        ))
+        settings.append(EstimatorSetting(name, ridge or None, **overrides))
     if not settings:
         raise ConfigurationError("estimator list is empty")
     return tuple(settings)
@@ -223,8 +240,7 @@ def _parse_estimators(text, overrides):
 def load_experiment_config(path, seed=None, reps=None, out=None):
     """Parse the sectioned key=value experiment file, applying overrides."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigurationError(f"cannot read config file {path}")
     for section in parser.sections():
         if section not in _CONFIG_KEYS:
@@ -233,44 +249,24 @@ def load_experiment_config(path, seed=None, reps=None, out=None):
             if key not in _CONFIG_KEYS[section]:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
 
-    har = parser["harness"] if parser.has_section("harness") else {}
-    grid = _parse_grid(har.get("grid", ""))
-    first = grid[0]
+    overrides = {k: v for k, v in (("reps", reps), ("seed", seed)) if v is not None}
+    settings = {**_values(parser, "harness", _HARNESS_KEYS),
+                **_values(parser, "calibration", _CALIBRATION_KEYS), **overrides}
+    if "grid" not in settings:
+        raise ConfigurationError("config lacks harness.grid")
+    first = settings["grid"][0]
 
-    model_sec = parser["model"] if parser.has_section("model") else {}
-    noise = at_size(model_sec.get("kind", ""), first.p, first.n, first.T)
+    noise = at_size(parser.get("model", "kind", fallback=""), first.p, first.n, first.T)
     fields = {f.name for f in dataclasses.fields(noise)}
-    model = dataclasses.replace(noise, **{
-        field: parse(model_sec[key]) for key, (field, parse) in _MODEL_KEYS.items()
-        if key in model_sec and field in fields
-    })
-    est_over = {}
-    if parser.has_section("estimator"):
-        sec = parser["estimator"]
-        for key in ("tau", "k1", "k2", "d_t", "py_c"):
-            if key in sec:
-                est_over[key] = float(sec[key])
-        if "l" in sec:
-            est_over["l"] = int(sec["l"])
-        if "py_start_index" in sec:
-            est_over["py_start_index"] = int(sec["py_start_index"])
-
-    cal = parser["calibration"] if parser.has_section("calibration") else {}
-    io = parser["io"] if parser.has_section("io") else {}
-
-    cfg = ExperimentConfig(
-        model_id=os.path.splitext(os.path.basename(path))[0],
-        model=model,
-        grid=grid,
-        estimators=_parse_estimators(har.get("estimators", ""), est_over),
-        reps=reps if reps is not None else int(har.get("reps", "200")),
-        seed=seed if seed is not None else int(har.get("seed", "0")),
-        sigma2_mode=har.get("sigma2_mode", "known"),
-        calibration_reps=int(cal.get("reps", "500")),
-        calibration_seed=int(cal.get("seed", "7")),
-    )
-    out_path = out if out is not None else io.get("out")
-    want_trace = io.get("trace", "false").strip().lower() in ("1", "true", "yes")
+    model = dataclasses.replace(noise, **_values(parser, "model", {
+        key: entry for key, entry in _MODEL_KEYS.items() if entry[0] in fields
+    }))
+    estimators = _parse_estimators(parser.get("harness", "estimators", fallback=""),
+                                   _values(parser, "estimator", _ESTIMATOR_KEYS))
+    cfg = ExperimentConfig(model_id=os.path.splitext(os.path.basename(path))[0],
+                           model=model, estimators=estimators, **settings)
+    out_path = out if out is not None else parser.get("io", "out", fallback=None)
+    want_trace = parser.get("io", "trace", fallback="false").strip().lower() in ("1", "true", "yes")
     return cfg, out_path, want_trace
 
 
@@ -324,8 +320,7 @@ def report(in_path, fmt, out):
     try:
         with open(in_path) as fh:
             payload = json.load(fh)
-        reports = [SimulationReport(**{**r, "distribution": tuple(r["distribution"])})
-                   for r in payload["reports"]]
+        reports = [SimulationReport.from_dict(r) for r in payload["reports"]]
     except (KeyError, TypeError, ValueError) as exc:
         _fail(ConfigurationError(f"bad report file {in_path}: {exc}"))
     text = summarize(reports) if fmt == "csv" else json.dumps(payload["reports"])

@@ -4,16 +4,15 @@ For each grid point: calibrate the ridges once on pure noise, then run R
 replications in which a single simulated spectrum is fed to every estimator
 (paired comparison).  The true order used for the error metrics is the
 *identifiable* order from the random-matrix oracle, not the nominal spike
-count.  Replications use independent counter-based RNG streams spawned from
-the master seed and are reduced in replication order, so all metrics are
+count.  Replications run through ``spectra.replicate``, so every metric is
 independent of the worker count.
 """
 
 import hashlib
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .estimators import (
     vacle,
     wy_estimator,
 )
-from .spectra import at_size, simulate
+from .spectra import at_size, replicate, simulate
 
 __all__ = [
     "EstimatorSetting",
@@ -47,6 +46,8 @@ ESTIMATOR_NAMES = ("vacle", "tvacle", "py", "lwy", "wy")
 
 # reported distributions always use buckets 0..19 plus a >=20 bucket
 N_BUCKETS = 20
+
+_METRICS = ("mean", "mse", "misest_rate")  # NaN when no replication completed
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ class ExperimentConfig:
     reps: int = 200
     seed: int = 0
     sigma2_mode: str = "known"
-    calibration_reps: int = 500
-    calibration_seed: int = 7
+    calibration_reps: int = calibration.DEFAULT_REPS
+    calibration_seed: int = calibration.DEFAULT_SEED
 
     def __post_init__(self):
         if self.reps < 1:
@@ -148,13 +149,14 @@ class SimulationReport:
                 raise ConfigurationError("MSE below squared bias; metrics inconsistent")
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id, "p": self.p, "n": self.n, "T": self.T,
-            "estimator": self.estimator, "reps": self.reps, "q_true": self.q_true,
-            "mean": self.mean, "mse": self.mse, "misest_rate": self.misest_rate,
-            "distribution": list(self.distribution), "seed": self.seed,
-            "runtime_s": self.runtime_s, "partial": self.partial, "error": self.error,
-        }
+        """The fields, with None for a metric over no replications (NaN is not JSON)."""
+        d = asdict(self)
+        return {**d, **{k: None for k in _METRICS if math.isnan(d[k])}}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SimulationReport":
+        return cls(**{**d, "distribution": tuple(d["distribution"]),
+                      **{k: math.nan for k in _METRICS if d[k] is None}})
 
 
 @dataclass
@@ -265,10 +267,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
         runners = [(s, build_estimator(s, model, lambda: calib, cfg.sigma2_mode))
                    for s in cfg.estimators]
 
-        children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-
-        def one(idx: int):
-            rng = np.random.Generator(np.random.Philox(children[idx]))
+        def one(rng):
             spec = simulate(model, rng)
             out = {}
             traces = {}
@@ -280,33 +279,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
             digest = hashlib.sha1(spec.values.tobytes()).hexdigest() if keep_traces else None
             return out, traces, digest
 
-        results = [None] * cfg.reps
-        failure = None
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(one, i): i for i in range(cfg.reps)}
-                for fut, idx in futures.items():
-                    try:
-                        results[idx] = fut.result()
-                    except Exception as exc:  # noqa: BLE001 - diagnostic path
-                        if failure is None or idx < failure[0]:
-                            failure = (idx, repr(exc))
-        else:
-            for idx in range(cfg.reps):
-                try:
-                    results[idx] = one(idx)
-                except Exception as exc:  # noqa: BLE001 - diagnostic path
-                    failure = (idx, repr(exc))
-                    break
-
-        if failure is None:
-            completed = results
-            partial, error = False, None
-        else:
-            completed = results[: failure[0]]
-            if any(r is None for r in completed):
-                completed = [r for r in completed if r is not None]
-            partial, error = True, f"replication {failure[0]} failed: {failure[1]}"
+        completed, exc = replicate(one, cfg.seed, cfg.reps, workers)
+        partial = exc is not None
+        error = f"replication {len(completed)} failed: {exc!r}" if partial else None
 
         runtime_s = time.perf_counter() - t0
         point_detail = {

@@ -15,11 +15,13 @@ count, estimator defaults, oracle order and bulk edge); ``FAMILIES`` maps
 each ``kind`` to its class.
 
 All generators are deterministic functions of (spec, rng) and never share
-state, so replications can run concurrently with one RNG stream each.
+state, so ``replicate`` can run replications concurrently, one stream each.
 """
 
 import csv
 import math
+from concurrent import futures
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "simulate_fisher",
     "simulate_autocov",
     "simulate",
+    "replicate",
     "ingest_spectrum",
 ]
 
@@ -398,6 +401,28 @@ def simulate(spec, rng: np.random.Generator) -> Spectrum:
     if generate is None:
         raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
     return generate(spec, rng)
+
+
+def replicate(draw, seed: int, reps: int, workers: int = 1):
+    """``draw(rng)`` on each of ``reps`` random streams, as ``(results, error)``.
+
+    Stream i is a Philox generator seeded by child i of the seed's
+    ``SeedSequence``, so its value depends on (seed, i) alone.  ``results``
+    holds the values in replication order up to the first replication that
+    raised, ``error`` that exception (None if none did); work not yet started
+    is then cancelled.  ``workers > 1`` runs the draws on that many threads
+    without changing either, so results never depend on the worker count.
+    """
+    streams = (np.random.Generator(np.random.Philox(child))
+               for child in np.random.SeedSequence(seed).spawn(reps))
+    results = []
+    with futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        try:
+            for value in (pool.map if pool else map)(draw, streams):
+                results.append(value)
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            return results, exc
+    return results, None
 
 
 def ingest_spectrum(path, n=None, T=None, scale_power=1, p=None, column=None) -> Spectrum:

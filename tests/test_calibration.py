@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import spikeorder.calibration as calibration_mod
 from spikeorder.calibration import (
     CalibrationResult,
     aggregate_gaps,
@@ -116,10 +118,13 @@ class TestCalibrateRidge:
         scale = 200 ** (-2.0 / 3.0) * math.log(math.log(200))
         assert scale / 10 < res.c1 < scale * 10
 
-    def test_determinism_and_worker_independence(self, cache_dir):
-        a = calibrate_ridge("population", p=60, n=80, reps=40, seed=3)
-        b = calibrate_ridge("population", p=60, n=80, reps=40, seed=3)
-        c = calibrate_ridge("population", p=60, n=80, reps=40, seed=3, workers=3)
+    @pytest.mark.parametrize("kind", ["population", "fisher", "autocov"])
+    def test_determinism_and_worker_independence(self, kind):
+        sizes = {"population": dict(n=80), "fisher": dict(n=120, T=90),
+                 "autocov": dict(T=90)}[kind]
+        a = calibrate_ridge(kind, p=60, reps=40, seed=3, **sizes)
+        b = calibrate_ridge(kind, p=60, reps=40, seed=3, **sizes)
+        c = calibrate_ridge(kind, p=60, reps=40, seed=3, workers=3, **sizes)
         assert a == b == c
 
     def test_cache_round_trip(self, tmp_path):
@@ -129,6 +134,31 @@ class TestCalibrateRidge:
         assert cached == res
         again = calibrate_ridge("autocov", p=40, T=60, reps=30, seed=5, cache_dir=d)
         assert again == res
+
+    def test_corrupt_cache_is_a_miss(self, tmp_path):
+        d = str(tmp_path)
+        res = calibrate_ridge("population", p=30, n=40, reps=20, seed=1, cache_dir=d)
+        (path,) = tmp_path.glob("calib_*.json")
+        good = path.read_bytes()
+        path.write_text("{bad")
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert load_cached(d, "population", p=30, n=40, reps=20, seed=1) is None
+        with pytest.warns(RuntimeWarning):
+            again = calibrate_ridge("population", p=30, n=40, reps=20, seed=1, cache_dir=d)
+        assert again == res
+        assert path.read_bytes() == good  # recomputed and replaced
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        path.write_text(json.dumps({"schema": 1, "kind": "population"}))
+        with pytest.warns(RuntimeWarning):
+            assert load_cached(d, "population", p=30, n=40, reps=20, seed=1) is None
+
+    def test_needs_three_eigenvalues(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before validating p")
+
+        monkeypatch.setattr(calibration_mod, "simulate", no_draws)
+        with pytest.raises(ConfigurationError, match="p >= 3"):
+            calibrate_ridge("population", p=2, n=50, reps=10, seed=0)
 
     def test_kind_requirements(self):
         with pytest.raises(ConfigurationError):

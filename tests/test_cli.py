@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import spikeorder.cli as cli_mod
+import spikeorder.harness as harness_mod
 from spikeorder.cli import main
 from spikeorder.calibration import calibrate_ridge
 from spikeorder.errors import NumericalError
@@ -14,6 +15,7 @@ from spikeorder.harness import (
     GridPoint,
     build_estimator,
     run_experiment,
+    summarize,
 )
 from spikeorder.spectra import (
     AutocovModel,
@@ -112,6 +114,41 @@ class TestCalibrate:
         res = runner.invoke(main, args)
         assert res.exit_code == 0
         assert files[0].stat().st_mtime_ns == mtime
+
+    def test_corrupt_cache_recomputed(self, runner, tmp_path):
+        args = ["calibrate", "--kind", "population", "--p", "40", "--n", "60",
+                "--reps", "30", "--cache-dir", str(tmp_path), "--json"]
+        assert runner.invoke(main, args).exit_code == 0
+        (path,) = tmp_path.glob("calib_*.json")
+        good = path.read_bytes()
+        path.write_text("{bad")
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert path.read_bytes() == good
+
+    def test_p_below_three_exit_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["calibrate", "--kind", "population", "--p", "2",
+                                   "--n", "50", "--cache-dir", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "p >= 3" in res.output + (res.stderr or "")
+
+    def test_default_run_shared_with_estimate(self, runner, tmp_path):
+        # default calibrate and default estimate read one cache entry
+        res = runner.invoke(main, ["calibrate", "--kind", "population", "--p", "40",
+                                   "--n", "60", "--cache-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        (path,) = tmp_path.glob("calib_*.json")
+        mtime = path.stat().st_mtime_ns
+        spec = simulate_population(PopulationModel(p=40, n=60, spikes=(9.0, 7.0)),
+                                   np.random.default_rng(3))
+        write_spectrum(tmp_path / "eigs.txt", spec)
+        res = runner.invoke(main, ["estimate", str(tmp_path / "eigs.txt"), "--method",
+                                   "vacle", "--family", "population", "--n", "60",
+                                   "--cache-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert list(tmp_path.glob("calib_*.json")) == [path]
+        assert path.stat().st_mtime_ns == mtime
 
     def test_reps_floor_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["calibrate", "--kind", "population", "--p", "40",
@@ -344,6 +381,19 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "harness.wormhole" in res.output + (res.stderr or "")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("estimator", "tau", "abc"),
+        ("model", "spikes", "7, x"),
+        ("harness", "reps", "ten"),
+        ("harness", "grid", "p:5x n:20"),
+    ])
+    def test_bad_value_named(self, runner, tmp_path, section, key, value):
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert f"{section}.{key}" in res.output + (res.stderr or "")
+
     def test_unknown_section_named(self, runner, tmp_path):
         cfg = write_config(tmp_path, alien={"x": "1"})
         res = runner.invoke(main, ["simulate", "--config", cfg])
@@ -392,3 +442,28 @@ class TestReport:
         assert res.exit_code == 0
         assert res.output.startswith("model_id,")
         assert res.output.strip() == (tmp_path / "out.csv").read_text().strip()
+
+    def test_no_completed_replications(self, runner, tmp_path, monkeypatch):
+        # replication 0 fails, so the metrics are NaN: the mirror stays valid
+        # JSON (null) and re-renders to the same CSV (nan)
+        def boom(model, rng):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(harness_mod, "simulate", boom)
+        cfg = ExperimentConfig(
+            model_id="none", model=PopulationModel(p=30, n=60, spikes=(5.0,)),
+            grid=(GridPoint(p=30, n=60),), estimators=(EstimatorSetting("py"),),
+            reps=3, calibration_reps=20)
+        result = run_experiment(cfg, cache_dir=str(tmp_path))
+        assert result.reports[0].reps == 0 and result.reports[0].partial
+        mirror = tmp_path / "mirror.json"
+        mirror.write_text(result.to_json())
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads(mirror.read_text(), parse_constant=reject)
+        assert payload["reports"][0]["mean"] is None
+        res = runner.invoke(main, ["report", "--in", str(mirror), "--format", "csv"])
+        assert res.exit_code == 0, res.output
+        assert res.output == summarize(result.reports)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -31,6 +32,30 @@ def small_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+# per family: a small model, its grid point and estimators that apply to it
+FAMILY_RUNS = {
+    "population": (PopulationModel(p=50, n=200, spikes=(7.0, 6.0, 5.0, 4.0)),
+                   GridPoint(p=50, n=200), ("vacle", "tvacle", "py", "lwy")),
+    "fisher": (FisherModel(p=40, n=200, T=80, alpha=(10.0, 5.0, 5.0)),
+               GridPoint(p=40, n=200, T=80), ("vacle", "tvacle", "lwy", "wy")),
+    "autocov": (AutocovModel(p=40, T=80, theta=(0.6,), gamma_diag=(2.0,)),
+                GridPoint(p=40, T=80), ("vacle", "tvacle", "py", "lwy")),
+}
+
+
+def family_config(family, **kw):
+    model, point, names = FAMILY_RUNS[family]
+    return small_config(model_id=family, model=model, grid=(point,),
+                        estimators=tuple(EstimatorSetting(n) for n in names),
+                        calibration_reps=30, **kw)
+
+
+def csv_digest(reports):
+    """SHA-256 of the CSV without its wall-clock runtime_s column."""
+    rows = summarize(reports).splitlines()
+    return hashlib.sha256("\n".join(r.rsplit(",", 1)[0] for r in rows).encode()).hexdigest()
+
+
 def metrics(report):
     d = report.to_dict()
     d.pop("runtime_s")
@@ -60,11 +85,26 @@ class TestDeterminism:
         b = run_experiment(cfg, cache_dir=cache_dir).reports
         assert [metrics(r) for r in a] == [metrics(r) for r in b]
 
-    def test_thread_count_independence(self, cache_dir):
-        cfg = small_config(reps=12)
+    @pytest.mark.parametrize("family", sorted(FAMILY_RUNS))
+    def test_thread_count_independence(self, cache_dir, family):
+        cfg = family_config(family, reps=12)
         a = run_experiment(cfg, workers=1, cache_dir=cache_dir).reports
         b = run_experiment(cfg, workers=3, cache_dir=cache_dir).reports
         assert [metrics(r) for r in a] == [metrics(r) for r in b]
+
+    @pytest.mark.parametrize("family, digest", [
+        ("autocov", "efd20afec8d4752acb4250de7e2facb0105b1356a0f821fd0d5c1352bae9fa2d"),
+        ("fisher", "a56ec1a57904c17091e2114f70d1e9c7c4db2260db5ea2401fb2f4a5490224b9"),
+        ("population", "947f3f4ac043b7be264cc1bd3cf42c0515990b85ba2b5a3f99720da78ac2a828"),
+    ])
+    def test_csv_digest_pinned(self, tmp_path, family, digest):
+        # the determinism contract, pinned: calibration and replications at
+        # one and two workers (fresh caches) give these exact CSV rows
+        cfg = family_config(family, reps=8)
+        for workers in (1, 2):
+            reports = run_experiment(cfg, workers=workers,
+                                     cache_dir=str(tmp_path / f"w{workers}")).reports
+            assert csv_digest(reports) == digest
 
     def test_paired_spectra(self, cache_dir):
         # adding an estimator must not change the spectra fed to the others

@@ -13,6 +13,7 @@ from spikeorder.spectra import (
     Spectrum,
     at_size,
     ingest_spectrum,
+    replicate,
     simulate,
     simulate_autocov,
     simulate_fisher,
@@ -273,6 +274,41 @@ class TestDispatch:
             at_size("nope", 10, n=40, T=40)
         with pytest.raises(ConfigurationError):
             at_size(object(), 10, n=40, T=40)
+
+
+class TestReplicate:
+    @staticmethod
+    def draw(rng):
+        x = rng.random()
+        if x < 0.1:
+            raise ValueError(f"stream drew {x!r}")
+        return x
+
+    def test_streams_in_order(self):
+        results, error = replicate(lambda g: g.random(), seed=4, reps=6, workers=3)
+        children = np.random.SeedSequence(4).spawn(6)
+        expected = [np.random.Generator(np.random.Philox(c)).random() for c in children]
+        assert error is None and results == expected
+
+    def test_failure_cut_is_worker_independent(self):
+        # the first stream whose draw falls below 0.1 fails; the cut, the
+        # completed prefix and the exception do not depend on the workers
+        serial, err1 = replicate(self.draw, seed=11, reps=60, workers=1)
+        pooled, err3 = replicate(self.draw, seed=11, reps=60, workers=3)
+        assert 0 < len(serial) < 60
+        assert pooled == serial
+        assert type(err3) is type(err1) is ValueError
+        assert str(err3) == str(err1)
+
+    def test_serial_stops_at_failure(self):
+        calls = []
+
+        def draw(rng):
+            calls.append(1)
+            return self.draw(rng)
+
+        results, error = replicate(draw, seed=11, reps=60, workers=1)
+        assert error is not None and len(calls) == len(results) + 1
 
 
 class TestIngest:
