@@ -256,9 +256,10 @@ def load_experiment_config(path, seed=None, reps=None, out=None):
         raise ConfigurationError("config lacks harness.grid")
     first = settings["grid"][0]
 
-    noise = at_size(parser.get("model", "kind", fallback=""), first.p, first.n, first.T)
-    fields = {f.name for f in dataclasses.fields(noise)}
-    model = dataclasses.replace(noise, **_values(parser, "model", {
+    kind = parser.get("model", "kind", fallback="")
+    family = spectra.FAMILIES.get(kind)
+    fields = {f.name for f in dataclasses.fields(family)} if family else set()
+    model = at_size(kind, first.p, first.n, first.T, **_values(parser, "model", {
         key: entry for key, entry in _MODEL_KEYS.items() if entry[0] in fields
     }))
     estimators = _parse_estimators(parser.get("harness", "estimators", fallback=""),

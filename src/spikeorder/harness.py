@@ -8,6 +8,7 @@ count.  Replications run through ``spectra.replicate``, so every metric is
 independent of the worker count.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -188,6 +189,10 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
     name = setting.name
 
     if name in ("vacle", "tvacle"):
+        if setting.L > model.p:
+            raise ConfigurationError(
+                f"search bound L = {setting.L} exceeds the spectrum length p = {model.p}"
+            )
         c_n = setting.c_n
         if c_n is None:
             ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
@@ -258,14 +263,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
     for point in cfg.grid:
         model = at_size(cfg.model, point.p, point.n, point.T)
         t0 = time.perf_counter()
-        calib = calibrate_ridge(
+        # built before the calibration draws, so a bad setting fails first
+        calibrate = functools.cache(lambda: calibrate_ridge(
             model.kind, p=model.p, n=point.n, T=point.T,
             reps=cfg.calibration_reps, seed=cfg.calibration_seed,
             workers=workers, cache_dir=cache_dir,
-        )
-        q_true = model.true_order()
-        runners = [(s, build_estimator(s, model, lambda: calib, cfg.sigma2_mode))
+        ))
+        runners = [(s, build_estimator(s, model, calibrate, cfg.sigma2_mode))
                    for s in cfg.estimators]
+        calib = calibrate()
+        q_true = model.true_order()
 
         def one(rng):
             spec = simulate(model, rng)

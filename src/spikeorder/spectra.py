@@ -19,12 +19,17 @@ state, so ``replicate`` can run replications concurrently, one stream each.
 """
 
 import csv
+import ctypes
+import functools
 import math
+import threading
 from concurrent import futures
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import linalg, signal
 
 from . import rmt
@@ -255,11 +260,13 @@ class AutocovModel:
 FAMILIES = {cls.kind: cls for cls in (PopulationModel, FisherModel, AutocovModel)}
 
 
-def at_size(model_or_kind, p: int, n=None, T=None):
+def at_size(model_or_kind, p: int, n=None, T=None, **fields):
     """The model at sizes (p, n, T), or a family's pure-noise model there.
 
     ``model_or_kind`` is a model instance or a ``FAMILIES`` key.  Only the
     sizes the family uses are read; a missing one is a ConfigurationError.
+    ``fields`` sets other model fields in the same construction, so the
+    model is validated once, with them.
     """
     by_kind = isinstance(model_or_kind, str)
     cls = FAMILIES.get(model_or_kind) if by_kind else type(model_or_kind)
@@ -270,7 +277,7 @@ def at_size(model_or_kind, p: int, n=None, T=None):
     sizes = {name: {"p": p, "n": n, "T": T}[name] for name in cls.sizes}
     if None in sizes.values():
         raise ConfigurationError(f"{cls.kind} models need {', '.join(cls.sizes)}")
-    return cls(**sizes) if by_kind else replace(model_or_kind, **sizes)
+    return cls(**sizes, **fields) if by_kind else replace(model_or_kind, **sizes, **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,6 +410,63 @@ def simulate(spec, rng: np.random.Generator) -> Spectrum:
     return generate(spec, rng)
 
 
+# numpy and scipy each bundle their own OpenBLAS; numpy's is the build with
+# 64-bit integers, whose symbols carry the suffix 64_
+_OPENBLAS_COPIES = ((np, "64_"), (scipy, ""))
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each bundled OpenBLAS copy found."""
+    controls = []
+    for package, suffix in _OPENBLAS_COPIES:
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+            break
+    return tuple(controls)
+
+
+class _OneBlasThread:
+    """Context manager that runs its body with every OpenBLAS copy at one thread.
+
+    The thread counts are process-wide, so entries are counted under a lock:
+    the outermost entry saves and pins the counts, the last exit restores
+    them, however nested or concurrent calls overlap.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((put, get()) for get, put in _openblas_thread_controls())
+                for put, _ in self._saved:
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for put, count in self._saved:
+                    put(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def replicate(draw, seed: int, reps: int, workers: int = 1):
     """``draw(rng)`` on each of ``reps`` random streams, as ``(results, error)``.
 
@@ -412,11 +476,18 @@ def replicate(draw, seed: int, reps: int, workers: int = 1):
     raised, ``error`` that exception (None if none did); work not yet started
     is then cancelled.  ``workers > 1`` runs the draws on that many threads
     without changing either, so results never depend on the worker count.
+
+    Replications are the unit of parallelism: at every worker count, the
+    draws run with numpy's and scipy's OpenBLAS at one thread, and the saved
+    thread counts are restored when the call ends.  Threaded BLAS would
+    oversubscribe the cores under the pool and round differently from the
+    serial path.
     """
     streams = (np.random.Generator(np.random.Philox(child))
                for child in np.random.SeedSequence(seed).spawn(reps))
     results = []
-    with futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    pooled = futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext()
+    with _one_blas_thread, pooled as pool:
         try:
             for value in (pool.map if pool else map)(draw, streams):
                 results.append(value)

@@ -1,5 +1,65 @@
+import ctypes
+
 import numpy as np
 import pytest
+
+# thread-count symbols of numpy's (64-bit-integer) and scipy's OpenBLAS copies
+_OPENBLAS_SYMBOLS = (
+    ("numpy", "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+class OpenBlas:
+    """Thread counts of the OpenBLAS copies loaded in this process.
+
+    The copies are found in the process's memory map, independently of the
+    package's own lookup, and read and set through their own symbols.
+    ``copies`` is empty where none is loaded (or the map cannot be read).
+    """
+
+    def __init__(self):
+        self.copies = {}
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        except OSError:
+            paths = []
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for owner, get_sym, set_sym in _OPENBLAS_SYMBOLS:
+                get, put = getattr(lib, get_sym, None), getattr(lib, set_sym, None)
+                if owner in self.copies or get is None or put is None:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                self.copies[owner] = (get, put)
+
+    def threads(self) -> dict:
+        return {owner: get() for owner, (get, _) in self.copies.items()}
+
+    def set_threads(self, counts: dict):
+        for owner, count in counts.items():
+            self.copies[owner][1](count)
+
+
+@pytest.fixture(scope="session")
+def openblas():
+    return OpenBlas()
+
+
+@pytest.fixture(autouse=True)
+def openblas_threads_unchanged(openblas):
+    """Fail a test that leaves an OpenBLAS copy at another thread count."""
+    before = openblas.threads()
+    yield
+    after = openblas.threads()
+    if after != before:
+        openblas.set_threads(before)
+        pytest.fail(f"OpenBLAS thread counts changed from {before} to {after}")
 
 
 @pytest.fixture(scope="session")

@@ -400,6 +400,25 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "alien" in res.output + (res.stderr or "")
 
+    @pytest.mark.parametrize("method", ["vacle", "tvacle"])
+    def test_search_bound_above_p_exit_2(self, runner, tmp_path, method):
+        # the default L = 20 exceeds p = 10: a configuration error, not a
+        # partial grid point of failed replications
+        cfg = write_config(tmp_path, model={"spikes": "7"},
+                           harness={"grid": "p:10 n:40", "estimators": method})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "L = 20" in res.output and "p = 10" in res.output
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_model_validated_with_its_spikes(self, runner, tmp_path):
+        cfg = write_config(tmp_path, model={"spikes": "6"},
+                           harness={"grid": "p:0 n:20"})
+        res = runner.invoke(main, ["simulate", "--config", cfg])
+        assert res.exit_code == 2
+        assert "too small for 1 spikes" in res.output
+
 
 class TestSimulateFamilies:
     def test_autocov_config(self, runner, tmp_path):

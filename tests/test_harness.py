@@ -188,6 +188,27 @@ class TestFamilies:
         with pytest.raises(ConfigurationError):
             run_experiment(bad, cache_dir=cache_dir)
 
+    @pytest.mark.parametrize("method", ["vacle", "tvacle"])
+    def test_search_bound_above_p(self, monkeypatch, method):
+        # raised while the estimators are built: no calibration or
+        # replication draw runs first
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the configuration was checked")
+
+        monkeypatch.setattr(harness_mod, "calibrate_ridge", no_draw)
+        monkeypatch.setattr(harness_mod, "simulate", no_draw)
+        cfg = small_config(grid=(GridPoint(p=10, n=40),),
+                           estimators=(EstimatorSetting(method),))
+        with pytest.raises(ConfigurationError, match=r"L = 20 .* p = 10"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("method", ["py", "lwy"])
+    def test_baselines_run_below_search_bound(self, cache_dir, method):
+        cfg = small_config(grid=(GridPoint(p=10, n=40),),
+                           estimators=(EstimatorSetting(method),), reps=3)
+        (report,) = run_experiment(cfg, cache_dir=cache_dir).reports
+        assert report.reps == 3 and not report.partial
+
     def test_ridge_override_c3b(self, cache_dir):
         # per-estimator ridge selection routes through the calibration result
         cfg = ExperimentConfig(

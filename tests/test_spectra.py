@@ -310,6 +310,60 @@ class TestReplicate:
         results, error = replicate(draw, seed=11, reps=60, workers=1)
         assert error is not None and len(calls) == len(results) + 1
 
+    @pytest.fixture()
+    def two_threads(self, openblas):
+        """Both OpenBLAS copies at two threads, so a pin to one shows."""
+        if not openblas.copies:
+            pytest.skip("no OpenBLAS copy loaded")
+        saved = openblas.threads()
+        openblas.set_threads({owner: 2 for owner in saved})
+        yield {owner: 2 for owner in saved}
+        openblas.set_threads(saved)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_draws_run_at_one_blas_thread(self, openblas, two_threads, workers):
+        seen, error = replicate(lambda g: openblas.threads(), seed=0, reps=6,
+                                workers=workers)
+        assert error is None
+        assert seen == [{owner: 1 for owner in two_threads}] * 6
+        assert openblas.threads() == two_threads
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_blas_threads_restored(self, openblas, two_threads, workers):
+        class Abort(BaseException):
+            pass
+
+        def abort(rng):
+            raise Abort
+
+        def nested(rng):
+            inner, _ = replicate(lambda g: openblas.threads(), seed=1, reps=2)
+            return inner + [openblas.threads()]
+
+        one = {owner: 1 for owner in two_threads}
+        _, error = replicate(self.draw, seed=11, reps=60, workers=workers)
+        assert error is not None
+        assert openblas.threads() == two_threads
+        with pytest.raises(Abort):
+            replicate(abort, seed=0, reps=4, workers=workers)
+        assert openblas.threads() == two_threads
+        seen, error = replicate(nested, seed=0, reps=4, workers=workers)
+        assert error is None and seen == [[one] * 3] * 4
+        assert openblas.threads() == two_threads
+
+    def test_autocov_bits_worker_independent(self):
+        # at this size OpenBLAS threads its products unless pinned, which
+        # changes the last bits between the serial and the pooled path
+        model = AutocovModel(p=150, T=300, theta=(0.6, -0.5), gamma_diag=(2.0, 2.0))
+
+        def draw(g):
+            return simulate(model, g).values.tobytes()
+
+        serial, err1 = replicate(draw, seed=0, reps=8, workers=1)
+        pooled, err2 = replicate(draw, seed=0, reps=8, workers=2)
+        assert err1 is None and err2 is None
+        assert pooled == serial
+
 
 class TestIngest:
     def test_plain_sort(self, tmp_path):
