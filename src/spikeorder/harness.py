@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -176,8 +176,9 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
     """Return a callable spectrum -> (q_hat, trace-or-None) for ``model``'s family.
 
     ``calibrate()`` returns the pure-noise CalibrationResult at the model's
-    size; it is called only when the setting lacks a ridge value or ``d_t``
-    that the estimator needs.  ``sigma2_mode`` is "known" (use
+    size; the callable calls it on its first spectrum, and only when the
+    setting lacks a ridge value or ``d_t`` that the estimator needs, so
+    building draws nothing.  ``sigma2_mode`` is "known" (use
     ``model.sigma2``) or "estimated", which only population spectra allow.
     """
     if sigma2_mode == "estimated" and not model.sigma2_estimable:
@@ -193,17 +194,18 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
             raise ConfigurationError(
                 f"search bound L = {setting.L} exceeds the spectrum length p = {model.p}"
             )
-        c_n = setting.c_n
-        if c_n is None:
-            ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
-            c_n = calibrate().ridge(ridge)
+        # a unit ridge stands in for a calibrated one while the tuning is checked
         cfg = EstimatorConfig(
-            c_n=c_n, tau=tau, L=setting.L, sigma2=sigma2,
-            e=model.bulk_edge() if name == "tvacle" else None,
+            c_n=1.0 if setting.c_n is None else setting.c_n, tau=tau, L=setting.L,
+            sigma2=sigma2, e=model.bulk_edge() if name == "tvacle" else None,
             k1=setting.k1, k2=setting.k2,
         )
         fn = tvacle if name == "tvacle" else vacle
-        return lambda spec: fn(spec, cfg)
+        if setting.c_n is not None:
+            return lambda spec: fn(spec, cfg)
+        ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
+        calibrated = functools.cache(lambda: replace(cfg, c_n=calibrate().ridge(ridge)))
+        return lambda spec: fn(spec, calibrated())
 
     if name == "py":
         C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count).value
@@ -215,8 +217,9 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
         return run
 
     if name == "lwy":
-        d_t = setting.d_t if setting.d_t is not None else calibrate().d_t_lwy
-        return lambda spec: (lwy_estimator(spec, d_t, L=setting.L).q_hat, None)
+        d_t = functools.cache(
+            lambda: setting.d_t if setting.d_t is not None else calibrate().d_t_lwy)
+        return lambda spec: (lwy_estimator(spec, d_t(), L=setting.L).q_hat, None)
 
     # wy: bulk-edge exceedance count, Fisher family only
     if model.kind != "fisher":
@@ -254,23 +257,27 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
                    keep_traces: bool = False) -> ExperimentResult:
     """Run every grid point of the experiment; returns reports (and details).
 
+    Every grid point's model and estimators are built before the first draw.
     A replication failure aborts its grid point: metrics over the completed
     replications are still reported, flagged partial, with the diagnostic in
     ``error``.  Other grid points proceed.
     """
-    reports = []
-    details = []
+    points = []
     for point in cfg.grid:
         model = at_size(cfg.model, point.p, point.n, point.T)
-        t0 = time.perf_counter()
-        # built before the calibration draws, so a bad setting fails first
-        calibrate = functools.cache(lambda: calibrate_ridge(
-            model.kind, p=model.p, n=point.n, T=point.T,
+        calibrate = functools.cache(functools.partial(
+            calibrate_ridge, model.kind, p=model.p, n=point.n, T=point.T,
             reps=cfg.calibration_reps, seed=cfg.calibration_seed,
             workers=workers, cache_dir=cache_dir,
         ))
         runners = [(s, build_estimator(s, model, calibrate, cfg.sigma2_mode))
                    for s in cfg.estimators]
+        points.append((model, calibrate, runners))
+
+    reports = []
+    details = []
+    for model, calibrate, runners in points:
+        t0 = time.perf_counter()
         calib = calibrate()
         q_true = model.true_order()
 

@@ -30,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import linalg, signal
+from scipy.linalg import lapack
 
 from . import rmt
-from .errors import ConfigurationError, IngestionError, SingularMatrixError
+from .errors import ConfigurationError, IngestionError, NumericalError, SingularMatrixError
 from .rmt import FactorSignature
 
 __all__ = [
@@ -231,6 +231,11 @@ class AutocovModel:
             raise ConfigurationError("sigma2 must be positive")
         if self.burn_in < 0:
             raise ConfigurationError("burn_in must be nonnegative")
+        if theta:
+            # scipy.signal (the VAR(1) filter; it loads scipy.stats) is imported
+            # only for factor models, and by the thread that builds the model: a
+            # first import on a replication thread slowed the later draws
+            import scipy.signal  # noqa: F401
 
     @property
     def count(self) -> int:
@@ -348,7 +353,10 @@ def simulate_fisher(spec: FisherModel, rng: np.random.Generator) -> Spectrum:
     """Spectrum of S1 S2^{-1} via the symmetric-definite pencil (S1, S2).
 
     Draw order (fixed for reproducibility): signal factors u, signal noise,
-    then the independent pure-noise sample behind S2.
+    then the independent pure-noise sample behind S2.  The pencil is solved by
+    the LAPACK chain inside ``scipy.linalg.eigh(S1, S2)``, bit for bit.  Its
+    Cholesky factor guards S2: SingularMatrixError when it fails or when
+    LAPACK's estimate of the reciprocal 1-norm condition is below 1e-12.
     """
     p, n, T = spec.p, spec.n, spec.T
     d = spec._sigma2_diag()
@@ -362,12 +370,14 @@ def simulate_fisher(spec: FisherModel, rng: np.random.Generator) -> Spectrum:
 
     S1 = X @ X.T / n
     S2 = E @ E.T / T
-    w2 = np.linalg.eigvalsh(S2)
-    if w2[0] <= 0.0 or w2[-1] / w2[0] > 1e12:
-        raise SingularMatrixError(
-            f"noise covariance numerically singular (condition ~ {w2[-1] / max(w2[0], 1e-300):.3e})"
-        )
-    w = linalg.eigh(S1, S2, eigvals_only=True)
+    chol, info = lapack.dpotrf(S2, lower=1)
+    rcond = lapack.dpocon(chol, np.linalg.norm(S2, 1), uplo="L")[0] if info == 0 else 0.0
+    if rcond < 1e-12:
+        raise SingularMatrixError(f"noise covariance numerically singular (rcond {rcond:.1e})")
+    reduced, _ = lapack.dsygst(S1, chol, itype=1, lower=1, overwrite_a=1)
+    w, _, info = lapack.dsyevd(reduced, compute_v=0, lower=1, overwrite_a=1)
+    if info:
+        raise NumericalError(f"pencil eigensolver did not converge (LAPACK info {info})")
     values = _finish(w, ref_scale=float(w[-1]))
     return Spectrum(values=values, p=p, n=n, T=T, scale_power=1)
 
@@ -385,7 +395,7 @@ def simulate_autocov(spec: AutocovModel, rng: np.random.Generator) -> Spectrum:
         e *= np.sqrt(np.asarray(spec.gamma_diag))[:, None]
         x = np.empty_like(e)
         for i, th in enumerate(spec.theta):
-            x[i] = signal.lfilter([1.0], [1.0, -th], e[i])
+            x[i] = scipy.signal.lfilter([1.0], [1.0, -th], e[i])
         x = x[:, -keep:]
     Y = rng.standard_normal((p, keep))
     Y *= math.sqrt(spec.sigma2)

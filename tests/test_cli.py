@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import spikeorder
 import spikeorder.cli as cli_mod
 import spikeorder.harness as harness_mod
 from spikeorder.cli import main
@@ -486,3 +491,16 @@ class TestReport:
         res = runner.invoke(main, ["report", "--in", str(mirror), "--format", "csv"])
         assert res.exit_code == 0, res.output
         assert res.output == summarize(result.reports)
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal pulls in scipy.stats, about half the CLI's import time;
+    # only autocov factor models need it
+    src = str(Path(spikeorder.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, spikeorder.cli, spikeorder.harness; "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

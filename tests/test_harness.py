@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import spikeorder.calibration as calibration_mod
 import spikeorder.harness as harness_mod
 from spikeorder.errors import ConfigurationError
 from spikeorder.harness import (
@@ -201,6 +202,26 @@ class TestFamilies:
                            estimators=(EstimatorSetting(method),))
         with pytest.raises(ConfigurationError, match=r"L = 20 .* p = 10"):
             run_experiment(cfg)
+
+    def test_later_grid_point_checked_before_any_draw(self, monkeypatch, tmp_path):
+        # the bad setting sits at the second point; the first point's
+        # calibration and replications must not run and be thrown away
+        calls = []
+
+        def counting(module):
+            real = module.simulate
+            def simulate(model, rng):
+                calls.append(module.__name__)
+                return real(model, rng)
+            return simulate
+
+        for module in (harness_mod, calibration_mod):
+            monkeypatch.setattr(module, "simulate", counting(module))
+        cfg = small_config(grid=(GridPoint(p=50, n=200), GridPoint(p=10, n=40)),
+                           estimators=(EstimatorSetting("vacle"),), reps=3)
+        with pytest.raises(ConfigurationError, match=r"L = 20 .* p = 10"):
+            run_experiment(cfg, cache_dir=tmp_path)
+        assert calls == []
 
     @pytest.mark.parametrize("method", ["py", "lwy"])
     def test_baselines_run_below_search_bound(self, cache_dir, method):

@@ -3,7 +3,7 @@ import pytest
 from scipy import linalg
 
 from spikeorder import rmt
-from spikeorder.errors import ConfigurationError, IngestionError
+from spikeorder.errors import ConfigurationError, IngestionError, SingularMatrixError
 from spikeorder.rmt import AutocovLaw, FisherLaw, MpLaw, mp_cdf
 from spikeorder.rmt._integrate import integrate_density
 from spikeorder.spectra import (
@@ -11,6 +11,7 @@ from spikeorder.spectra import (
     FisherModel,
     PopulationModel,
     Spectrum,
+    _finish,
     at_size,
     ingest_spectrum,
     replicate,
@@ -152,6 +153,53 @@ class TestFisher:
         spec = simulate_fisher(model, rng(43))
         law = FisherLaw(c=0.2, y=0.4, sigma2=2.0)
         assert spec.values[0] > law.upper_edge
+
+    @pytest.mark.parametrize("model", [
+        FisherModel(p=40, n=90, T=120),
+        FisherModel(p=40, n=90, T=120, alpha=(10.0, 5.0, 5.0)),
+        FisherModel(p=40, n=90, T=120, alpha=(10.0, 5.0, 5.0), sigma2=1.5,
+                    noise_diag=(0.5, 3.0)),
+        FisherModel(p=40, n=25, T=120, alpha=(10.0, 5.0, 5.0)),  # singular S1
+    ], ids=["pure", "spiked", "unequal_noise", "n_below_p"])
+    def test_bits_match_generalized_eigh(self, model):
+        # S1 and S2 rebuilt in the documented draw order: signal factors u,
+        # signal noise, then the pure-noise sample behind S2
+        p, n, T = model.p, model.n, model.T
+        g = rng(17)
+        d = np.where(np.arange(p) < p // 2, *model.noise_diag)
+        u = g.standard_normal((3, n)) if model.alpha else None
+        X = g.standard_normal((p, n)) * np.sqrt(model.sigma2 * d)[:, None]
+        if u is not None:
+            a1, a2, a3 = model.alpha
+            A = np.zeros((p, 3))
+            A[0, 0] = np.sqrt(a1)
+            A[1:3, 1] = np.sqrt(a2 / 2)
+            A[1:3, 2] = np.sqrt(a3 / 2) * np.array([1.0, -1.0])
+            X += A @ u
+        E = g.standard_normal((p, T)) * np.sqrt(d)[:, None]
+        w = linalg.eigh(X @ X.T / n, E @ E.T / T, eigvals_only=True)
+        expected = _finish(w, ref_scale=float(w[-1]))
+        got = simulate_fisher(model, rng(17)).values
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("damage", ["zero_row", "scaled_row"])
+    def test_singular_noise_raises(self, damage):
+        # the draw behind S2 is (p, T); the others are (3, n) and (p, n)
+        p, n, T = 30, 60, 80
+
+        class NoiseStub:
+            def __init__(self):
+                self._g = rng(21)
+
+            def standard_normal(self, shape):
+                draw = self._g.standard_normal(shape)
+                if shape == (p, T):
+                    draw[-1] *= 0.0 if damage == "zero_row" else 1e-7
+                return draw
+
+        for alpha in ((), (10.0, 5.0, 5.0)):
+            with pytest.raises(SingularMatrixError):
+                simulate_fisher(FisherModel(p=p, n=n, T=T, alpha=alpha), NoiseStub())
 
     def test_errors(self):
         with pytest.raises(ConfigurationError):
