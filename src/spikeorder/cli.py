@@ -1,8 +1,10 @@
 """Command-line surface: calibrate, estimate, simulate, report, limits.
 
-Exit codes: 0 on success, 2 on configuration or ingestion errors, 3 on
-numerical failures.  With ``--json``, stdout carries one JSON object per
-line for machine consumption.
+Exit codes: 0 on success, 2 on configuration or ingestion errors and on a
+path that cannot be read or written, 3 on numerical failures.  The ``main``
+group maps every error to its exit code in one place; the commands raise.
+With ``--json``, stdout carries one JSON object per line for machine
+consumption.
 """
 
 import configparser
@@ -51,7 +53,19 @@ def _emit(payload: dict, as_json: bool):
             click.echo(f"{key} = {val}")
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SpikeOrderError as exc:
+            _fail(exc)
+        except BrokenPipeError:
+            raise  # a closed stdout, which click reports itself
+        except OSError as exc:  # from a path the user gave
+            _fail(exc)
+
+
+@click.group(cls=_Main)
 def main():
     """Order determination for large-dimensional spiked models."""
 
@@ -70,11 +84,8 @@ def main():
 def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
     """Pure-noise ridge calibration; caches and prints the derived ridges."""
     cache = _cache_dir(cache_dir)
-    try:
-        result = calibrate_ridge(kind, p=p, n=n, T=t_, reps=reps, seed=seed,
-                                 workers=workers, cache_dir=cache, force=force)
-    except SpikeOrderError as exc:
-        _fail(exc)
+    result = calibrate_ridge(kind, p=p, n=n, T=t_, reps=reps, seed=seed,
+                             workers=workers, cache_dir=cache, force=force)
     _emit({"kind": kind, "p": p, "n": n, "T": t_, "reps": reps, "seed": seed,
            "m_pn": result.m_pn, "c1": result.c1, "c2": result.c2,
            "c3a": result.c3a, "c3b": result.c3b, "d_t_lwy": result.d_t_lwy,
@@ -89,15 +100,18 @@ def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
 @click.option("--t", "t_", type=int, default=None, help="secondary sample size (T)")
 @click.option("--sigma2", default="1.0",
               help="noise scale: a positive float or 'estimated' (population only)")
+# tuning options, each named after the EstimatorSetting field it sets
 @click.option("--tau", type=float, default=None, help="default 0.5 (0.8 for fisher)")
-@click.option("--bound", "L", type=int, default=20, show_default=True, help="search bound L")
+@click.option("--bound", "L", type=int, default=EstimatorSetting.L, show_default=True,
+              help="search bound L")
 @click.option("--c-n", type=float, default=None,
               help="ridge; calibrated from pure noise when omitted")
-@click.option("--k1", type=float, default=5.0, show_default=True)
-@click.option("--k2", type=float, default=5.0, show_default=True)
+@click.option("--k1", type=float, default=EstimatorSetting.k1, show_default=True)
+@click.option("--k2", type=float, default=EstimatorSetting.k2, show_default=True)
 @click.option("--d-t", type=float, default=None, help="lwy ratio tolerance")
-@click.option("--py-c", type=float, default=None, help="py constant C override")
-@click.option("--py-start-index", type=click.IntRange(0, 1), default=0, show_default=True)
+@click.option("--py-c", "py_C", type=float, default=None, help="py constant C override")
+@click.option("--py-start-index", type=click.IntRange(0, 1),
+              default=EstimatorSetting.py_start_index, show_default=True)
 @click.option("--column", default=None, help="CSV column holding the eigenvalues")
 @click.option("--cal-reps", type=int, default=DEFAULT_REPS, show_default=True)
 @click.option("--cal-seed", type=int, default=DEFAULT_SEED, show_default=True)
@@ -107,21 +121,9 @@ def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
 @click.option("--plot-data", type=click.Path(dir_okay=False), default=None,
               help="write (i, r_i, tau) rows as CSV for the ratio panel")
 @click.option("--json", "as_json", is_flag=True)
-def estimate(spectrum, method, family, n, t_, sigma2, tau, L, c_n, k1, k2, d_t,
-             py_c, py_start_index, column, cal_reps, cal_seed, cache_dir,
-             trace_path, plot_data, as_json):
+def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed,
+             cache_dir, trace_path, plot_data, as_json, **tuning):
     """Estimate the order of an ingested spectrum file."""
-    try:
-        _run_estimate(spectrum, method, family, n, t_, sigma2, tau, L, c_n, k1,
-                      k2, d_t, py_c, py_start_index, column, cal_reps, cal_seed,
-                      cache_dir, trace_path, plot_data, as_json)
-    except SpikeOrderError as exc:
-        _fail(exc)
-
-
-def _run_estimate(spectrum, method, family, n, t_, sigma2, tau, L, c_n, k1, k2,
-                  d_t, py_c, py_start_index, column, cal_reps, cal_seed,
-                  cache_dir, trace_path, plot_data, as_json):
     raw = ingest_spectrum(spectrum, column=column)
     model = at_size(family, raw.p, n, t_)
     spec = dataclasses.replace(raw, n=model.count, T=getattr(model, "T", None),
@@ -134,8 +136,7 @@ def _run_estimate(spectrum, method, family, n, t_, sigma2, tau, L, c_n, k1, k2,
             raise ConfigurationError(
                 f"--sigma2 must be a float or 'estimated', got {sigma2!r}"
             ) from None
-    setting = EstimatorSetting(method, c_n=c_n, tau=tau, L=L, k1=k1, k2=k2,
-                               d_t=d_t, py_C=py_c, py_start_index=py_start_index)
+    setting = EstimatorSetting(method, **tuning)
 
     def calibrate():
         return calibrate_ridge(family, p=spec.p, n=n, T=t_, reps=cal_reps,
@@ -160,7 +161,10 @@ def _run_estimate(spectrum, method, family, n, t_, sigma2, tau, L, c_n, k1, k2,
 
 
 def _floats(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    try:
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigurationError(f"cannot parse {text!r} as a list of numbers") from None
 
 
 def _parse_grid(text):
@@ -219,7 +223,7 @@ def _values(parser, section, table):
         if parser.has_option(section, key):
             try:
                 out[field] = parse(parser.get(section, key))
-            except ValueError as exc:
+            except (ValueError, ConfigurationError) as exc:
                 raise ConfigurationError(f"bad value for {section}.{key}: {exc}") from None
     return out
 
@@ -240,35 +244,39 @@ def _parse_estimators(text, overrides):
 def load_experiment_config(path, seed=None, reps=None, out=None):
     """Parse the sectioned key=value experiment file, applying overrides."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
-        raise ConfigurationError(f"cannot read config file {path}")
-    for section in parser.sections():
-        if section not in _CONFIG_KEYS:
-            raise ConfigurationError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _CONFIG_KEYS[section]:
-                raise ConfigurationError(f"unknown config key {section}.{key}")
+    try:
+        if not parser.read(path):
+            raise ConfigurationError(f"cannot read config file {path}")
+        for section in parser.sections():
+            if section not in _CONFIG_KEYS:
+                raise ConfigurationError(f"unknown config section [{section}]")
+            for key in parser[section]:
+                if key not in _CONFIG_KEYS[section]:
+                    raise ConfigurationError(f"unknown config key {section}.{key}")
 
-    overrides = {k: v for k, v in (("reps", reps), ("seed", seed)) if v is not None}
-    settings = {**_values(parser, "harness", _HARNESS_KEYS),
-                **_values(parser, "calibration", _CALIBRATION_KEYS), **overrides}
-    if "grid" not in settings:
-        raise ConfigurationError("config lacks harness.grid")
-    first = settings["grid"][0]
+        overrides = {k: v for k, v in (("reps", reps), ("seed", seed)) if v is not None}
+        settings = {**_values(parser, "harness", _HARNESS_KEYS),
+                    **_values(parser, "calibration", _CALIBRATION_KEYS), **overrides}
+        if "grid" not in settings:
+            raise ConfigurationError("config lacks harness.grid")
+        first = settings["grid"][0]
 
-    kind = parser.get("model", "kind", fallback="")
-    family = spectra.FAMILIES.get(kind)
-    fields = {f.name for f in dataclasses.fields(family)} if family else set()
-    model = at_size(kind, first.p, first.n, first.T, **_values(parser, "model", {
-        key: entry for key, entry in _MODEL_KEYS.items() if entry[0] in fields
-    }))
-    estimators = _parse_estimators(parser.get("harness", "estimators", fallback=""),
-                                   _values(parser, "estimator", _ESTIMATOR_KEYS))
-    cfg = ExperimentConfig(model_id=os.path.splitext(os.path.basename(path))[0],
-                           model=model, estimators=estimators, **settings)
-    out_path = out if out is not None else parser.get("io", "out", fallback=None)
-    want_trace = parser.get("io", "trace", fallback="false").strip().lower() in ("1", "true", "yes")
-    return cfg, out_path, want_trace
+        kind = parser.get("model", "kind", fallback="")
+        family = spectra.FAMILIES.get(kind)
+        fields = {f.name for f in dataclasses.fields(family)} if family else set()
+        model = at_size(kind, first.p, first.n, first.T, **_values(parser, "model", {
+            key: entry for key, entry in _MODEL_KEYS.items() if entry[0] in fields
+        }))
+        estimators = _parse_estimators(parser.get("harness", "estimators", fallback=""),
+                                       _values(parser, "estimator", _ESTIMATOR_KEYS))
+        cfg = ExperimentConfig(model_id=os.path.splitext(os.path.basename(path))[0],
+                               model=model, estimators=estimators, **settings)
+        out_path = out if out is not None else parser.get("io", "out", fallback=None)
+        want_trace = parser.get("io", "trace", fallback="false").strip().lower() in (
+            "1", "true", "yes")
+        return cfg, out_path, want_trace
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config file {path}: {exc}") from None
 
 
 @main.command()
@@ -283,15 +291,11 @@ def load_experiment_config(path, seed=None, reps=None, out=None):
 @click.option("--cache-dir", default=None)
 def simulate(config_path, seed, reps, out, workers, want_trace, cache_dir):
     """Run a Monte-Carlo experiment described by a config file."""
-    try:
-        cfg, out_path, cfg_trace = load_experiment_config(config_path, seed=seed,
-                                                          reps=reps, out=out)
-        keep = want_trace or cfg_trace
-        result = run_experiment(cfg, workers=workers,
-                                cache_dir=_cache_dir(cache_dir),
-                                keep_traces=keep)
-    except SpikeOrderError as exc:
-        _fail(exc)
+    cfg, out_path, cfg_trace = load_experiment_config(config_path, seed=seed,
+                                                      reps=reps, out=out)
+    keep = want_trace or cfg_trace
+    result = run_experiment(cfg, workers=workers, cache_dir=_cache_dir(cache_dir),
+                            keep_traces=keep)
     csv_text = summarize(result.reports)
     if out_path:
         with open(out_path, "w") as fh:
@@ -323,7 +327,7 @@ def report(in_path, fmt, out):
             payload = json.load(fh)
         reports = [SimulationReport.from_dict(r) for r in payload["reports"]]
     except (KeyError, TypeError, ValueError) as exc:
-        _fail(ConfigurationError(f"bad report file {in_path}: {exc}"))
+        raise ConfigurationError(f"bad report file {in_path}: {exc}") from None
     text = summarize(reports) if fmt == "csv" else json.dumps(payload["reports"])
     if out:
         with open(out, "w") as fh:
@@ -344,14 +348,6 @@ def report(in_path, fmt, out):
 @click.option("--json", "as_json", is_flag=True)
 def limits(family, c, y, sigma2, spikes, theta, gamma, as_json):
     """Print edges, identifiability thresholds, spike maps and factor limits."""
-    try:
-        payload = _compute_limits(family, c, y, sigma2, spikes, theta, gamma)
-    except SpikeOrderError as exc:
-        _fail(exc)
-    _emit(payload, as_json)
-
-
-def _compute_limits(family, c, y, sigma2, spikes, theta, gamma):
     if family == "population":
         if c is None:
             raise ConfigurationError("population limits need --c")
@@ -368,8 +364,7 @@ def _compute_limits(family, c, y, sigma2, spikes, theta, gamma):
                 rmt.pop_spike_map(s, c, sigma2) for s in vals
             ]
             payload["identifiable"] = rmt.pop_identifiable_count(vals, c, sigma2)
-        return payload
-    if family == "fisher":
+    elif family == "fisher":
         if c is None or y is None:
             raise ConfigurationError("fisher limits need --c and --y")
         law = rmt.FisherLaw(c=c, y=y, sigma2=sigma2)
@@ -382,32 +377,31 @@ def _compute_limits(family, c, y, sigma2, spikes, theta, gamma):
             vals = _floats(spikes)
             payload["spike_limits"] = [rmt.fisher_spike_map(s, law) for s in vals]
             payload["identifiable"] = rmt.fisher_identifiable_count(vals, law)
-        return payload
-    if y is None:
-        raise ConfigurationError("autocov limits need --y")
-    law = rmt.AutocovLaw(y=y, sigma2=sigma2)
-    payload = {
-        "family": family, "y": y, "sigma2": sigma2,
-        "a1": law.a1, "b1": law.b1,
-        # one-sided limit approximated just outside the edge; the second
-        # value gauges the sensitivity of that approximation
-        "t_edge_limit": rmt.autocov_t_edge_limit(law),
-        "t_edge_limit_eps1e5": rmt.autocov_t_edge_limit(law, eps=1e-5),
-        "atom_at_zero": law.atom_at_zero,
-    }
-    if theta:
-        thetas = _floats(theta)
-        gammas = _floats(gamma) if gamma else (2.0,) * len(thetas)
-        model = AutocovModel(p=len(thetas) + 2, T=3, theta=thetas, gamma_diag=gammas,
-                             sigma2=sigma2)
-        lims, idents = [], 0
-        for sig in model.signatures:
-            fl = rmt.autocov_factor_limit(sig, law)
-            lims.append(fl.value)
-            idents += int(fl.identifiable)
-        payload["factor_limits"] = lims
-        payload["identifiable"] = idents
-    return payload
+    else:
+        if y is None:
+            raise ConfigurationError("autocov limits need --y")
+        law = rmt.AutocovLaw(y=y, sigma2=sigma2)
+        payload = {
+            "family": family, "y": y, "sigma2": sigma2,
+            "a1": law.a1, "b1": law.b1,
+            # one-sided limit approximated just outside the edge; the second
+            # value gauges the sensitivity of that approximation
+            "t_edge_limit": rmt.autocov_t_edge_limit(law),
+            "t_edge_limit_eps1e5": rmt.autocov_t_edge_limit(law, eps=1e-5),
+            "atom_at_zero": law.atom_at_zero,
+        }
+        if theta:
+            thetas = _floats(theta)
+            model = AutocovModel(p=len(thetas) + 2, T=3, theta=thetas,
+                                 gamma_diag=_floats(gamma or ""), sigma2=sigma2)
+            lims, idents = [], 0
+            for sig in model.signatures:
+                fl = rmt.autocov_factor_limit(sig, law)
+                lims.append(fl.value)
+                idents += int(fl.identifiable)
+            payload["factor_limits"] = lims
+            payload["identifiable"] = idents
+    _emit(payload, as_json)
 
 
 if __name__ == "__main__":

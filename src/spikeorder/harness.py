@@ -208,6 +208,9 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
         return lambda spec: fn(spec, calibrated())
 
     if name == "py":
+        if setting.py_start_index not in (0, 1):
+            raise ConfigurationError(
+                f"py_start_index must be 0 or 1, got {setting.py_start_index}")
         C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count).value
         def run(spec):
             # looked up at call time, like the estimators' own scale estimates
@@ -217,6 +220,8 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
         return run
 
     if name == "lwy":
+        if setting.d_t is not None and not 0.0 < setting.d_t < 1.0:
+            raise ConfigurationError(f"d_t must lie in (0, 1), got {setting.d_t}")
         d_t = functools.cache(
             lambda: setting.d_t if setting.d_t is not None else calibrate().d_t_lwy)
         return lambda spec: (lwy_estimator(spec, d_t(), L=setting.L).q_hat, None)

@@ -515,33 +515,24 @@ def ingest_spectrum(path, n=None, T=None, scale_power=1, p=None, column=None) ->
     nonnegative; negatives above -1e-12 are clamped to zero.
     """
     raw = []
-    if column is not None:
-        with open(path, newline="") as fh:
+    with open(path, newline="") as fh:
+        if column is not None:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise IngestionError(f"column {column!r} not found in {path}")
-            for lineno, row in enumerate(reader, start=2):
-                cell = (row[column] or "").strip()
-                if not cell:
-                    continue
-                try:
-                    raw.append(float(cell))
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}:{lineno}: cannot parse {cell!r} as a float"
-                    ) from None
-    else:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                try:
-                    raw.append(float(text))
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}:{lineno}: cannot parse {text!r} as a float"
-                    ) from None
+            cells = ((lineno, row[column] or "") for lineno, row in enumerate(reader, start=2))
+        else:
+            cells = ((lineno, line.split("#", 1)[0]) for lineno, line in enumerate(fh, start=1))
+        for lineno, cell in cells:
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                raw.append(float(cell))
+            except ValueError:
+                raise IngestionError(
+                    f"{path}:{lineno}: cannot parse {cell!r} as a float"
+                ) from None
 
     if len(raw) < 3:
         raise IngestionError(f"{path}: need at least 3 eigenvalues, found {len(raw)}")

@@ -18,6 +18,7 @@ from spikeorder.harness import (
     EstimatorSetting,
     ExperimentConfig,
     GridPoint,
+    SimulationReport,
     build_estimator,
     run_experiment,
     summarize,
@@ -417,6 +418,21 @@ class TestSimulate:
         assert "L = 20" in res.output and "p = 10" in res.output
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("method, key, value", [
+        ("lwy", "d_t", "1.5"),
+        ("py", "py_start_index", "4"),
+    ])
+    def test_bad_tuning_exit_2(self, runner, tmp_path, method, key, value):
+        # rejected before the calibration, not as a partial all-NaN row
+        cfg = write_config(tmp_path, harness={"estimators": method},
+                           estimator={key: value})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert key in res.stderr
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "cache").exists()
+
     def test_model_validated_with_its_spikes(self, runner, tmp_path):
         cfg = write_config(tmp_path, model={"spikes": "6"},
                            harness={"grid": "p:0 n:20"})
@@ -491,6 +507,99 @@ class TestReport:
         res = runner.invoke(main, ["report", "--in", str(mirror), "--format", "csv"])
         assert res.exit_code == 0, res.output
         assert res.output == summarize(result.reports)
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def bad_mirror(tmp_path):
+    """A JSON mirror whose one report has a distribution summing to 10.5."""
+    report = SimulationReport(model_id="m", p=10, n=40, T=None, estimator="py",
+                              reps=1, q_true=1, mean=1.0, mse=0.0, misest_rate=0.0,
+                              distribution=(0.0, 1.0) + (0.0,) * 19, seed=0,
+                              runtime_s=0.1)
+    payload = {"reports": [{**report.to_dict(), "distribution": [0.5] * 21}]}
+    return write_text(tmp_path / "mirror.json", json.dumps(payload))
+
+
+def blocked_dir(tmp_path):
+    """A directory path that cannot be created: its parent is a regular file."""
+    return str(Path(write_text(tmp_path / "file", "")) / "cache")
+
+
+# bad input from outside the program: a malformed config file, a malformed
+# number on the command line, an inconsistent report mirror, and a path that
+# cannot be written or created
+EXIT_2_CASES = {
+    "config-without-section-header": lambda tmp, spec: [
+        "simulate", "--config", write_text(tmp / "exp.cfg", "grid = p:50 n:200\n")],
+    "config-with-duplicate-section": lambda tmp, spec: [
+        "simulate", "--config", write_text(
+            tmp / "exp.cfg", "[model]\nkind = population\n[model]\nkind = fisher\n")],
+    "config-with-bad-interpolation": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp, harness={"grid": "p:50 n:200%"})],
+    "simulate-unwritable-out": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp), "--out", str(tmp / "no" / "x.csv"),
+        "--cache-dir", str(tmp / "cache")],
+    "limits-bad-theta": lambda tmp, spec: [
+        "limits", "--family", "autocov", "--y", "0.5", "--theta", "abc"],
+    "limits-bad-spikes": lambda tmp, spec: [
+        "limits", "--family", "population", "--c", "1", "--spikes", "4,x"],
+    "report-bad-distribution": lambda tmp, spec: ["report", "--in", bad_mirror(tmp)],
+    "estimate-unwritable-plot-data": lambda tmp, spec: [
+        "estimate", spec, "--method", "tvacle", "--family", "population", "--n", "240",
+        "--c-n", "0.15", "--plot-data", str(tmp / "no" / "p.csv")],
+    "estimate-unwritable-trace": lambda tmp, spec: [
+        "estimate", spec, "--method", "tvacle", "--family", "population", "--n", "240",
+        "--c-n", "0.15", "--trace", str(tmp / "no" / "t.json")],
+    "calibrate-uncreatable-cache-dir": lambda tmp, spec: [
+        "calibrate", "--kind", "population", "--p", "40", "--n", "60", "--reps", "30",
+        "--cache-dir", blocked_dir(tmp)],
+}
+
+
+class TestExitCodes:
+    @pytest.mark.filterwarnings("ignore:ignoring unreadable calibration cache")
+    @pytest.mark.parametrize("case", EXIT_2_CASES)
+    def test_bad_input_exit_2(self, runner, tmp_path, spectrum_file, case):
+        res = runner.invoke(main, EXIT_2_CASES[case](tmp_path, spectrum_file))
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # exited, did not raise
+        assert "error: " in res.stderr
+        assert "Traceback" not in res.output
+
+    def test_bad_number_named(self, runner):
+        res = runner.invoke(main, ["limits", "--family", "population", "--c", "1",
+                                   "--spikes", "4,x"])
+        assert res.exit_code == 2
+        assert "'4,x'" in res.stderr
+
+    @pytest.mark.parametrize("command, target", [
+        ("estimate", "build_estimator"),
+        ("simulate", "run_experiment"),
+    ])
+    def test_numerical_failure_exit_3(self, runner, tmp_path, spectrum_file,
+                                      monkeypatch, command, target):
+        def boom(*a, **k):
+            raise NumericalError("synthetic")
+        monkeypatch.setattr(cli_mod, target, boom)
+        args = {"estimate": ["estimate", spectrum_file, "--method", "vacle", "--family",
+                             "population", "--n", "240", "--c-n", "0.2"],
+                "simulate": ["simulate", "--config", write_config(tmp_path)]}[command]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert "error: synthetic" in res.stderr
+
+    def test_estimate_help_shows_defaults(self, runner):
+        res = runner.invoke(main, ["estimate", "--help"])
+        assert res.exit_code == 0
+        text = " ".join(res.output.split())
+        assert "--bound INTEGER search bound L [default: 20]" in text
+        assert "--k1 FLOAT [default: 5.0]" in text
+        assert "--k2 FLOAT [default: 5.0]" in text
+        assert "--py-start-index INTEGER RANGE [default: 0; 0<=x<=1]" in text
 
 
 def test_import_leaves_out_scipy_signal():

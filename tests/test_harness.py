@@ -203,6 +203,22 @@ class TestFamilies:
         with pytest.raises(ConfigurationError, match=r"L = 20 .* p = 10"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("setting, message", [
+        (EstimatorSetting("lwy", d_t=1.5), r"d_t .* \(0, 1\)"),
+        (EstimatorSetting("lwy", d_t=0.0), r"d_t .* \(0, 1\)"),
+        (EstimatorSetting("py", py_start_index=4), "py_start_index .* 0 or 1"),
+    ])
+    def test_bad_tuning_checked_before_any_draw(self, monkeypatch, setting, message):
+        # the estimator would reject these on every spectrum; the build
+        # rejects them before the calibration or replication 0 runs
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the configuration was checked")
+
+        monkeypatch.setattr(harness_mod, "calibrate_ridge", no_draw)
+        monkeypatch.setattr(harness_mod, "simulate", no_draw)
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment(small_config(estimators=(setting,)))
+
     def test_later_grid_point_checked_before_any_draw(self, monkeypatch, tmp_path):
         # the bad setting sits at the second point; the first point's
         # calibration and replications must not run and be thrown away
