@@ -1,8 +1,8 @@
 """Data-driven tuning: pure-noise ridge calibration and scale estimation.
 
 The ridge c_n added to the difference ratios must dominate the bulk gap
-fluctuations without swamping the signal gap.  Calibration simulates R
-pure-noise spectra of the requested family and size, collects the top gap
+fluctuations without swamping the signal gap.  Calibration draws the top of
+R pure-noise spectra of the requested family and size, collects the top gap
 lambda_1 - lambda_2, and turns its mean m and empirical quantiles q(alpha)
 into the ridge family
 
@@ -18,6 +18,10 @@ The same noise runs also calibrate the ratio tolerance d_T of the
 consecutive-ratio baseline: the largest observed value of
 max(1 - l2/l1, 1 - l3/l2) over the noise runs, i.e. the smallest tolerance
 whose stopping rule fires at i = 1 in every pure-noise run.
+
+The population and Fisher families draw those tops from their O(p)
+bidiagonal models (``noise_top``); the auto-covariance family has none and
+draws dense spectra through ``simulate``.
 """
 
 import json
@@ -50,7 +54,8 @@ __all__ = [
 
 QUANTILE_ALPHAS = (0.01, 0.05, 0.8, 0.95, 0.99)
 RIDGE_FLOOR = 1e-8
-SCHEMA_VERSION = 1
+# 2: population and Fisher noise runs drawn from the bidiagonal models
+SCHEMA_VERSION = 2
 
 # one default pure-noise run, so every entry point's default shares a cache entry
 DEFAULT_REPS = 500
@@ -195,7 +200,6 @@ def load_cached(cache_dir, kind, p, n=None, T=None, reps=DEFAULT_REPS, seed=DEFA
 
 
 def _store(cache_dir, result: CalibrationResult):
-    os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, result.kind, result.p, result.n, result.T,
                        result.reps, result.seed)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -216,9 +220,11 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
     """Pure-noise calibration of the ridges (and the ratio tolerance d_T).
 
     The noise runs go through ``spectra.replicate``, so the result does not
-    depend on the worker count.  With ``cache_dir`` set, results are reused
-    across runs keyed by (kind, p, n, T, reps, seed), where a size the family
-    does not use is keyed as absent.
+    depend on the worker count; each reads the top three eigenvalues from the
+    model's ``noise_top`` where the family has one, else from ``simulate``.
+    With ``cache_dir`` set, results are reused across runs keyed by
+    (kind, p, n, T, reps, seed), where a size the family does not use is keyed
+    as absent; the directory is created before the first draw.
     """
     if reps < 2:
         raise ConfigurationError(f"calibration needs R >= 2, got {reps}")
@@ -227,13 +233,14 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
         raise ConfigurationError(f"calibration needs p >= 3, got p = {p}")
     model = at_size(kind, p, n, T)
     n, T = getattr(model, "n", None), getattr(model, "T", None)
-    if cache_dir is not None and not force:
-        cached = load_cached(cache_dir, kind, p, n, T, reps, seed)
+    if cache_dir is not None:
+        os.makedirs(cache_dir, exist_ok=True)  # an unusable path fails before any draw
+        cached = None if force else load_cached(cache_dir, kind, p, n, T, reps, seed)
         if cached is not None:
             return cached
 
     def one(rng):
-        v = simulate(model, rng).values
+        v = model.noise_top(rng) if hasattr(model, "noise_top") else simulate(model, rng).values
         gap = float(v[0] - v[1])
         # same 0/0 -> 1 ratio convention as the consecutive-ratio estimator
         r1 = v[1] / v[0] if v[0] > 0 else 1.0

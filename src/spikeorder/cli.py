@@ -275,7 +275,7 @@ def load_experiment_config(path, seed=None, reps=None, out=None):
         want_trace = parser.get("io", "trace", fallback="false").strip().lower() in (
             "1", "true", "yes")
         return cfg, out_path, want_trace
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config file {path}: {exc}") from None
 
 
@@ -294,6 +294,8 @@ def simulate(config_path, seed, reps, out, workers, want_trace, cache_dir):
     cfg, out_path, cfg_trace = load_experiment_config(config_path, seed=seed,
                                                       reps=reps, out=out)
     keep = want_trace or cfg_trace
+    if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise ConfigurationError(f"cannot write {out_path}: its directory does not exist")
     result = run_experiment(cfg, workers=workers, cache_dir=_cache_dir(cache_dir),
                             keep_traces=keep)
     csv_text = summarize(result.reports)

@@ -12,7 +12,9 @@ descending sample eigenvalues:
 
 Each model class also describes its family (sizes it needs, primary sample
 count, estimator defaults, oracle order and bulk edge); ``FAMILIES`` maps
-each ``kind`` to its class.
+each ``kind`` to its class.  Population and Fisher models also draw the top
+of a pure-noise spectrum from an O(p) bidiagonal model (``noise_top``), which
+the calibration uses; spiked draws always use the dense generators.
 
 All generators are deterministic functions of (spec, rng) and never share
 state, so ``replicate`` can run replications concurrently, one stream each.
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg import lapack
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from . import rmt
 from .errors import ConfigurationError, IngestionError, NumericalError, SingularMatrixError
@@ -98,6 +100,19 @@ class PopulationModel:
     def bulk_edge(self) -> float:
         return rmt.MpLaw(c=self.p / self.n).upper_edge
 
+    def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
+        """Top k eigenvalues of a pure-noise draw, on ``simulate``'s scale.
+
+        Dumitriu-Edelman beta-Laguerre model, beta = 1: the nonzero eigenvalues
+        of X X' share their law with those of B B', where B is lower bidiagonal
+        of size m = min(p, n) with chi_{max(p, n) - i} on the diagonal and
+        chi_{m - 1 - i} below it, i = 0, 1, ...  Spikes do not enter.
+        """
+        m = min(self.p, self.n)
+        d2 = rng.chisquare(max(self.p, self.n) - np.arange(m))
+        e2 = rng.chisquare(m - 1 - np.arange(m - 1))
+        return _bidiagonal_top(d2, e2, k) * (self.sigma2 / self.n)
+
 
 @dataclass(frozen=True)
 class FisherModel:
@@ -159,6 +174,28 @@ class FisherModel:
 
     def bulk_edge(self) -> float:
         return rmt.FisherLaw(c=self.p / self.n, y=self.p / self.T).upper_edge
+
+    def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
+        """Top k eigenvalues of a pure-noise draw, on ``simulate``'s scale.
+
+        Edelman-Sutton beta-Jacobi model, beta = 1, with m = min(p, n),
+        a = |n - p| and b = T - p.  Draw c_k^2 ~ Beta((a + k)/2, (b + k)/2) and
+        c'_k^2 ~ Beta(k/2, (a + b + 1 + k)/2), with s = sqrt(1 - c^2).  The
+        squared singular values lambda of the upper bidiagonal B11, diagonal
+        (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and superdiagonal
+        (-s_m c'_{m-1}, ..., -s_2 c'_1), share their law with the nonzero
+        eigenvalues of W1 (W1 + W2)^{-1}; for n < p through the duality
+        (p, n, T) -> (n, p, T + n - p).  The pencil value is
+        sigma2 (T/n) lambda / (1 - lambda).  ``noise_diag`` does not enter: a
+        common congruence of S1 and S2 leaves the pencil's eigenvalues
+        unchanged.  Spikes do not enter.
+        """
+        m, a, b = min(self.p, self.n), abs(self.n - self.p), self.T - self.p
+        ks = np.arange(m, 0, -1)
+        c2 = rng.beta((a + ks) / 2, (b + ks) / 2)
+        cp2 = rng.beta(ks[1:] / 2, (a + b + 1 + ks[1:]) / 2)
+        lam = _bidiagonal_top(c2 * np.append(1.0, 1.0 - cp2), (1.0 - c2[:-1]) * cp2, k)
+        return self.sigma2 * self.T / self.n * lam / (1.0 - lam)
 
     @property
     def spikes(self) -> tuple:
@@ -320,6 +357,21 @@ class Spectrum:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+
+def _bidiagonal_top(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
+    """Top k squared singular values, descending and zero-padded to k, of the
+    bidiagonal matrix B with squared diagonal d2 and squared off-diagonal e2.
+
+    They are the eigenvalues of the tridiagonal B B', B taken lower bidiagonal
+    (its transpose has the same singular values); O(m) by bisection.
+    """
+    m = d2.size
+    diag = d2.copy()
+    diag[1:] += e2
+    w = eigvalsh_tridiagonal(diag, np.sqrt(d2[:-1] * e2), select="i",
+                             select_range=(max(m - k, 0), m - 1))
+    return np.concatenate([w[::-1], np.zeros(max(k - m, 0))])
 
 
 def _finish(values: np.ndarray, ref_scale: float) -> np.ndarray:
@@ -514,25 +566,28 @@ def ingest_spectrum(path, n=None, T=None, scale_power=1, p=None, column=None) ->
     and the named column is used.  Values are validated finite and
     nonnegative; negatives above -1e-12 are clamped to zero.
     """
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not a text file: {exc}") from None
+    if column is not None:
+        reader = csv.DictReader(lines)
+        if reader.fieldnames is None or column not in reader.fieldnames:
+            raise IngestionError(f"column {column!r} not found in {path}")
+        # the reader skips blank lines, so number cells by line, not by row
+        cells = ((reader.line_num, row[column] or "") for row in reader)
+    else:
+        cells = ((lineno, line.split("#", 1)[0]) for lineno, line in enumerate(lines, start=1))
     raw = []
-    with open(path, newline="") as fh:
-        if column is not None:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise IngestionError(f"column {column!r} not found in {path}")
-            cells = ((lineno, row[column] or "") for lineno, row in enumerate(reader, start=2))
-        else:
-            cells = ((lineno, line.split("#", 1)[0]) for lineno, line in enumerate(fh, start=1))
-        for lineno, cell in cells:
-            cell = cell.strip()
-            if not cell:
-                continue
-            try:
-                raw.append(float(cell))
-            except ValueError:
-                raise IngestionError(
-                    f"{path}:{lineno}: cannot parse {cell!r} as a float"
-                ) from None
+    for lineno, cell in cells:
+        cell = cell.strip()
+        if not cell:
+            continue
+        try:
+            raw.append(float(cell))
+        except ValueError:
+            raise IngestionError(f"{path}:{lineno}: cannot parse {cell!r} as a float") from None
 
     if len(raw) < 3:
         raise IngestionError(f"{path}: need at least 3 eigenvalues, found {len(raw)}")

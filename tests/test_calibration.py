@@ -10,6 +10,7 @@ from spikeorder.calibration import (
     aggregate_gaps,
     calibrate_ridge,
     estimate_sigma2,
+    SCHEMA_VERSION,
     load_cached,
     py_constant,
 )
@@ -148,9 +149,48 @@ class TestCalibrateRidge:
         assert again == res
         assert path.read_bytes() == good  # recomputed and replaced
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        path.write_text(json.dumps({"schema": 1, "kind": "population"}))
+        path.write_text(json.dumps({"schema": SCHEMA_VERSION, "kind": "population"}))
         with pytest.warns(RuntimeWarning):
             assert load_cached(d, "population", p=30, n=40, reps=20, seed=1) is None
+
+    def test_older_schema_is_a_silent_miss(self, tmp_path, recwarn):
+        d = str(tmp_path)
+        res = calibrate_ridge("population", p=30, n=40, reps=20, seed=1, cache_dir=d)
+        assert res.schema == SCHEMA_VERSION == 2
+        (path,) = tmp_path.glob("calib_*.json")
+        current = path.read_bytes()
+        older = {**res.to_dict(), "schema": 1, "c1": 123.0}  # a complete schema-1 entry
+        path.write_text(json.dumps(older))
+        assert load_cached(d, "population", p=30, n=40, reps=20, seed=1) is None
+        again = calibrate_ridge("population", p=30, n=40, reps=20, seed=1, cache_dir=d)
+        assert again == res
+        assert path.read_bytes() == current  # recomputed and replaced
+        assert not recwarn.list
+
+    def test_cache_dir_made_before_any_draw(self, tmp_path, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before making the cache directory")
+
+        monkeypatch.setattr(calibration_mod, "replicate", no_draws)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            calibrate_ridge("population", p=30, n=40, reps=20, seed=1,
+                            cache_dir=str(blocker / "cache"))
+
+    @pytest.mark.parametrize("kind, sizes, dense", [
+        ("population", dict(n=40), False),
+        ("fisher", dict(n=40, T=50), False),
+        ("autocov", dict(T=50), True),
+    ])
+    def test_noise_draws(self, monkeypatch, kind, sizes, dense):
+        # population and Fisher read their bidiagonal models; autocov has none
+        calls = []
+        simulate = calibration_mod.simulate
+        monkeypatch.setattr(calibration_mod, "simulate",
+                            lambda *a: calls.append(1) or simulate(*a))
+        calibrate_ridge(kind, p=30, reps=20, seed=1, **sizes)
+        assert len(calls) == (20 if dense else 0)
 
     def test_needs_three_eigenvalues(self, monkeypatch):
         def no_draws(*args):

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import spikeorder
+import spikeorder.calibration as calibration_mod
 import spikeorder.cli as cli_mod
 import spikeorder.harness as harness_mod
 from spikeorder.cli import main
@@ -557,7 +558,17 @@ EXIT_2_CASES = {
     "calibrate-uncreatable-cache-dir": lambda tmp, spec: [
         "calibrate", "--kind", "population", "--p", "40", "--n", "60", "--reps", "30",
         "--cache-dir", blocked_dir(tmp)],
+    "config-not-utf8": lambda tmp, spec: [
+        "simulate", "--config", write_bytes(tmp / "exp.cfg", b"\xff\xfe[model]\n")],
+    "spectrum-not-utf8": lambda tmp, spec: [
+        "estimate", write_bytes(tmp / "eig.txt", b"\xff\xfe3\n1\n2\n"), "--method", "vacle",
+        "--family", "population", "--n", "40", "--c-n", "0.15"],
 }
+
+
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
 
 
 class TestExitCodes:
@@ -591,6 +602,27 @@ class TestExitCodes:
         res = runner.invoke(main, args)
         assert res.exit_code == 3, res.output
         assert "error: synthetic" in res.stderr
+
+    @pytest.mark.parametrize("case", ["simulate-unwritable-out",
+                                      "calibrate-uncreatable-cache-dir"])
+    def test_unusable_output_fails_before_any_draw(self, runner, tmp_path, spectrum_file,
+                                                    monkeypatch, case):
+        calls = []
+        for module, name in ((harness_mod, "simulate"), (calibration_mod, "simulate"),
+                             (harness_mod, "replicate"), (calibration_mod, "replicate")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name:
+                                calls.append(_name) or _real(*a))
+        # every draw goes through replicate, including the bidiagonal noise models
+        res = runner.invoke(main, EXIT_2_CASES[case](tmp_path, spectrum_file))
+        assert res.exit_code == 2, res.output
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["config-not-utf8", "spectrum-not-utf8"])
+    def test_not_utf8_names_path(self, runner, tmp_path, spectrum_file, case):
+        res = runner.invoke(main, EXIT_2_CASES[case](tmp_path, spectrum_file))
+        assert res.exit_code == 2
+        assert ("exp.cfg" if case.startswith("config") else "eig.txt") in res.stderr
 
     def test_estimate_help_shows_defaults(self, runner):
         res = runner.invoke(main, ["estimate", "--help"])

@@ -95,8 +95,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("family, digest", [
         ("autocov", "efd20afec8d4752acb4250de7e2facb0105b1356a0f821fd0d5c1352bae9fa2d"),
-        ("fisher", "a56ec1a57904c17091e2114f70d1e9c7c4db2260db5ea2401fb2f4a5490224b9"),
-        ("population", "947f3f4ac043b7be264cc1bd3cf42c0515990b85ba2b5a3f99720da78ac2a828"),
+        ("fisher", "466a277135432a63f7ce3c0dc88a03e32a1cdc719c156dbcde96f259393db802"),
+        ("population", "5d1fe2a73f5e9a2edcb7d56b15a844d0eb92b007404e7bd89807eb27c755f288"),
     ])
     def test_csv_digest_pinned(self, tmp_path, family, digest):
         # the determinism contract, pinned: calibration and replications at

@@ -324,6 +324,57 @@ class TestDispatch:
             at_size(object(), 10, n=40, T=40)
 
 
+class TestNoiseTop:
+    """The bidiagonal pure-noise samplers against the dense generators."""
+
+    # p < n, p > n, min(p, n) < 3 and Fisher n < p; the sigma2 cases check the
+    # scale, the unequal noise_diag case that a common congruence drops out
+    CASES = {
+        "pop-6-10": PopulationModel(p=6, n=10),
+        "pop-10-6": PopulationModel(p=10, n=6),
+        "pop-3-2": PopulationModel(p=3, n=2),
+        "pop-6-10-sigma2": PopulationModel(p=6, n=10, sigma2=2.0),
+        "fisher-6-10-12": FisherModel(p=6, n=10, T=12),
+        "fisher-6-4-12": FisherModel(p=6, n=4, T=12),
+        "fisher-40-60-80": FisherModel(p=40, n=60, T=80),
+        "fisher-6-10-12-sigma2-diag": FisherModel(p=6, n=10, T=12, sigma2=2.0,
+                                                   noise_diag=(1.0, 3.0)),
+    }
+    DRAWS = 2000
+    LEVEL = 1e-3  # two-sample KS, fixed before looking
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense(self, case):
+        from scipy.stats import ks_2samp
+        model = self.CASES[case]
+        dense_rng, model_rng = rng(11), rng(12)
+        dense = np.array([simulate(model, dense_rng).values[:3] for _ in range(self.DRAWS)])
+        top = np.array([model.noise_top(model_rng) for _ in range(self.DRAWS)])
+        for name, stat in (("l1", lambda v: v[:, 0]), ("l1 - l2", lambda v: v[:, 0] - v[:, 1]),
+                           ("l3", lambda v: v[:, 2])):
+            pvalue = ks_2samp(stat(dense), stat(top)).pvalue
+            assert pvalue > self.LEVEL, f"{name}: KS p = {pvalue:.2g}"
+
+    @pytest.mark.parametrize("model, nonzero", [
+        (PopulationModel(p=3, n=2), 2),
+        (PopulationModel(p=8, n=20), 5),
+        (FisherModel(p=6, n=2, T=12), 2),
+        (FisherModel(p=6, n=10, T=12), 5),
+    ])
+    def test_descending_and_zero_padded(self, model, nonzero):
+        top = model.noise_top(rng(0), k=5)
+        assert top.shape == (5,)
+        assert np.all(np.diff(top) <= 0)
+        assert np.all(top[:nonzero] > 0) and np.all(top[nonzero:] == 0)
+
+    def test_spikes_do_not_enter(self):
+        spiked = PopulationModel(p=8, n=20, spikes=(9.0,))
+        fisher = FisherModel(p=8, n=20, T=30, alpha=(10.0, 5.0, 5.0))
+        for model in (spiked, fisher):
+            noise = at_size(model.kind, model.p, model.n, getattr(model, "T", None))
+            assert np.array_equal(model.noise_top(rng(3)), noise.noise_top(rng(3)))
+
+
 class TestReplicate:
     @staticmethod
     def draw(rng):
@@ -459,6 +510,19 @@ class TestIngest:
         assert list(spec.values) == [3.0, 2.0, 1.0]
         with pytest.raises(IngestionError, match="missing"):
             ingest_spectrum(str(f), column="missing")
+
+    def test_csv_parse_error_names_line_after_blank(self, tmp_path):
+        f = tmp_path / "eig.csv"
+        f.write_text("v\n1\n\n2\nx\n")
+        with pytest.raises(IngestionError, match=r"eig\.csv:5:"):
+            ingest_spectrum(str(f), column="v")
+
+    @pytest.mark.parametrize("column", [None, "v"])
+    def test_not_utf8(self, tmp_path, column):
+        f = tmp_path / "eig.txt"
+        f.write_bytes(b"\xff\xfev\n3\n1\n2\n")
+        with pytest.raises(IngestionError, match=r"eig\.txt"):
+            ingest_spectrum(str(f), column=column)
 
     def test_p_mismatch(self, tmp_path):
         f = tmp_path / "eig.txt"
