@@ -32,7 +32,3 @@ class QuantileAtomError(ValueError, SpikeOrderError):
 
 class DegenerateSignatureError(ValueError, SpikeOrderError):
     """Factor signature with gamma0^2 == gamma1^2 or an invalid discriminant."""
-
-
-class SingularMatrixError(NumericalError):
-    """A sample covariance that must be inverted is numerically singular."""

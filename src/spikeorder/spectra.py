@@ -14,7 +14,8 @@ Each model class also describes its family (sizes it needs, primary sample
 count, estimator defaults, oracle order and bulk edge); ``FAMILIES`` maps
 each ``kind`` to its class.  Population and Fisher models also draw the top
 of a pure-noise spectrum from an O(p) bidiagonal model (``noise_top``), which
-the calibration uses; spiked draws always use the dense generators.
+the calibration uses.  Spiked Fisher draws use the whitened Bartlett model
+(``simulate_fisher``); the other families draw their data densely.
 
 All generators are deterministic functions of (spec, rng) and never share
 state, so ``replicate`` can run replications concurrently, one stream each.
@@ -32,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg import eigvalsh_tridiagonal, lapack
+from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
 
 from . import rmt
-from .errors import ConfigurationError, IngestionError, NumericalError, SingularMatrixError
+from .errors import ConfigurationError, IngestionError, NumericalError
 from .rmt import FactorSignature
 
 __all__ = [
@@ -204,21 +205,6 @@ class FisherModel:
             return ()
         d1 = self.noise_diag[0]
         return tuple(sorted((self.sigma2 + a / d1 for a in self.alpha), reverse=True))
-
-    def _sigma2_diag(self) -> np.ndarray:
-        d = np.full(self.p, self.noise_diag[1], dtype=float)
-        d[: self.p // 2] = self.noise_diag[0]
-        return d
-
-    def _loading(self) -> np.ndarray:
-        a1, a2, a3 = self.alpha
-        A = np.zeros((self.p, 3))
-        A[0, 0] = math.sqrt(a1)
-        A[1, 1] = math.sqrt(a2 / 2.0)
-        A[2, 1] = math.sqrt(a2 / 2.0)
-        A[1, 2] = math.sqrt(a3 / 2.0)
-        A[2, 2] = -math.sqrt(a3 / 2.0)
-        return A
 
 
 @dataclass(frozen=True)
@@ -401,35 +387,53 @@ def simulate_population(spec: PopulationModel, rng: np.random.Generator) -> Spec
     return Spectrum(values=values, p=p, n=n, scale_power=1)
 
 
+def _bartlett(rng: np.random.Generator, p: int, df: int) -> np.ndarray:
+    """Bartlett factor K of a Wishart(df, I_p) matrix W = K K': lower trapezoidal,
+    p x min(p, df), chi_{df - i} at (i, i), drawn first, then N(0, 1) below the
+    diagonal, filled row by row."""
+    m = min(p, df)
+    K = np.zeros((p, m))
+    K[np.diag_indices(m)] = np.sqrt(rng.chisquare(df - np.arange(m)))
+    K[np.tri(p, m, -1, dtype=bool)] = rng.standard_normal(p * m - m * (m + 1) // 2)
+    return K
+
+
+def _lapack(name: str, *argtypes):
+    """LAPACK routine ``name`` from scipy's Cython API through ctypes, which releases
+    the GIL (``scipy.linalg.lapack`` holds it), so replications solve in parallel."""
+    capsule, api, obj = cython_lapack.__pyx_capi__[name], ctypes.pythonapi, ctypes.py_object
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
+    ptr = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *argtypes)(ptr(capsule, name_of(capsule)))
+
+
+_I, _C, _A = ctypes.POINTER(ctypes.c_int), ctypes.c_char_p, np.ctypeslib.ndpointer(float, flags="C")
+_dsygst = _lapack("dsygst", _I, _C, _I, _A, _I, _A, _I, _I)
+_dsyevd = _lapack("dsyevd", _C, _C, _I, _A, _I, _A, _A, _I, _I, _I, _I)
+
+
 def simulate_fisher(spec: FisherModel, rng: np.random.Generator) -> Spectrum:
     """Spectrum of S1 S2^{-1} via the symmetric-definite pencil (S1, S2).
 
-    Draw order (fixed for reproducibility): signal factors u, signal noise,
-    then the independent pure-noise sample behind S2.  The pencil is solved by
-    the LAPACK chain inside ``scipy.linalg.eigh(S1, S2)``, bit for bit.  Its
-    Cholesky factor guards S2: SingularMatrixError when it fails or when
-    LAPACK's estimate of the reciprocal 1-norm condition is below 1e-12.
+    Whitened Bartlett model.  Congruences by D^{-1/2} (D the noise covariance)
+    and by the eigenvectors of the whitened signal covariance sigma2 I + A A'/d1
+    change neither the pencil's eigenvalues nor the law of a white Wishart
+    matrix, so S1 = F K K' F/n, F^2 = diag(spikes, sigma2, ..., sigma2), and
+    S2 = L L'/T, K and L the Bartlett factors of Wishart(n, I_p), Wishart(T, I_p).
+    Draw order: K's chi diagonal, K's normals row by row, then the same for L.
+    LAPACK reads the C-ordered L/sqrt(T) as S2's upper Cholesky factor; as
+    T > p, L's diagonal is chi with >= 2 degrees of freedom: S2 is never singular.
     """
     p, n, T = spec.p, spec.n, spec.T
-    d = spec._sigma2_diag()
-    u = rng.standard_normal((3, n)) if spec.alpha else None
-    X = rng.standard_normal((p, n))
-    X *= np.sqrt(spec.sigma2 * d)[:, None]
-    if u is not None:
-        X += spec._loading() @ u
-    E = rng.standard_normal((p, T))
-    E *= np.sqrt(d)[:, None]
-
-    S1 = X @ X.T / n
-    S2 = E @ E.T / T
-    chol, info = lapack.dpotrf(S2, lower=1)
-    rcond = lapack.dpocon(chol, np.linalg.norm(S2, 1), uplo="L")[0] if info == 0 else 0.0
-    if rcond < 1e-12:
-        raise SingularMatrixError(f"noise covariance numerically singular (rcond {rcond:.1e})")
-    reduced, _ = lapack.dsygst(S1, chol, itype=1, lower=1, overwrite_a=1)
-    w, _, info = lapack.dsyevd(reduced, compute_v=0, lower=1, overwrite_a=1)
-    if info:
-        raise NumericalError(f"pencil eigensolver did not converge (LAPACK info {info})")
+    F2 = np.concatenate([spec.spikes, np.full(p - len(spec.spikes), spec.sigma2)])
+    G = _bartlett(rng, p, n) * np.sqrt(F2 / n)[:, None]
+    S1, chol = G @ G.T, _bartlett(rng, p, T) / math.sqrt(T)
+    size, w, work, info = ctypes.c_int(p), np.empty(p), np.empty(2 * p + 1), ctypes.c_int()
+    _dsygst(ctypes.c_int(1), b"U", size, S1, size, chol, size, info)
+    _dsyevd(b"N", b"U", size, S1, size, w, work, ctypes.c_int(work.size), ctypes.c_int(),
+            ctypes.c_int(1), info)
+    if info.value:
+        raise NumericalError(f"pencil eigensolver did not converge (LAPACK info {info.value})")
     values = _finish(w, ref_scale=float(w[-1]))
     return Spectrum(values=values, p=p, n=n, T=T, scale_power=1)
 

@@ -95,7 +95,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("family, digest", [
         ("autocov", "efd20afec8d4752acb4250de7e2facb0105b1356a0f821fd0d5c1352bae9fa2d"),
-        ("fisher", "466a277135432a63f7ce3c0dc88a03e32a1cdc719c156dbcde96f259393db802"),
+        ("fisher", "e5793c2df4f10ffb5e9d076c536e736d39e6e9e2ddc2357da89a7eb8920ddab1"),
         ("population", "5d1fe2a73f5e9a2edcb7d56b15a844d0eb92b007404e7bd89807eb27c755f288"),
     ])
     def test_csv_digest_pinned(self, tmp_path, family, digest):

@@ -1,9 +1,10 @@
+import fisher_reference
 import numpy as np
 import pytest
 from scipy import linalg
 
 from spikeorder import rmt
-from spikeorder.errors import ConfigurationError, IngestionError, SingularMatrixError
+from spikeorder.errors import ConfigurationError, IngestionError
 from spikeorder.rmt import AutocovLaw, FisherLaw, MpLaw, mp_cdf
 from spikeorder.rmt._integrate import integrate_density
 from spikeorder.spectra import (
@@ -168,16 +169,41 @@ class TestFisher:
         law = FisherLaw(c=0.2, y=0.4, sigma2=2.0)
         assert spec.values[0] > law.upper_edge
 
-    @pytest.mark.parametrize("model", [
+    PENCIL_CASES = pytest.mark.parametrize("model", [
         FisherModel(p=40, n=90, T=120),
         FisherModel(p=40, n=90, T=120, alpha=(10.0, 5.0, 5.0)),
         FisherModel(p=40, n=90, T=120, alpha=(10.0, 5.0, 5.0), sigma2=1.5,
                     noise_diag=(0.5, 3.0)),
         FisherModel(p=40, n=25, T=120, alpha=(10.0, 5.0, 5.0)),  # singular S1
     ], ids=["pure", "spiked", "unequal_noise", "n_below_p"])
+
+    @PENCIL_CASES
+    def test_documented_draw_order(self, model):
+        # K and L rebuilt in the documented draw order (K's chi diagonal, K's
+        # normals row by row, then L's), F^2 = diag(spikes, sigma2, ...); a
+        # separate pencil solve agrees to rounding
+        p, n, T = model.p, model.n, model.T
+        g = rng(17)
+
+        def bartlett(df):
+            m = min(p, df)
+            K = np.zeros((p, m))
+            K[np.arange(m), np.arange(m)] = np.sqrt(g.chisquare(df - np.arange(m)))
+            rows, cols = np.tril_indices(p, -1, m)
+            K[rows, cols] = g.standard_normal(rows.size)
+            return K
+
+        K, L = bartlett(n), bartlett(T)
+        F = np.diag(np.sqrt([*model.spikes] + [model.sigma2] * (p - len(model.spikes))))
+        w = linalg.eigh(F @ K @ K.T @ F / n, L @ L.T / T, eigvals_only=True)
+        expected = _finish(w, ref_scale=float(w[-1]))
+        got = simulate_fisher(model, rng(17)).values
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * expected[0])
+
+    @PENCIL_CASES
     def test_bits_match_generalized_eigh(self, model):
-        # S1 and S2 rebuilt in the documented draw order: signal factors u,
-        # signal noise, then the pure-noise sample behind S2
+        # the dense reference: S1 and S2 rebuilt in its documented draw order,
+        # signal factors u, signal noise, then the pure-noise sample behind S2
         p, n, T = model.p, model.n, model.T
         g = rng(17)
         d = np.where(np.arange(p) < p // 2, *model.noise_diag)
@@ -193,12 +219,13 @@ class TestFisher:
         E = g.standard_normal((p, T)) * np.sqrt(d)[:, None]
         w = linalg.eigh(X @ X.T / n, E @ E.T / T, eigvals_only=True)
         expected = _finish(w, ref_scale=float(w[-1]))
-        got = simulate_fisher(model, rng(17)).values
+        got = fisher_reference.simulate_fisher(model, rng(17)).values
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("damage", ["zero_row", "scaled_row"])
     def test_singular_noise_raises(self, damage):
-        # the draw behind S2 is (p, T); the others are (3, n) and (p, n)
+        # the dense reference guards S2 by its Cholesky factor; the draw behind
+        # S2 is (p, T), the others are (3, n) and (p, n)
         p, n, T = 30, 60, 80
 
         class NoiseStub:
@@ -212,8 +239,9 @@ class TestFisher:
                 return draw
 
         for alpha in ((), (10.0, 5.0, 5.0)):
-            with pytest.raises(SingularMatrixError):
-                simulate_fisher(FisherModel(p=p, n=n, T=T, alpha=alpha), NoiseStub())
+            with pytest.raises(fisher_reference.SingularMatrixError):
+                fisher_reference.simulate_fisher(FisherModel(p=p, n=n, T=T, alpha=alpha),
+                                                 NoiseStub())
 
     def test_errors(self):
         with pytest.raises(ConfigurationError):
@@ -362,7 +390,8 @@ class TestNoiseTop:
         from scipy.stats import ks_2samp
         model = self.CASES[case]
         dense_rng, model_rng = rng(11), rng(12)
-        dense = np.array([simulate(model, dense_rng).values[:3] for _ in range(self.DRAWS)])
+        generate = fisher_reference.simulate_fisher if model.kind == "fisher" else simulate
+        dense = np.array([generate(model, dense_rng).values[:3] for _ in range(self.DRAWS)])
         top = np.array([model.noise_top(model_rng) for _ in range(self.DRAWS)])
         for name, stat in (("l1", lambda v: v[:, 0]), ("l1 - l2", lambda v: v[:, 0] - v[:, 1]),
                            ("l3", lambda v: v[:, 2])):
@@ -387,6 +416,41 @@ class TestNoiseTop:
         for model in (spiked, fisher):
             noise = at_size(model.kind, model.p, model.n, getattr(model, "T", None))
             assert np.array_equal(model.noise_top(rng(3)), noise.noise_top(rng(3)))
+
+
+class TestFisherBartlett:
+    """The whitened Bartlett Fisher generator against the dense reference."""
+
+    # p < n, n < p (K trapezoidal), pure noise, unequal noise_diag with
+    # sigma2 != 1 (every other case has the default noise_diag (1, 2)), a
+    # larger spiked case, and unequal alpha2, alpha3, whose loadings on
+    # coordinates 2 and 3 do not diagonalize without the rotation
+    CASES = {
+        "p-below-n": FisherModel(p=8, n=12, T=20, alpha=(10.0, 5.0, 5.0)),
+        "n-below-p": FisherModel(p=8, n=5, T=20, alpha=(10.0, 5.0, 5.0)),
+        "pure-noise": FisherModel(p=8, n=12, T=20),
+        "sigma2-diag": FisherModel(p=8, n=12, T=20, alpha=(10.0, 5.0, 5.0), sigma2=1.5,
+                                   noise_diag=(0.5, 3.0)),
+        "40-60-80": FisherModel(p=40, n=60, T=80, alpha=(10.0, 5.0, 5.0)),
+        "unequal-alpha": FisherModel(p=8, n=12, T=20, alpha=(10.0, 6.0, 2.0)),
+    }
+    DRAWS = 2000
+    LEVEL = 1e-3  # two-sample KS, fixed before looking
+    STATS = {"l1": lambda v: v[:, 0], "l2": lambda v: v[:, 1], "l4": lambda v: v[:, 3],
+             "l3 - l4": lambda v: v[:, 2] - v[:, 3]}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense(self, case):
+        from scipy.stats import ks_2samp
+        model = self.CASES[case]
+        dense_rng, bartlett_rng = rng(21), rng(22)
+        dense = np.array([fisher_reference.simulate_fisher(model, dense_rng).values[:4]
+                          for _ in range(self.DRAWS)])
+        drawn = np.array([simulate_fisher(model, bartlett_rng).values[:4]
+                          for _ in range(self.DRAWS)])
+        for name, stat in self.STATS.items():
+            pvalue = ks_2samp(stat(dense), stat(drawn)).pvalue
+            assert pvalue > self.LEVEL, f"{name}: KS p = {pvalue:.2g}"
 
 
 class TestReplicate:
@@ -468,6 +532,19 @@ class TestReplicate:
         # at this size OpenBLAS threads its products unless pinned, which
         # changes the last bits between the serial and the pooled path
         model = AutocovModel(p=150, T=300, theta=(0.6, -0.5), gamma_diag=(2.0, 2.0))
+
+        def draw(g):
+            return simulate(model, g).values.tobytes()
+
+        serial, err1 = replicate(draw, seed=0, reps=8, workers=1)
+        pooled, err2 = replicate(draw, seed=0, reps=8, workers=2)
+        assert err1 is None and err2 is None
+        assert pooled == serial
+
+    def test_fisher_bits_worker_independent(self):
+        # the pencil's LAPACK calls release the GIL, so pooled replications
+        # solve concurrently; each must still give the serial bits
+        model = FisherModel(p=150, n=300, T=200, alpha=(10.0, 5.0, 5.0))
 
         def draw(g):
             return simulate(model, g).values.tobytes()
