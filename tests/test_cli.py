@@ -434,6 +434,25 @@ class TestSimulate:
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("spikes, sigma2", [("7, 6", "nan"), ("", "inf")])
+    def test_non_finite_model_exit_2(self, runner, tmp_path, monkeypatch, spikes, sigma2):
+        # rejected when the model is built, before any draw, not as an
+        # all-NaN partial row after every replication failed its eigensolve
+        calls = []
+        for module in (harness_mod, calibration_mod):
+            for name in ("simulate", "replicate"):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name:
+                                    calls.append(_name) or _real(*a))
+        cfg = write_config(tmp_path, model={"spikes": spikes, "sigma2": sigma2},
+                           harness={"grid": "p:30 n:60"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "must be finite" in res.stderr
+        assert calls == []
+        assert not (tmp_path / "out.csv").exists()
+
     def test_model_validated_with_its_spikes(self, runner, tmp_path):
         cfg = write_config(tmp_path, model={"spikes": "6"},
                            harness={"grid": "p:0 n:20"})

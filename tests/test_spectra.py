@@ -1,10 +1,14 @@
+import math
+
 import fisher_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from spikeorder import rmt
-from spikeorder.errors import ConfigurationError, IngestionError
+from spikeorder.errors import ConfigurationError, IngestionError, NumericalError
 from spikeorder.rmt import AutocovLaw, FisherLaw, MpLaw, mp_cdf
 from spikeorder.rmt._integrate import integrate_density
 from spikeorder.spectra import (
@@ -12,6 +16,7 @@ from spikeorder.spectra import (
     FisherModel,
     PopulationModel,
     Spectrum,
+    _eigvals,
     _finish,
     at_size,
     ingest_spectrum,
@@ -248,6 +253,10 @@ class TestFisher:
             FisherModel(p=50, n=100, T=50)  # T <= p
         with pytest.raises(ConfigurationError):
             FisherModel(p=50, n=100, T=100, alpha=(1.0, 2.0))  # bad length
+        for noise_diag in ((1.0,), (1.0, 2.0, 3.0)):
+            # one entry failed with an IndexError when alpha was set; a third was ignored
+            with pytest.raises(ConfigurationError, match="noise_diag"):
+                FisherModel(p=50, n=100, T=200, noise_diag=noise_diag)
 
     def test_unequal_noise_needs_p6(self):
         # at p = 5 the d1 block is coordinates 0-1, so the loading on
@@ -364,6 +373,106 @@ class TestDispatch:
             at_size("nope", 10, n=40, T=40)
         with pytest.raises(ConfigurationError):
             at_size(object(), 10, n=40, T=40)
+
+
+class TestEigensolver:
+    """``_eigvals``, the dsyevd binding behind all three generators."""
+
+    @staticmethod
+    def matrix(case):
+        """(matrix, p): a population covariance, a p > n Gram, an autocov M,
+        large enough for the blocked tridiagonal reduction."""
+        g = rng(5)
+        if case == "population":
+            X = g.standard_normal((150, 300)) * np.sqrt([9.0, 4.0] + [1.0] * 148)[:, None]
+            return X @ X.T / 300, 150
+        if case == "gram":
+            X = g.standard_normal((200, 100))
+            return X.T @ X / 100, 200
+        Y = g.standard_normal((120, 241))
+        Sig = Y[:, 1:] @ Y[:, :-1].T / 240
+        return Sig @ Sig.T, 120
+
+    @pytest.mark.parametrize("case", ["population", "gram", "autocov"])
+    def test_matches_eigvalsh(self, case):
+        A, p = self.matrix(case)
+        expected = np.sort(np.linalg.eigvalsh(A))[::-1]
+        expected = np.concatenate([expected, np.zeros(p - expected.size)])
+        got = _eigvals(A.copy(), p)
+        assert got.shape == (p,) and np.all(np.diff(got) <= 0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * expected[0])
+
+    def test_nan_raises(self):
+        A, p = self.matrix("population")
+        A[3, 3] = np.nan
+        with pytest.raises(NumericalError, match="LAPACK info"):
+            _eigvals(A, p)
+
+
+NAN, INF = math.nan, math.inf
+# a model field: a moderate positive float first, as one_of favours its first
+# branch and many builds should succeed, then any moderate float (zero and
+# negatives included), then the non-finite values; overflow of extreme
+# finite values is a separate matter
+SPECIAL = st.sampled_from([NAN, INF, -INF])
+FIELD = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3), SPECIAL)
+THETA = st.one_of(st.floats(-1.5, 1.5), SPECIAL)
+
+
+def fields_of(field, size):
+    return st.lists(field, min_size=size, max_size=size).map(tuple)
+
+
+FIELDS = {
+    "population": st.fixed_dictionaries({
+        "spikes": st.lists(FIELD, max_size=2).map(tuple), "sigma2": FIELD}),
+    "fisher": st.fixed_dictionaries({
+        "alpha": st.sampled_from([0, 3]).flatmap(lambda q: fields_of(FIELD, q)),
+        "sigma2": FIELD, "noise_diag": fields_of(FIELD, 2)}),
+    "autocov": st.integers(0, 2).flatmap(lambda q: st.fixed_dictionaries({
+        "theta": fields_of(THETA, q), "gamma_diag": fields_of(FIELD, q),
+        "sigma2": FIELD, "burn_in": st.integers(-1, 30)})),
+}
+
+
+class TestModelFields:
+    @pytest.mark.parametrize("kind, fields", [
+        ("population", {"spikes": (NAN,)}),
+        ("population", {"sigma2": NAN}),
+        ("population", {"sigma2": INF}),
+        ("fisher", {"alpha": (NAN, 5.0, 5.0)}),
+        ("fisher", {"noise_diag": (INF, 1.0)}),
+        ("fisher", {"sigma2": NAN}),
+        ("autocov", {"theta": (0.5,), "gamma_diag": (INF,)}),
+        ("autocov", {"sigma2": NAN}),
+        ("autocov", {"theta": (NAN,)}),
+    ])
+    def test_non_finite_rejected(self, kind, fields):
+        # each built a model whose every draw failed in the eigensolver
+        with pytest.raises(ConfigurationError, match="finite"):
+            at_size(kind, 30, n=60, T=80, **fields)
+
+    def test_negative_alpha_rejected(self):
+        # sqrt(alpha) would put NaN into every draw
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            FisherModel(p=30, n=60, T=80, alpha=(-10.0, 5.0, 5.0))
+        assert FisherModel(p=30, n=60, T=80, alpha=(10.0, 0.0, 0.0)).spikes[1] == 1.0
+
+    @pytest.mark.parametrize("kind", FIELDS)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_build_rejects_or_draws_valid_spectrum(self, kind, data):
+        p = data.draw(st.integers(1, 10), label="p")
+        n = data.draw(st.integers(1, 12), label="n")
+        T = data.draw(st.integers(p - 2, p + 10), label="T")
+        fields = data.draw(FIELDS[kind], label="fields")
+        try:
+            model = at_size(kind, p, n=n, T=T, **fields)
+        except ConfigurationError:
+            return
+        values = simulate(model, rng(0)).values
+        assert values.shape == (p,) and np.all(np.isfinite(values))
+        assert np.all(np.diff(values) <= 0) and values[-1] >= 0
 
 
 class TestNoiseTop:
@@ -532,6 +641,20 @@ class TestReplicate:
         # at this size OpenBLAS threads its products unless pinned, which
         # changes the last bits between the serial and the pooled path
         model = AutocovModel(p=150, T=300, theta=(0.6, -0.5), gamma_diag=(2.0, 2.0))
+
+        def draw(g):
+            return simulate(model, g).values.tobytes()
+
+        serial, err1 = replicate(draw, seed=0, reps=8, workers=1)
+        pooled, err2 = replicate(draw, seed=0, reps=8, workers=2)
+        assert err1 is None and err2 is None
+        assert pooled == serial
+
+    @pytest.mark.parametrize("p, n", [(150, 300), (300, 150)], ids=["p<n", "gram"])
+    def test_population_bits_worker_independent(self, p, n):
+        # OpenBLAS threads the (150, 300) products unless pinned; (300, 150)
+        # takes the p > n Gram branch, and both eigensolves run concurrently
+        model = PopulationModel(p=p, n=n, spikes=(9.0, 4.0))
 
         def draw(g):
             return simulate(model, g).values.tobytes()
