@@ -164,6 +164,7 @@ class SimulationReport:
 class ExperimentResult:
     reports: list
     details: list = field(default_factory=list)
+    failures: list = field(default_factory=list)  # not in the JSON; see run_experiment
 
     def to_json(self) -> str:
         return json.dumps({
@@ -265,7 +266,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
     Every grid point's model and estimators are built before the first draw.
     A replication failure aborts its grid point: metrics over the completed
     replications are still reported, flagged partial, with the diagnostic in
-    ``error``.  Other grid points proceed.
+    ``error``; if none completed, the exception also goes to ``failures``.
+    Other grid points proceed.
     """
     points = []
     for point in cfg.grid:
@@ -279,8 +281,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
                    for s in cfg.estimators]
         points.append((model, calibrate, runners))
 
-    reports = []
-    details = []
+    reports, details, failures = [], [], []
     for model, calibrate, runners in points:
         t0 = time.perf_counter()
         calib = calibrate()
@@ -301,6 +302,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
         completed, exc = replicate(one, cfg.seed, cfg.reps, workers)
         partial = exc is not None
         error = f"replication {len(completed)} failed: {exc!r}" if partial else None
+        if partial and not completed:
+            failures.append(exc)
 
         runtime_s = time.perf_counter() - t0
         point_detail = {
@@ -320,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
                     "estimates": r[0], "traces": r[1],
                 })
         details.append(point_detail)
-    return ExperimentResult(reports=reports, details=details)
+    return ExperimentResult(reports=reports, details=details, failures=failures)
 
 
 def _fmt(x) -> str:

@@ -14,9 +14,11 @@ Each model class also describes its family (sizes it needs, primary sample
 count, estimator defaults, oracle order and bulk edge); ``FAMILIES`` maps
 each ``kind`` to its class.  Population and Fisher models also draw the top
 of a pure-noise spectrum from an O(p) bidiagonal model (``noise_top``), which
-the calibration uses.  Spiked Fisher draws use the whitened Bartlett model
-(``simulate_fisher``); the other families draw their data densely.  All three
-eigensolve by LAPACK ``dsyevd``, called through ctypes with the GIL released.
+the calibration uses.  Spiked population draws use the exact banded model
+(``simulate_population``), eigensolved by LAPACK ``dsbevd``; spiked Fisher
+draws use the whitened Bartlett model (``simulate_fisher``); auto-covariance
+draws are dense.  Fisher and auto-covariance eigensolve by LAPACK ``dsyevd``;
+both solvers are called through ctypes with the GIL released.
 
 All generators are deterministic functions of (spec, rng) and never share
 state, so ``replicate`` can run replications concurrently, one stream each.
@@ -54,10 +56,6 @@ __all__ = [
     "replicate",
     "ingest_spectrum",
 ]
-
-# eigensolver noise below this (relative) size is clamped to zero
-_NEG_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PopulationModel:
@@ -371,12 +369,12 @@ def _bidiagonal_top(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([w[::-1], np.zeros(max(k - m, 0))])
 
 
-def _finish(values: np.ndarray, ref_scale: float) -> np.ndarray:
-    """Sort descending and clamp eigensolver noise below zero."""
-    values = np.sort(values)[::-1]
-    floor = -_NEG_TOL * max(ref_scale, 1.0)
-    values[(values < 0) & (values > floor)] = 0.0
-    return np.maximum(values, 0.0)
+def _finish(w: np.ndarray, p: int, info: int = 0) -> np.ndarray:
+    """The ascending eigenvalues w of a solve, zero-padded to length p, sorted descending and
+    clamped at zero (eigensolver noise); NumericalError on a nonzero LAPACK ``info``."""
+    if info:
+        raise NumericalError(f"eigensolver did not converge (LAPACK info {info})")
+    return np.maximum(np.sort(np.concatenate([np.zeros(p - w.size), w]))[::-1], 0.0)
 
 
 def _lapack(name: str, *argtypes):
@@ -391,32 +389,57 @@ def _lapack(name: str, *argtypes):
 _I, _C, _A = ctypes.POINTER(ctypes.c_int), ctypes.c_char_p, np.ctypeslib.ndpointer(float, flags="C")
 _dsygst = _lapack("dsygst", _I, _C, _I, _A, _I, _A, _I, _I)
 _dsyevd = _lapack("dsyevd", _C, _C, _I, _A, _I, _A, _A, _I, _I, _I, _I)
+_dsbevd = _lapack("dsbevd", _C, _C, _I, _I, _A, _I, _A, _A, _I, _A, _I, _I, _I, _I)
 
 
 def _eigvals(A: np.ndarray, p: int) -> np.ndarray:
     """Eigenvalues of the symmetric C-ordered A (overwritten) by LAPACK ``dsyevd``, through
-    ``_finish``, zero-padded to length p.  The workspace fits a blocked tridiagonal reduction
-    (block size <= 32); at the minimal 2m + 1 it runs unblocked, 8-25% slower at m = 200-400."""
+    ``_finish``.  The workspace fits a blocked tridiagonal reduction (block size <= 32); at
+    the minimal 2m + 1 it runs unblocked, 8-25% slower at m = 200-400."""
     m = ctypes.c_int(A.shape[0])
     w, work, info = np.empty(m.value), np.empty(34 * m.value + 1), ctypes.c_int()
     _dsyevd(b"N", b"U", m, A, m, w, work, ctypes.c_int(work.size), ctypes.c_int(),
             ctypes.c_int(1), info)
-    if info.value:
-        raise NumericalError(f"eigensolver did not converge (LAPACK info {info.value})")
-    return _finish(np.concatenate([np.zeros(p - w.size), w]), ref_scale=float(w[-1]))
+    return _finish(w, p, info.value)
+
+
+def _band_eigvals(ab: np.ndarray, p: int) -> np.ndarray:
+    """Eigenvalues of the symmetric band matrix A whose lower band the C-ordered (m, kd + 1)
+    ab holds, ab[j, d] = A[j + d, j] (LAPACK's AB for uplo 'L'; overwritten), by LAPACK
+    ``dsbevd``, through ``_finish``."""
+    m, ld = ctypes.c_int(ab.shape[0]), ctypes.c_int(ab.shape[1])
+    w, work, info = np.empty(m.value), np.empty(2 * m.value + 1), ctypes.c_int()
+    _dsbevd(b"N", b"L", m, ctypes.c_int(ld.value - 1), ab, ld, w, w, ctypes.c_int(1), work,
+            ctypes.c_int(work.size), ctypes.c_int(), ctypes.c_int(1), info)
+    return _finish(w, p, info.value)
 
 
 def simulate_population(spec: PopulationModel, rng: np.random.Generator) -> Spectrum:
-    """Spectrum of the uncentered sample covariance S = X X' / n."""
-    p, n = spec.p, spec.n
-    scale = np.full(p, math.sqrt(spec.sigma2))
-    for i, s in enumerate(spec.spikes):
-        scale[i] = math.sqrt(s)
-    X = rng.standard_normal((p, n))
-    X *= scale[:, None]
-    # for p > n, S shares its nonzero eigenvalues with the n x n Gram matrix
-    S = X.T @ X / n if p > n else X @ X.T / n
-    return Spectrum(values=_eigvals(S, p), p=p, n=n, scale_power=1)
+    """Spectrum of the uncentered sample covariance S = X X' / n, X = D^{1/2} Z.
+
+    Exact banded model.  With q spikes and r = max(q, 1), alternating LQ steps over the
+    unused columns and QR steps over the unused noise rows (rows >= q, where D = sigma2 I,
+    so they commute with D) reduce X to a lower-banded B, min(p, n + r) x m, m = min(p, n),
+    with independent entries: chi_{n - j} at (j, j), chi_{p - r - j} at (j + r, j), N(0, 1)
+    strictly between, row i scaled by sqrt(D_ii).  S's nonzero eigenvalues are those of the
+    m x m band B'B / n.  Draw order: the diagonal chis, the r-th subdiagonal chis, then the
+    normals column by column of B, dropping those below row p - 1 (when p < m + r).
+    """
+    p, n, q = spec.p, spec.n, len(spec.spikes)
+    r, m = max(q, 1), min(p, n)
+    # W[j, d] = B[j + d, j] / sqrt(n); zero past column m - 1 and row p - 1 of B
+    W = np.zeros((m + r, r + 1))
+    W[:m, 0] = np.sqrt(rng.chisquare(n - np.arange(m)))
+    k = min(m, p - r)
+    W[:k, r] = np.sqrt(rng.chisquare(p - r - np.arange(k)))
+    W[:m, 1:r] = rng.standard_normal((m, r - 1))
+    row_scale = np.sqrt(np.concatenate([spec.spikes, np.full(p - q, spec.sigma2),
+                                        np.zeros(m + r)]) / n)
+    W *= row_scale[np.add.outer(np.arange(m + r), np.arange(r + 1))]
+    # ab[j, d] = (B'B)[j + d, j] = sum_e B[j + d + e, j + d] B[j + d + e, j], d <= m - 1
+    ab = np.stack([np.einsum("je,je->j", W[d:d + m, :r + 1 - d], W[:m, d:])
+                   for d in range(min(r, m - 1) + 1)], axis=1)
+    return Spectrum(values=_band_eigvals(ab, p), p=p, n=n, scale_power=1)
 
 
 def _bartlett(rng: np.random.Generator, p: int, df: int) -> np.ndarray:

@@ -453,6 +453,46 @@ class TestSimulate:
         assert calls == []
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("model, grid, code, reps", [
+        ({"kind": "autocov", "spikes": "", "sigma2": "1e200"}, "p:30 T:60", 3, "0"),
+        ({"spikes": "", "sigma2": "1e300"}, "p:30 n:60", 0, "6"),
+    ], ids=["autocov", "population"])
+    def test_huge_sigma2(self, runner, tmp_path, model, grid, code, reps):
+        # autocov: M = Sigma Sigma' overflows, so every replication fails its
+        # eigensolve; the CSV and the warning still come out, then exit 3.
+        # The banded population draw squares sqrt(sigma2 / n)-scaled entries,
+        # which stay finite at 1e300: every replication completes
+        cfg = write_config(tmp_path, model=model,
+                           harness={"grid": grid, "estimators": "lwy, tvacle"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == code, res.output
+        rows = (tmp_path / "out.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 2 and {row.split(",")[5] for row in rows} == {reps}
+        assert ("warning: partial grid point p=30" in res.stderr) == (code == 3)
+        assert ("error: " in res.stderr) == (code == 3)
+
+    def test_partial_with_completed_replications_exit_0(self, runner, tmp_path,
+                                                         monkeypatch):
+        # a grid point that completed some replications before a numerical
+        # failure is reported partial, and the run still succeeds
+        calls = []
+
+        def fail_third(model, rng):
+            calls.append(None)
+            if len(calls) > 2:
+                raise NumericalError("synthetic failure")
+            return simulate(model, rng)
+
+        monkeypatch.setattr(harness_mod, "simulate", fail_third)
+        cfg = write_config(tmp_path)
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 0, res.output
+        assert "warning: partial grid point p=50" in res.stderr
+        rows = (tmp_path / "out.csv").read_text().strip().split("\n")[1:]
+        assert {row.split(",")[5] for row in rows} == {"2"}
+
     def test_model_validated_with_its_spikes(self, runner, tmp_path):
         cfg = write_config(tmp_path, model={"spikes": "6"},
                            harness={"grid": "p:0 n:20"})

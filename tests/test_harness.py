@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import population_reference
 import pytest
 
 import spikeorder.calibration as calibration_mod
@@ -96,7 +97,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("family, digest", [
         ("autocov", "efd20afec8d4752acb4250de7e2facb0105b1356a0f821fd0d5c1352bae9fa2d"),
         ("fisher", "e5793c2df4f10ffb5e9d076c536e736d39e6e9e2ddc2357da89a7eb8920ddab1"),
-        ("population", "5d1fe2a73f5e9a2edcb7d56b15a844d0eb92b007404e7bd89807eb27c755f288"),
+        ("population", "f1d35567cc83007e4f2843f318ab5560e58a77084bcacf314f604878754b39a1"),
     ])
     def test_csv_digest_pinned(self, tmp_path, family, digest):
         # the determinism contract, pinned: calibration and replications at
@@ -106,6 +107,18 @@ class TestDeterminism:
             reports = run_experiment(cfg, workers=workers,
                                      cache_dir=str(tmp_path / f"w{workers}")).reports
             assert csv_digest(reports) == digest
+
+    def test_dense_reference_digest(self, tmp_path, monkeypatch):
+        # the harness path alone, pinned: with the dense reference generator in
+        # place of the banded one, the population rows are those pinned before
+        # the banded model replaced it
+        monkeypatch.setattr(harness_mod, "simulate", population_reference.simulate_population)
+        cfg = family_config("population", reps=8)
+        for workers in (1, 2):
+            reports = run_experiment(cfg, workers=workers,
+                                     cache_dir=str(tmp_path / f"w{workers}")).reports
+            assert csv_digest(reports) == (
+                "5d1fe2a73f5e9a2edcb7d56b15a844d0eb92b007404e7bd89807eb27c755f288")
 
     def test_paired_spectra(self, cache_dir):
         # adding an estimator must not change the spectra fed to the others

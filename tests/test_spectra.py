@@ -2,6 +2,7 @@ import math
 
 import fisher_reference
 import numpy as np
+import population_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from spikeorder.spectra import (
     FisherModel,
     PopulationModel,
     Spectrum,
+    _band_eigvals,
     _eigvals,
     _finish,
     at_size,
@@ -88,6 +90,33 @@ class TestPopulation:
         assert spec.p == 30
         assert np.sum(spec.values == 0.0) >= 20
         assert np.sum(spec.values > 0) <= 10
+
+    @pytest.mark.parametrize("model", [
+        PopulationModel(p=20, n=60, spikes=(9.0, 6.0, 4.0)),
+        PopulationModel(p=30, n=30, spikes=(7.0, 6.0, 5.0, 4.0)),
+        PopulationModel(p=40, n=15, spikes=(8.0, 5.0)),
+        PopulationModel(p=12, n=3, spikes=(9.0, 7.0, 5.0, 3.0)),
+        PopulationModel(p=20, n=30),
+        PopulationModel(p=15, n=40, spikes=(9.0, 5.0), sigma2=2.0),
+    ], ids=["p<n", "p=n", "p>n", "n<q", "pure", "sigma2"])
+    def test_documented_draw_order(self, model):
+        # B rebuilt densely in the documented draw order (diagonal chis, r-th
+        # subdiagonal chis, normals column by column, those below row p - 1
+        # dropped), its rows scaled; a dense solve of B'B / n agrees to rounding
+        p, n, q = model.p, model.n, len(model.spikes)
+        r, m = max(q, 1), min(p, n)
+        g = rng(17)
+        B = np.zeros((m + r, m))
+        B[np.arange(m), np.arange(m)] = np.sqrt(g.chisquare(n - np.arange(m)))
+        k = min(m, p - r)
+        B[np.arange(k) + r, np.arange(k)] = np.sqrt(g.chisquare(p - r - np.arange(k)))
+        cols, offsets = np.divmod(np.arange(m * (r - 1)), r - 1)
+        B[cols + offsets + 1, cols] = g.standard_normal(cols.size)
+        B = B[:p] * np.sqrt([*model.spikes] + [model.sigma2] * (p - q))[:min(p, m + r), None]
+        w = np.linalg.eigvalsh(B.T @ B / n)
+        expected = _finish(w, p)
+        got = simulate_population(model, rng(17)).values
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * expected[0])
 
     def test_errors(self):
         with pytest.raises(ConfigurationError):
@@ -201,7 +230,7 @@ class TestFisher:
         K, L = bartlett(n), bartlett(T)
         F = np.diag(np.sqrt([*model.spikes] + [model.sigma2] * (p - len(model.spikes))))
         w = linalg.eigh(F @ K @ K.T @ F / n, L @ L.T / T, eigvals_only=True)
-        expected = _finish(w, ref_scale=float(w[-1]))
+        expected = _finish(w, p)
         got = simulate_fisher(model, rng(17)).values
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * expected[0])
 
@@ -223,7 +252,7 @@ class TestFisher:
             X += A @ u
         E = g.standard_normal((p, T)) * np.sqrt(d)[:, None]
         w = linalg.eigh(X @ X.T / n, E @ E.T / T, eigvals_only=True)
-        expected = _finish(w, ref_scale=float(w[-1]))
+        expected = _finish(w, p)
         got = fisher_reference.simulate_fisher(model, rng(17)).values
         assert got.tobytes() == expected.tobytes()
 
@@ -376,7 +405,8 @@ class TestDispatch:
 
 
 class TestEigensolver:
-    """``_eigvals``, the dsyevd binding behind all three generators."""
+    """``_eigvals``, the dsyevd binding behind the Fisher and auto-covariance
+    generators and the dense population reference."""
 
     @staticmethod
     def matrix(case):
@@ -407,6 +437,40 @@ class TestEigensolver:
         A[3, 3] = np.nan
         with pytest.raises(NumericalError, match="LAPACK info"):
             _eigvals(A, p)
+
+
+class TestBandEigensolver:
+    """``_band_eigvals``, the dsbevd binding behind the population generator."""
+
+    @staticmethod
+    def band(rows, m, r, p):
+        """(B'B, its lower band as the C-ordered (m, kd + 1) array, p) for a random
+        lower-banded B, rows x m with half-bandwidth r: kd = min(r, m - 1)."""
+        B = np.tril(np.triu(rng(5).standard_normal((rows, m)) + 3 * np.eye(rows, m), -r))
+        A, kd = B.T @ B, min(r, m - 1)
+        ab = np.zeros((m, kd + 1))
+        for d in range(kd + 1):
+            ab[:m - d, d] = np.diagonal(A, -d)
+        return A, ab, p
+
+    CASES = {"p<n": (50, 50, 4, 50), "p>n": (64, 60, 4, 120), "n<q": (7, 3, 4, 12),
+             "bidiagonal": (31, 30, 1, 31), "wide": (200, 200, 6, 200)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_eigvalsh(self, case):
+        A, ab, p = self.band(*self.CASES[case])
+        expected = np.sort(np.linalg.eigvalsh(A))[::-1]
+        expected = np.concatenate([expected, np.zeros(p - expected.size)])
+        got = _band_eigvals(ab, p)
+        assert got.shape == (p,) and np.all(np.diff(got) <= 0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * expected[0])
+
+    @pytest.mark.parametrize("entry", [(3, 0), (10, 2)], ids=["diagonal", "subdiagonal"])
+    def test_nan_raises(self, entry):
+        _, ab, p = self.band(*self.CASES["p<n"])
+        ab[entry] = np.nan
+        with pytest.raises(NumericalError, match="LAPACK info"):
+            _band_eigvals(ab, p)
 
 
 NAN, INF = math.nan, math.inf
@@ -476,7 +540,7 @@ class TestModelFields:
 
 
 class TestNoiseTop:
-    """The bidiagonal pure-noise samplers against the dense generators."""
+    """The bidiagonal pure-noise samplers against the dense reference generators."""
 
     # p < n, p > n, min(p, n) < 3 and Fisher n < p; the sigma2 cases check the
     # scale, the unequal noise_diag case that a common congruence drops out
@@ -499,7 +563,8 @@ class TestNoiseTop:
         from scipy.stats import ks_2samp
         model = self.CASES[case]
         dense_rng, model_rng = rng(11), rng(12)
-        generate = fisher_reference.simulate_fisher if model.kind == "fisher" else simulate
+        generate = (fisher_reference.simulate_fisher if model.kind == "fisher"
+                    else population_reference.simulate_population)
         dense = np.array([generate(model, dense_rng).values[:3] for _ in range(self.DRAWS)])
         top = np.array([model.noise_top(model_rng) for _ in range(self.DRAWS)])
         for name, stat in (("l1", lambda v: v[:, 0]), ("l1 - l2", lambda v: v[:, 0] - v[:, 1]),
@@ -558,6 +623,43 @@ class TestFisherBartlett:
         drawn = np.array([simulate_fisher(model, bartlett_rng).values[:4]
                           for _ in range(self.DRAWS)])
         for name, stat in self.STATS.items():
+            pvalue = ks_2samp(stat(dense), stat(drawn)).pvalue
+            assert pvalue > self.LEVEL, f"{name}: KS p = {pvalue:.2g}"
+
+
+class TestPopulationBanded:
+    """The banded population generator against the dense reference."""
+
+    # p < n, p = n, p > n, n < q (B'B narrower than the band), pure noise
+    # (r = 1, the bidiagonal) and sigma2 != 1
+    CASES = {
+        "p-below-n": PopulationModel(p=40, n=120, spikes=(9.0, 6.0, 4.0, 3.0)),
+        "p-equals-n": PopulationModel(p=40, n=40, spikes=(7.0, 6.0, 5.0, 4.0)),
+        "p-above-n": PopulationModel(p=60, n=20, spikes=(8.0, 5.0)),
+        "n-below-q": PopulationModel(p=12, n=3, spikes=(9.0, 7.0, 5.0, 3.0)),
+        "pure-noise": PopulationModel(p=20, n=30),
+        "sigma2": PopulationModel(p=15, n=40, spikes=(9.0, 5.0), sigma2=2.0),
+    }
+    DRAWS = 2000
+    LEVEL = 1e-3  # two-sample KS, fixed before looking
+
+    @staticmethod
+    def stats(model):
+        """l1, the first bulk value l_{q+1} (l_m when m <= q), l_m and the trace."""
+        q, m = len(model.spikes), min(model.p, model.n)
+        return {"l1": lambda v: v[:, 0], "l_q+1": lambda v: v[:, min(q, m - 1)],
+                "l_m": lambda v: v[:, m - 1], "trace": lambda v: v.sum(axis=1)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense(self, case):
+        from scipy.stats import ks_2samp
+        model = self.CASES[case]
+        dense_rng, banded_rng = rng(31), rng(32)
+        dense = np.array([population_reference.simulate_population(model, dense_rng).values
+                          for _ in range(self.DRAWS)])
+        drawn = np.array([simulate_population(model, banded_rng).values
+                          for _ in range(self.DRAWS)])
+        for name, stat in self.stats(model).items():
             pvalue = ks_2samp(stat(dense), stat(drawn)).pvalue
             assert pvalue > self.LEVEL, f"{name}: KS p = {pvalue:.2g}"
 
@@ -650,10 +752,10 @@ class TestReplicate:
         assert err1 is None and err2 is None
         assert pooled == serial
 
-    @pytest.mark.parametrize("p, n", [(150, 300), (300, 150)], ids=["p<n", "gram"])
+    @pytest.mark.parametrize("p, n", [(150, 300), (300, 150)], ids=["p<n", "p>n"])
     def test_population_bits_worker_independent(self, p, n):
-        # OpenBLAS threads the (150, 300) products unless pinned; (300, 150)
-        # takes the p > n Gram branch, and both eigensolves run concurrently
+        # the band solves release the GIL and run concurrently; each must
+        # give the serial bits, for a p x p band (p < n) and an n x n one
         model = PopulationModel(p=p, n=n, spikes=(9.0, 4.0))
 
         def draw(g):
