@@ -95,7 +95,7 @@ def _mp_quantile_cached(alpha: float, c: float) -> float:
     return mp_quantile(alpha, c)
 
 
-def estimate_sigma2(spec, c: float | None = None) -> float:
+def estimate_sigma2(spec) -> float:
     """One-step scale estimate from a bulk quantile of the spectrum.
 
     Matches the sample quantile lambda_{p - floor(p alpha)} with the
@@ -105,10 +105,9 @@ def estimate_sigma2(spec, c: float | None = None) -> float:
     """
     if spec.p < 4:
         raise ConfigurationError(f"need p >= 4 to estimate sigma2, got p = {spec.p}")
-    if c is None:
-        if spec.n is None:
-            raise ConfigurationError("spectrum lacks n; pass the aspect ratio c")
-        c = spec.p / spec.n
+    if spec.n is None:
+        raise ConfigurationError("spectrum lacks n; cannot estimate sigma2")
+    c = spec.p / spec.n
     alpha = 1.0 - 1.0 / (2.0 * max(1.0, c))
     idx = spec.p - math.floor(spec.p * alpha)
     idx = min(max(idx, 1), spec.p)

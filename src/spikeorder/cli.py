@@ -128,16 +128,13 @@ def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed
     """Estimate the order of an ingested spectrum file."""
     raw = ingest_spectrum(spectrum, column=column)
     model = at_size(family, raw.p, n, t_)
-    spec = dataclasses.replace(raw, n=model.count, T=getattr(model, "T", None),
-                               scale_power=model.scale_power)
+    spec = dataclasses.replace(raw, n=model.count, scale_power=model.scale_power)
     sigma2_mode = "estimated" if sigma2 == "estimated" else "known"
     if sigma2_mode == "known":
         try:
             model = dataclasses.replace(model, sigma2=float(sigma2))
         except ValueError:
-            raise ConfigurationError(
-                f"--sigma2 must be a float or 'estimated', got {sigma2!r}"
-            ) from None
+            raise ConfigurationError(f"--sigma2 {sigma2!r} is not a float or 'estimated'") from None
     setting = EstimatorSetting(method, **tuning)
 
     def calibrate():
@@ -312,7 +309,7 @@ def simulate(config_path, seed, reps, out, workers, want_trace, cache_dir):
             click.echo(f"wrote {json_path}")
     else:
         click.echo(csv_text, nl=False)
-    for r in result.reports:
+    for r in result.reports[::len(cfg.estimators)]:  # the first row of each grid point
         if r.partial:
             click.echo(f"warning: partial grid point p={r.p}: {r.error}", err=True)
     for exc in result.failures:

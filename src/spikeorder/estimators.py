@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import estimate_sigma2, loglog
+# estimate_sigma2 is unused here; perfbench/tracing.py wraps it by this module's name
+from .calibration import estimate_sigma2, loglog  # noqa: F401
 from .errors import ConfigurationError
 from .spectra import Spectrum
 
@@ -52,9 +53,9 @@ def loglog_rate(p: int) -> float:
 class EstimatorConfig:
     """Tuning for the valley-cliff estimators.
 
-    ``sigma2`` is either a known positive scale or the string "estimated"
-    (population spectra only; resolved through the quantile-based scale
-    estimator).  The transformation block (e, kappa_n, k1, k2) only matters
+    ``sigma2`` is the positive noise scale the spectrum is normalized by,
+    known or already estimated (``harness.build_estimator`` resolves it per
+    spectrum).  The transformation block (e, kappa_n, k1, k2) only matters
     for the transformed variant; ``kappa_n = None`` selects the default
     loglog(p) * p^(-2/3).
     """
@@ -62,7 +63,7 @@ class EstimatorConfig:
     c_n: float
     tau: float = 0.5
     L: int = 20
-    sigma2: float | str = 1.0
+    sigma2: float = 1.0
     e: float | None = None
     kappa_n: float | None = None
     k1: float = 5.0
@@ -75,10 +76,7 @@ class EstimatorConfig:
             raise ConfigurationError(f"search bound L must be at least 3, got {self.L}")
         if self.c_n <= 0:
             raise ConfigurationError(f"ridge c_n must be positive, got {self.c_n}")
-        if isinstance(self.sigma2, str):
-            if self.sigma2 != "estimated":
-                raise ConfigurationError(f"sigma2 must be positive or 'estimated', got {self.sigma2!r}")
-        elif self.sigma2 <= 0:
+        if self.sigma2 <= 0:
             raise ConfigurationError(f"sigma2 must be positive, got {self.sigma2}")
         if self.kappa_n is not None and self.kappa_n <= 0:
             raise ConfigurationError("kappa_n must be positive")
@@ -153,18 +151,6 @@ def fn_transform(x, e: float, kappa_n: float, k1: float, k2: float):
     return float(out[0]) if scalar else out
 
 
-def _resolve_sigma2(spec: Spectrum, cfg: EstimatorConfig) -> float:
-    if cfg.sigma2 == "estimated":
-        if spec.scale_power != 1 or spec.T is not None:
-            raise ConfigurationError(
-                "sigma2 estimation is only supported for population covariance spectra"
-            )
-        if spec.n is None:
-            raise ConfigurationError("spectrum lacks n; cannot estimate sigma2")
-        return estimate_sigma2(spec)
-    return float(cfg.sigma2)
-
-
 def _select(ratios: np.ndarray, tau: float) -> int:
     hits = np.nonzero(ratios <= tau)[0]
     return int(hits[-1]) + 1 if hits.size else 0
@@ -201,7 +187,7 @@ def vacle(spec: Spectrum, cfg: EstimatorConfig):
 
     Returns ``(q_hat, trace)``.
     """
-    trace = ridge_ratios(spec, _resolve_sigma2(spec, cfg), cfg)
+    trace = ridge_ratios(spec, cfg.sigma2, cfg)
     return trace.q_hat, trace
 
 
@@ -213,8 +199,7 @@ def tvacle(spec: Spectrum, cfg: EstimatorConfig):
     """
     if cfg.e is None:
         raise ConfigurationError("tvacle requires the bulk edge e in the config")
-    sigma2 = _resolve_sigma2(spec, cfg)
-    x = _normalized_head(spec, sigma2, cfg)
+    x = _normalized_head(spec, cfg.sigma2, cfg)
     kappa = cfg.kappa_n if cfg.kappa_n is not None else loglog_rate(spec.p)
     fx = fn_transform(x, cfg.e, kappa, cfg.k1, cfg.k2)
     trace = _trace(fx, cfg)

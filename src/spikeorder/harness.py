@@ -118,6 +118,10 @@ class ExperimentConfig:
             raise ConfigurationError("sigma2_mode must be 'known' or 'estimated'")
         object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        columns = [s.column for s in self.estimators]
+        repeated = [c for c in columns if columns.count(c) > 1]
+        if repeated:  # results are keyed by column, so one would overwrite the other
+            raise ConfigurationError(f"estimator column {repeated[0]!r} appears more than once")
 
 
 @dataclass(frozen=True)
@@ -179,15 +183,17 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
     ``calibrate()`` returns the pure-noise CalibrationResult at the model's
     size; the callable calls it on its first spectrum, and only when the
     setting lacks a ridge value or ``d_t`` that the estimator needs, so
-    building draws nothing.  ``sigma2_mode`` is "known" (use
-    ``model.sigma2``) or "estimated", which only population spectra allow.
+    building draws nothing.  ``sigma2_mode`` is "known" (``model.sigma2``) or
+    "estimated" (``estimate_sigma2`` of each spectrum; population only).
     """
-    if sigma2_mode == "estimated" and not model.sigma2_estimable:
+    estimated = sigma2_mode == "estimated"
+    if estimated and not model.sigma2_estimable:
         raise ConfigurationError(
             "sigma2 estimation is only supported for population covariance spectra"
         )
+    def scale(spec):  # looked up at call time, so a wrapped estimate_sigma2 sees every call
+        return calibration.estimate_sigma2(spec) if estimated else model.sigma2
     tau = setting.tau if setting.tau is not None else model.default_tau
-    sigma2 = "estimated" if sigma2_mode == "estimated" else model.sigma2
     name = setting.name
 
     if name in ("vacle", "tvacle"):
@@ -198,27 +204,24 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
         # a unit ridge stands in for a calibrated one while the tuning is checked
         cfg = EstimatorConfig(
             c_n=1.0 if setting.c_n is None else setting.c_n, tau=tau, L=setting.L,
-            sigma2=sigma2, e=model.bulk_edge() if name == "tvacle" else None,
+            sigma2=model.sigma2, e=model.bulk_edge() if name == "tvacle" else None,
             k1=setting.k1, k2=setting.k2,
         )
         fn = tvacle if name == "tvacle" else vacle
-        if setting.c_n is not None:
-            return lambda spec: fn(spec, cfg)
         ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
-        calibrated = functools.cache(lambda: replace(cfg, c_n=calibrate().ridge(ridge)))
-        return lambda spec: fn(spec, calibrated())
+        tuned = functools.cache(
+            lambda: cfg if setting.c_n is not None else replace(cfg, c_n=calibrate().ridge(ridge)))
+        if estimated:
+            return lambda spec: fn(spec, replace(tuned(), sigma2=scale(spec)))
+        return lambda spec: fn(spec, tuned())
 
     if name == "py":
         if setting.py_start_index not in (0, 1):
             raise ConfigurationError(
                 f"py_start_index must be 0 or 1, got {setting.py_start_index}")
         C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count).value
-        def run(spec):
-            # looked up at call time, like the estimators' own scale estimates
-            s2 = calibration.estimate_sigma2(spec) if sigma2 == "estimated" else sigma2
-            est = py_estimator(spec, s2, C, L=setting.L, start_index=setting.py_start_index)
-            return est.q_hat, None
-        return run
+        return lambda spec: (py_estimator(spec, scale(spec), C, L=setting.L,
+                                          start_index=setting.py_start_index).q_hat, None)
 
     if name == "lwy":
         if setting.d_t is not None and not 0.0 < setting.d_t < 1.0:

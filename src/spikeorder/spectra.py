@@ -321,6 +321,7 @@ def at_size(model_or_kind, p: int, n=None, T=None, **fields):
 class Spectrum:
     """Descending sample eigenvalues plus the metadata estimators need.
 
+    ``n`` is the model's sample count (T for auto-covariance spectra).
     ``scale_power`` is the power of sigma^2 that normalizes the values:
     1 for covariance and Fisher eigenvalues, 2 for the squared-auto-covariance
     eigenvalues (which live on the sigma^4 scale).
@@ -329,9 +330,7 @@ class Spectrum:
     values: np.ndarray
     p: int
     n: int | None = None
-    T: int | None = None
     scale_power: int = 1
-    provenance: str = "simulated"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -471,7 +470,7 @@ def simulate_fisher(spec: FisherModel, rng: np.random.Generator) -> Spectrum:
     S1, chol = G @ G.T, _bartlett(rng, p, T) / math.sqrt(T)
     size = ctypes.c_int(p)
     _dsygst(ctypes.c_int(1), b"U", size, S1, size, chol, size, ctypes.c_int())
-    return Spectrum(values=_eigvals(S1, p), p=p, n=n, T=T, scale_power=1)
+    return Spectrum(values=_eigvals(S1, p), p=p, n=n, scale_power=1)
 
 
 def simulate_autocov(spec: AutocovModel, rng: np.random.Generator) -> Spectrum:
@@ -494,7 +493,7 @@ def simulate_autocov(spec: AutocovModel, rng: np.random.Generator) -> Spectrum:
     if q:
         Y[:q] += x
     Sig = Y[:, 1:] @ Y[:, :-1].T / T
-    return Spectrum(values=_eigvals(Sig @ Sig.T, p), p=p, n=T, T=T, scale_power=2)
+    return Spectrum(values=_eigvals(Sig @ Sig.T, p), p=p, n=T, scale_power=2)
 
 
 _SIMULATORS = {PopulationModel: simulate_population, FisherModel: simulate_fisher,
@@ -595,7 +594,7 @@ def replicate(draw, seed: int, reps: int, workers: int = 1):
     return results, None
 
 
-def ingest_spectrum(path, n=None, T=None, scale_power=1, p=None, column=None) -> Spectrum:
+def ingest_spectrum(path, column=None) -> Spectrum:
     """Read eigenvalues from a text or CSV file, in any order.
 
     Plain format: one decimal float per line, blank lines and ``#`` comments
@@ -634,7 +633,4 @@ def ingest_spectrum(path, n=None, T=None, scale_power=1, p=None, column=None) ->
     if np.any(values < -1e-12):
         raise IngestionError(f"{path}: negative eigenvalue {values.min()} beyond tolerance")
     values = np.sort(np.maximum(values, 0.0))[::-1]
-    if p is not None and p != values.size:
-        raise IngestionError(f"{path}: found {values.size} values, expected p = {p}")
-    return Spectrum(values=values, p=values.size, n=n, T=T,
-                    scale_power=scale_power, provenance="ingested")
+    return Spectrum(values=values, p=values.size)

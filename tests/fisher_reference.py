@@ -64,4 +64,4 @@ def simulate_fisher(spec: FisherModel, rng: np.random.Generator) -> Spectrum:
         raise SingularMatrixError(f"noise covariance numerically singular (rcond {rcond:.1e})")
     reduced, _ = lapack.dsygst(S1, chol, itype=1, lower=1, overwrite_a=1)
     w, _, info = lapack.dsyevd(reduced, compute_v=0, lower=1, overwrite_a=1)
-    return Spectrum(values=_finish(w, p, info), p=p, n=n, T=T, scale_power=1)
+    return Spectrum(values=_finish(w, p, info), p=p, n=n, scale_power=1)

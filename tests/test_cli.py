@@ -472,6 +472,22 @@ class TestSimulate:
         assert ("warning: partial grid point p=30" in res.stderr) == (code == 3)
         assert ("error: " in res.stderr) == (code == 3)
 
+    def test_partial_warning_once_per_grid_point(self, runner, tmp_path):
+        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": "", "sigma2": "1e200"},
+                           harness={"grid": "p:30 T:60", "estimators": "lwy, tvacle"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 3, res.output
+        assert res.stderr.count("warning: partial grid point p=30") == 1
+
+    def test_duplicate_column_exit_2(self, runner, tmp_path):
+        cfg = write_config(tmp_path, harness={"estimators": "tvacle:c3a, tvacle:c3b, vacle"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "'tvacle'" in res.stderr
+        assert not (tmp_path / "out.csv").exists()
+
     def test_partial_with_completed_replications_exit_0(self, runner, tmp_path,
                                                          monkeypatch):
         # a grid point that completed some replications before a numerical

@@ -17,9 +17,9 @@ from spikeorder.estimators import (
 from spikeorder.spectra import Spectrum
 
 
-def make_spec(values, n=200, scale_power=1, T=None):
+def make_spec(values, n=200, scale_power=1):
     values = np.asarray(values, dtype=float)
-    return Spectrum(values=values, p=values.size, n=n, T=T, scale_power=scale_power)
+    return Spectrum(values=values, p=values.size, n=n, scale_power=scale_power)
 
 
 class TestRidgeRatios:
@@ -78,10 +78,9 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             EstimatorConfig(c_n=0.1, L=2)
         with pytest.raises(ConfigurationError):
-            EstimatorConfig(c_n=0.1, sigma2="wrong")
+            EstimatorConfig(c_n=0.1, sigma2=0.0)
         with pytest.raises(ConfigurationError):
             EstimatorConfig(c_n=0.1, k1=-1.0)
-        EstimatorConfig(c_n=0.1, sigma2="estimated")
 
 
 class TestFnTransform:
@@ -175,11 +174,6 @@ class TestVacle:
         spec = make_spec(np.linspace(5.0, 4.0, 10))
         q, _ = vacle(spec, EstimatorConfig(c_n=5.0, tau=0.2, L=10))
         assert q == 0
-
-    def test_estimated_sigma2_gate(self):
-        spec = make_spec(np.linspace(5.0, 4.0, 25), scale_power=2, T=100)
-        with pytest.raises(ConfigurationError, match="population"):
-            vacle(spec, EstimatorConfig(c_n=0.1, sigma2="estimated"))
 
 
 class TestTvacle:
@@ -342,8 +336,8 @@ class TestScaleInvariance:
         g = np.random.default_rng(13)
         vals = np.sort(g.uniform(0.5, 3.0, 25))[::-1]
         s = 2.0
-        spec = make_spec(vals, n=100, scale_power=2, T=100)
-        spec_s = make_spec(vals * s ** 2, n=100, scale_power=2, T=100)
+        spec = make_spec(vals, n=100, scale_power=2)
+        spec_s = make_spec(vals * s ** 2, n=100, scale_power=2)
         cfg = EstimatorConfig(c_n=0.1, L=20, sigma2=1.0)
         cfg_s = EstimatorConfig(c_n=0.1, L=20, sigma2=s)
         a, tr_a = vacle(spec, cfg)

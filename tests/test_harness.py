@@ -79,6 +79,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             small_config(sigma2_mode="maybe")
 
+    def test_duplicate_column_rejected(self):
+        # results are keyed by column, so two settings with one column would
+        # silently report one of them twice
+        with pytest.raises(ConfigurationError, match="'tvacle'"):
+            small_config(estimators=(EstimatorSetting("tvacle", "c3a"),
+                                     EstimatorSetting("tvacle", "c3b")))
+        small_config(estimators=(EstimatorSetting("tvacle", "c3a"),
+                                 EstimatorSetting("tvacle", "c3b", label="tvacle_c3b")))
+
 
 class TestDeterminism:
     def test_single_rep_bitwise(self, cache_dir):

@@ -159,29 +159,34 @@ class TestFisher:
     # so the limits are no reference for a 40-replication mean.
     FINITE_SIZE = {"l1": (26.998, 5.524), "pair": (14.498, 1.866)}
     FINITE_SIZE_REPS = 8000
+    # The same at (250, 1250, 500), same seed and count: there the means sit
+    # within 2% of the limits, which a 10-replication mean (sd 0.76 for l1)
+    # cannot show at a fixed 5% tolerance.
+    FINITE_SIZE_BIG = {"l1": (25.340, 2.401), "pair": (15.417, 0.937)}
 
-    def test_spikes_against_oracle(self):
+    def check_means(self, model, reps, reference):
         # the equal pair splits into order statistics, so compare its mean.
-        # The 40-replication mean must sit within 3.5 standard errors of the
+        # The replication mean must sit within 3.5 standard errors of the
         # finite-size reference: the spread of both means sets the tolerance
-        model = FisherModel(p=50, n=250, T=100, alpha=(10.0, 5.0, 5.0))
-        assert model.spikes == (11.0, 6.0, 6.0)
-        reps = 40
         tops = np.array([simulate_fisher(model, rng(300 + s)).values[:3]
                          for s in range(reps)]).mean(axis=0)
         for name, got in (("l1", tops[0]), ("pair", 0.5 * (tops[1] + tops[2]))):
-            mean, sd = self.FINITE_SIZE[name]
+            mean, sd = reference[name]
             tol = 3.5 * sd * np.sqrt(1.0 / reps + 1.0 / self.FINITE_SIZE_REPS)
             assert abs(got - mean) <= tol, f"{name}: {got:.3f} vs {mean} +- {tol:.3f}"
+
+    def test_spikes_against_oracle(self):
+        model = FisherModel(p=50, n=250, T=100, alpha=(10.0, 5.0, 5.0))
+        assert model.spikes == (11.0, 6.0, 6.0)
+        self.check_means(model, 40, self.FINITE_SIZE)
         # at full size the limits hold
         law = FisherLaw(c=0.2, y=0.5)
         psi_11 = rmt.fisher_spike_map(11.0, law)
         psi_6 = rmt.fisher_spike_map(6.0, law)
+        assert self.FINITE_SIZE_BIG["l1"][0] == pytest.approx(psi_11, rel=0.02)
+        assert self.FINITE_SIZE_BIG["pair"][0] == pytest.approx(psi_6, rel=0.02)
         big = FisherModel(p=250, n=1250, T=500, alpha=(10.0, 5.0, 5.0))
-        tops = np.array([simulate_fisher(big, rng(300 + s)).values[:3]
-                         for s in range(10)]).mean(axis=0)
-        assert tops[0] == pytest.approx(psi_11, rel=0.05)
-        assert 0.5 * (tops[1] + tops[2]) == pytest.approx(psi_6, rel=0.05)
+        self.check_means(big, 10, self.FINITE_SIZE_BIG)
 
     def test_generalized_matches_dense(self):
         # symmetric-definite pencil route vs dense S1 S2^{-1} on small instances
@@ -784,10 +789,9 @@ class TestIngest:
     def test_plain_sort(self, tmp_path):
         f = tmp_path / "eig.txt"
         f.write_text("3\n1\n2\n")
-        spec = ingest_spectrum(str(f), n=10)
+        spec = ingest_spectrum(str(f))
         assert spec.p == 3
         assert list(spec.values) == [3.0, 2.0, 1.0]
-        assert spec.provenance == "ingested"
 
     def test_comments_and_blanks(self, tmp_path):
         f = tmp_path / "eig.txt"
@@ -839,9 +843,3 @@ class TestIngest:
         f.write_bytes(b"\xff\xfev\n3\n1\n2\n")
         with pytest.raises(IngestionError, match=r"eig\.txt"):
             ingest_spectrum(str(f), column=column)
-
-    def test_p_mismatch(self, tmp_path):
-        f = tmp_path / "eig.txt"
-        f.write_text("3\n1\n2\n")
-        with pytest.raises(IngestionError, match="expected p"):
-            ingest_spectrum(str(f), p=5)
