@@ -14,11 +14,12 @@ Each model class also describes its family (sizes it needs, primary sample
 count, estimator defaults, oracle order and bulk edge); ``FAMILIES`` maps
 each ``kind`` to its class.  Population and Fisher models also draw the top
 of a pure-noise spectrum from an O(p) bidiagonal model (``noise_top``), which
-the calibration uses.  Spiked population draws use the exact banded model
-(``simulate_population``), eigensolved by LAPACK ``dsbevd``; spiked Fisher
-draws use the whitened Bartlett model (``simulate_fisher``); auto-covariance
-draws are dense.  Fisher and auto-covariance eigensolve by LAPACK ``dsyevd``;
-both solvers are called through ctypes with the GIL released.
+the calibration uses, by LAPACK ``dstebz`` bisection.  Spiked population draws
+use the exact banded model (``simulate_population``), eigensolved by LAPACK
+``dsbevd``; spiked Fisher draws use the whitened Bartlett model
+(``simulate_fisher``); auto-covariance draws are dense.  Fisher and
+auto-covariance eigensolve by LAPACK ``dsyevd``.  Every LAPACK call goes
+through ctypes with the GIL released.
 
 All generators are deterministic functions of (spec, rng) and never share
 state, so ``replicate`` can run replications concurrently, one stream each.
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
+from scipy.linalg import cython_lapack
 
 from . import rmt
 from .errors import ConfigurationError, IngestionError, NumericalError
@@ -353,21 +354,6 @@ class Spectrum:
         object.__setattr__(self, "values", values)
 
 
-def _bidiagonal_top(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
-    """Top k squared singular values, descending and zero-padded to k, of the
-    bidiagonal matrix B with squared diagonal d2 and squared off-diagonal e2.
-
-    They are the eigenvalues of the tridiagonal B B', B taken lower bidiagonal
-    (its transpose has the same singular values); O(m) by bisection.
-    """
-    m = d2.size
-    diag = d2.copy()
-    diag[1:] += e2
-    w = eigvalsh_tridiagonal(diag, np.sqrt(d2[:-1] * e2), select="i",
-                             select_range=(max(m - k, 0), m - 1))
-    return np.concatenate([w[::-1], np.zeros(max(k - m, 0))])
-
-
 def _finish(w: np.ndarray, p: int, info: int = 0) -> np.ndarray:
     """The ascending eigenvalues w of a solve, zero-padded to length p, sorted descending and
     clamped at zero (eigensolver noise); NumericalError on a nonzero LAPACK ``info``."""
@@ -389,6 +375,27 @@ _I, _C, _A = ctypes.POINTER(ctypes.c_int), ctypes.c_char_p, np.ctypeslib.ndpoint
 _dsygst = _lapack("dsygst", _I, _C, _I, _A, _I, _A, _I, _I)
 _dsyevd = _lapack("dsyevd", _C, _C, _I, _A, _I, _A, _A, _I, _I, _I, _I)
 _dsbevd = _lapack("dsbevd", _C, _C, _I, _I, _A, _I, _A, _A, _I, _A, _I, _I, _I, _I)
+_D, _N = ctypes.POINTER(ctypes.c_double), np.ctypeslib.ndpointer(np.intc, flags="C")
+_dstebz = _lapack("dstebz", _C, _C, _I, _D, _D, _I, _I, _D, _A, _A, _I, _I, _A, _N, _N, _A, _N, _I)
+
+
+def _bidiagonal_top(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
+    """Top k squared singular values of the bidiagonal matrix B with squared diagonal d2
+    and squared off-diagonal e2, through ``_finish`` (descending, zero-padded to k).
+
+    They are the eigenvalues of the tridiagonal B B', B taken lower bidiagonal (its
+    transpose has the same singular values); O(m) by LAPACK ``dstebz`` bisection (range
+    'I', order 'E', abstol 0: scipy's f2py tridiagonal solver's call, bit for bit).
+    """
+    m = d2.size
+    diag, off = d2.copy(), np.sqrt(d2[:-1] * e2)
+    diag[1:] += e2
+    size, found, info, zero = ctypes.c_int(m), ctypes.c_int(), ctypes.c_int(), ctypes.c_double()
+    w, iblock, isplit = np.empty(m), np.empty(m, np.intc), np.empty(m, np.intc)
+    _dstebz(b"I", b"E", size, zero, zero, ctypes.c_int(max(m - k, 0) + 1), size, zero, diag, off,
+            found, ctypes.c_int(), w, iblock, isplit, np.empty(4 * m), np.empty(3 * m, np.intc),
+            info)
+    return _finish(w[:found.value], k, info.value)
 
 
 def _eigvals(A: np.ndarray, p: int) -> np.ndarray:
@@ -579,15 +586,17 @@ def replicate(draw, seed: int, reps: int, workers: int = 1):
     draws run with numpy's and scipy's OpenBLAS at one thread, and the saved
     thread counts are restored when the call ends.  Threaded BLAS would
     oversubscribe the cores under the pool and round differently from the
-    serial path.
+    serial path.  numpy's overflow and invalid-value warnings are off in the
+    draws: an overflowing draw is reported by the NumericalError it raises.
     """
     streams = (np.random.Generator(np.random.Philox(child))
                for child in np.random.SeedSequence(seed).spawn(reps))
     results = []
     pooled = futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext()
+    quiet = np.errstate(over="ignore", invalid="ignore")(draw)  # per call, on the draw's thread
     with _one_blas_thread, pooled as pool:
         try:
-            for value in (pool.map if pool else map)(draw, streams):
+            for value in (pool.map if pool else map)(quiet, streams):
                 results.append(value)
         except Exception as exc:  # noqa: BLE001 - handed to the caller
             return results, exc

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -213,6 +214,22 @@ class TestCalibrateRidge:
     def test_reps_floor(self):
         with pytest.raises(ConfigurationError):
             calibrate_ridge("population", p=50, n=50, reps=1, seed=0)
+
+    # SHA-256 of the cache files, taken when every noise_top bisection went
+    # through scipy.linalg.eigvalsh_tridiagonal: a solver change that keeps
+    # them keeps schema-2 entries valid
+    @pytest.mark.parametrize("kind, sizes, digest", [
+        ("fisher", dict(p=40, n=100, T=80),
+         "2e56dc038fb16daa222281647c06148f965307f9abb470a3835495f51a302e8b"),
+        ("population", dict(p=30, n=40),
+         "6f5f6df247deb3ad4d6f8880dd8a5584303e7f22f4c4a8e53c2d77cb0c627adf"),
+        ("population", dict(p=60, n=40),
+         "b60a6aa6ad59525c047867fee1e4cd1b3906a83d33be6243675d1fffe766df36"),
+    ], ids=["fisher", "population-p<n", "population-p>n"])
+    def test_cache_bytes_pinned(self, tmp_path, kind, sizes, digest):
+        calibrate_ridge(kind, reps=100, seed=7, workers=2, cache_dir=str(tmp_path), **sizes)
+        (path,) = tmp_path.glob("calib_*.json")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_fisher_kind(self, cache_dir):
         res = calibrate_ridge("fisher", p=40, n=100, T=80, reps=50, seed=2,

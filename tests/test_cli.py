@@ -480,6 +480,22 @@ class TestSimulate:
         assert res.exit_code == 3, res.output
         assert res.stderr.count("warning: partial grid point p=30") == 1
 
+    def test_no_floating_point_warnings(self, tmp_path):
+        # the overflow is reported by NumericalError and the partial-grid-point
+        # warning; numpy's RuntimeWarnings from the replication threads are noise.
+        # A subprocess, as pytest would record warnings instead of printing them
+        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": "", "sigma2": "1e200"},
+                           harness={"grid": "p:30 T:60", "estimators": "lwy, tvacle"})
+        src = str(Path(spikeorder.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-m", "spikeorder.cli", "simulate", "--config", cfg,
+                              "--cache-dir", str(tmp_path / "cache"), "--workers", "2"],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 3, out.stderr
+        assert "warning: partial grid point p=30" in out.stderr
+        assert "RuntimeWarning" not in out.stderr
+
     def test_duplicate_column_exit_2(self, runner, tmp_path):
         cfg = write_config(tmp_path, harness={"estimators": "tvacle:c3a, tvacle:c3b, vacle"})
         res = runner.invoke(main, ["simulate", "--config", cfg,

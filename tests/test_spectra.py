@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import fisher_reference
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from spikeorder import rmt
+from spikeorder import spectra as spectra_module
 from spikeorder.errors import ConfigurationError, IngestionError, NumericalError
 from spikeorder.rmt import AutocovLaw, FisherLaw, MpLaw, mp_cdf
 from spikeorder.rmt._integrate import integrate_density
@@ -18,6 +21,7 @@ from spikeorder.spectra import (
     PopulationModel,
     Spectrum,
     _band_eigvals,
+    _bidiagonal_top,
     _eigvals,
     _finish,
     at_size,
@@ -478,6 +482,49 @@ class TestBandEigensolver:
             _band_eigvals(ab, p)
 
 
+class TestBisection:
+    """``_bidiagonal_top``, the dstebz binding behind both ``noise_top`` samplers."""
+
+    @staticmethod
+    def squares(m):
+        """(d2, e2): squared diagonal and off-diagonal of a beta-Laguerre bidiagonal."""
+        g = rng(9)
+        return g.chisquare(2 * m - np.arange(m)), g.chisquare(m - 1 - np.arange(m - 1))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 50, 250])
+    def test_matches_scipy_bit_for_bit(self, m, k):
+        # scipy's f2py stebz is the reference; m = 1 is its quick exit, m < k is padded
+        d2, e2 = self.squares(m)
+        diag = d2.copy()
+        diag[1:] += e2
+        w = linalg.eigvalsh_tridiagonal(diag, np.sqrt(d2[:-1] * e2), select="i",
+                                        select_range=(max(m - k, 0), m - 1))
+        expected = np.concatenate([w[::-1], np.zeros(max(k - m, 0))])
+        assert np.array_equal(_bidiagonal_top(d2, e2, k), expected)
+
+    @pytest.mark.parametrize("part, entry, value", [
+        ("d2", 3, math.nan), ("e2", 10, math.nan), ("d2", 0, math.inf)])
+    def test_nan_raises(self, part, entry, value):
+        d2, e2 = self.squares(50)
+        {"d2": d2, "e2": e2}[part][entry] = value
+        with pytest.raises(NumericalError, match="LAPACK info"):
+            _bidiagonal_top(d2, e2, 3)
+
+
+def test_lapack_only_through_cython_api():
+    # scipy.linalg's f2py wrappers hold the GIL while LAPACK runs, so every
+    # solver goes through spectra._lapack and the Cython API's function pointers
+    nodes = list(ast.walk(ast.parse(Path(spectra_module.__file__).read_text())))
+    imported = [(node.module, alias.name) for node in nodes if isinstance(node, ast.ImportFrom)
+                for alias in node.names if (node.module or "").startswith("scipy.linalg")]
+    imported += [(alias.name, None) for node in nodes if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name.startswith("scipy.linalg")]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)
+                  and ast.unparse(node.value) == "scipy.linalg"}
+    assert imported == [("scipy.linalg", "cython_lapack")] and attributes <= {"cython_lapack"}
+
+
 NAN, INF = math.nan, math.inf
 # a model field: a moderate positive float first, as one_of favours its first
 # branch and many builds should succeed, then any moderate float (zero and
@@ -542,6 +589,10 @@ class TestModelFields:
         values = simulate(model, rng(0)).values
         assert values.shape == (p,) and np.all(np.isfinite(values))
         assert np.all(np.diff(values) <= 0) and values[-1] >= 0
+        if hasattr(model, "noise_top"):  # the bisection, down to min(p, n) < 3
+            top = model.noise_top(rng(0))
+            assert top.shape == (3,) and np.all(np.isfinite(top))
+            assert np.all(np.diff(top) <= 0) and top[-1] >= 0
 
 
 class TestNoiseTop:
