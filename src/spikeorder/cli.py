@@ -352,59 +352,38 @@ def report(in_path, fmt, out):
 @click.option("--json", "as_json", is_flag=True)
 def limits(family, c, y, sigma2, spikes, theta, gamma, as_json):
     """Print edges, identifiability thresholds, spike maps and factor limits."""
-    if family == "population":
-        if c is None:
-            raise ConfigurationError("population limits need --c")
-        law = rmt.MpLaw(c=c, sigma2=sigma2)
-        payload = {
-            "family": family, "c": c, "sigma2": sigma2,
-            "lower_edge": law.lower_edge, "upper_edge": law.upper_edge,
-            "spike_threshold": rmt.pop_spike_threshold(c, sigma2),
-            "atom_at_zero": law.atom_at_zero,
-        }
-        if spikes:
-            vals = _floats(spikes)
-            payload["spike_limits"] = [
-                rmt.pop_spike_map(s, c, sigma2) for s in vals
-            ]
-            payload["identifiable"] = rmt.pop_identifiable_count(vals, c, sigma2)
-    elif family == "fisher":
-        if c is None or y is None:
-            raise ConfigurationError("fisher limits need --c and --y")
-        law = rmt.FisherLaw(c=c, y=y, sigma2=sigma2)
-        payload = {
-            "family": family, "c": c, "y": y, "sigma2": sigma2,
-            "lower_edge": law.lower_edge, "upper_edge": law.upper_edge,
-            "spike_threshold": law.spike_threshold,
-        }
-        if spikes:
-            vals = _floats(spikes)
-            payload["spike_limits"] = [rmt.fisher_spike_map(s, law) for s in vals]
-            payload["identifiable"] = rmt.fisher_identifiable_count(vals, law)
-    else:
-        if y is None:
-            raise ConfigurationError("autocov limits need --y")
-        law = rmt.AutocovLaw(y=y, sigma2=sigma2)
-        payload = {
-            "family": family, "y": y, "sigma2": sigma2,
-            "a1": law.a1, "b1": law.b1,
+    law_cls = spectra.FAMILIES[family].law
+    fields = {f.name for f in dataclasses.fields(law_cls)}
+    ratios = {name: val for name, val in (("c", c), ("y", y)) if name in fields}
+    if None in ratios.values():
+        raise ConfigurationError(f"{family} limits need "
+                                 + " and ".join(f"--{name}" for name in ratios))
+    law = law_cls(**ratios, sigma2=sigma2)
+    payload = {"family": family, **ratios, "sigma2": sigma2}
+    if family == "autocov":
+        payload.update(
+            a1=law.a1, b1=law.b1,
             # one-sided limit approximated just outside the edge; the second
             # value gauges the sensitivity of that approximation
-            "t_edge_limit": rmt.autocov_t_edge_limit(law),
-            "t_edge_limit_eps1e5": rmt.autocov_t_edge_limit(law, eps=1e-5),
-            "atom_at_zero": law.atom_at_zero,
-        }
+            t_edge_limit=rmt.autocov_t_edge_limit(law),
+            t_edge_limit_eps1e5=rmt.autocov_t_edge_limit(law, eps=1e-5),
+            atom_at_zero=law.atom_at_zero)
         if theta:
             thetas = _floats(theta)
             model = AutocovModel(p=len(thetas) + 2, T=3, theta=thetas,
                                  gamma_diag=_floats(gamma or ""), sigma2=sigma2)
-            lims, idents = [], 0
-            for sig in model.signatures:
-                fl = rmt.autocov_factor_limit(sig, law)
-                lims.append(fl.value)
-                idents += int(fl.identifiable)
-            payload["factor_limits"] = lims
-            payload["identifiable"] = idents
+            lims = [rmt.autocov_factor_limit(sig, law) for sig in model.signatures]
+            payload["factor_limits"] = [fl.value for fl in lims]
+            payload["identifiable"] = sum(fl.identifiable for fl in lims)
+    else:
+        payload.update(lower_edge=law.lower_edge, upper_edge=law.upper_edge,
+                       spike_threshold=law.spike_threshold, atom_at_zero=law.atom_at_zero)
+        if spikes:
+            vals = _floats(spikes)
+            # counted first: the count rejects a non-finite spike as bad input
+            identifiable = rmt.spike_identifiable_count(vals, law)
+            payload["spike_limits"] = [law.spike_map(s) for s in vals]
+            payload["identifiable"] = identifiable
     _emit(payload, as_json)
 
 

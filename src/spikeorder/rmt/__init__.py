@@ -11,21 +11,8 @@ from .autocov import (
     autocov_t_edge_limit,
     autocov_t_transform,
 )
-from .fisher import (
-    FisherLaw,
-    fisher_identifiable_count,
-    fisher_lsd_density,
-    fisher_spike_map,
-)
-from .marchenko_pastur import (
-    MpLaw,
-    mp_cdf,
-    mp_density,
-    mp_quantile,
-    pop_identifiable_count,
-    pop_spike_map,
-    pop_spike_threshold,
-)
+from .fisher import FisherLaw, fisher_lsd_density
+from .marchenko_pastur import MpLaw, mp_cdf, mp_density, mp_quantile, spike_identifiable_count
 
 __all__ = [
     "AutocovLaw",
@@ -39,13 +26,9 @@ __all__ = [
     "autocov_t1",
     "autocov_t_edge_limit",
     "autocov_t_transform",
-    "fisher_identifiable_count",
     "fisher_lsd_density",
-    "fisher_spike_map",
     "mp_cdf",
     "mp_density",
     "mp_quantile",
-    "pop_identifiable_count",
-    "pop_spike_map",
-    "pop_spike_threshold",
+    "spike_identifiable_count",
 ]

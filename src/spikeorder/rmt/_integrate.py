@@ -11,9 +11,6 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-# absolute tolerances per the package-wide quadrature policy
-DENSITY_ABS_TOL = 1e-10
-CDF_ABS_TOL = 1e-8
 _QUAD_EPSABS = 1e-12
 _QUAD_LIMIT = 400
 

@@ -30,6 +30,7 @@ which is nonnegative for every valid signature.  When T1 >= T(b1+) the
 eigenvalue sticks to the bulk edge and the factor is not identifiable.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,17 @@ class AutocovLaw:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.y <= 0:
-            raise ConfigurationError(f"y must be positive, got {self.y}")
-        if self.sigma2 <= 0:
-            raise ConfigurationError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.y < math.inf:
+            raise ConfigurationError(f"y must be positive and finite, got {self.y}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ConfigurationError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        try:
+            b1 = self.b1
+        except OverflowError:  # (1 + 8y)^1.5 leaves the float range
+            b1 = math.inf
+        # b1 overflows from y near 5e153 and cancels to zero below y near 1e-17
+        if not 0.0 < b1 < math.inf:
+            raise ConfigurationError(f"upper edge b1 = {b1} is not positive and finite for {self}")
 
     @property
     def a1(self) -> float:
@@ -90,10 +98,6 @@ class AutocovLaw:
     @property
     def atom_at_zero(self) -> float:
         return max(0.0, 1.0 - 1.0 / self.y)
-
-    @property
-    def continuous_mass(self) -> float:
-        return min(1.0, 1.0 / self.y)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,15 @@ eigenvalues is U = sigma^2 gamma (1 + h) with gamma = 1/(1-y), while the
 sigma^2 ((1+h)/(1-y))^2.  The literature sometimes writes "b2" for both.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError, SubcriticalSpikeError
+from .marchenko_pastur import _finite_limit
 
-__all__ = [
-    "FisherLaw",
-    "fisher_lsd_density",
-    "fisher_spike_map",
-    "fisher_identifiable_count",
-]
+__all__ = ["FisherLaw", "fisher_lsd_density"]
 
 
 @dataclass(frozen=True)
@@ -33,12 +30,16 @@ class FisherLaw:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ConfigurationError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ConfigurationError(f"c must be positive and finite, got {self.c}")
         if not 0.0 < self.y < 1.0:
             raise ConfigurationError(f"y must lie in (0, 1), got {self.y}")
-        if self.sigma2 <= 0:
-            raise ConfigurationError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ConfigurationError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        with np.errstate(over="ignore"):  # an overflowing edge is reported here
+            edge = self.upper_edge
+        if not math.isfinite(edge):
+            raise ConfigurationError(f"upper edge overflows for {self}")
 
     @property
     def gamma(self) -> float:
@@ -65,9 +66,19 @@ class FisherLaw:
     def atom_at_zero(self) -> float:
         return max(0.0, 1.0 - 1.0 / self.c)
 
-    @property
-    def continuous_mass(self) -> float:
-        return min(1.0, 1.0 / self.c)
+    def spike_map(self, lam: float) -> float:
+        """Almost-sure limit of the Fisher eigenvalue spawned by spike ``lam``.
+
+        psi(x) = gamma x (x - 1 + c) / (x - gamma) on the normalized scale,
+        defined for x above the spike threshold (which exceeds the pole gamma).
+        """
+        if lam <= self.spike_threshold:
+            raise SubcriticalSpikeError(
+                f"spike {lam} at or below threshold {self.spike_threshold:.6f}"
+            )
+        x = lam / self.sigma2
+        g = self.gamma
+        return _finite_limit(lam, self.sigma2 * g * x * (x - 1.0 + self.c) / (x - g))
 
 
 def fisher_lsd_density(x: float, law: FisherLaw) -> float:
@@ -80,26 +91,3 @@ def fisher_lsd_density(x: float, law: FisherLaw) -> float:
     dens = ((1.0 - law.y) * np.sqrt((b1 - u) * (u - a1))
             / (2.0 * np.pi * u * (law.c + u * law.y)))
     return dens / law.sigma2
-
-
-def fisher_spike_map(lam: float, law: FisherLaw) -> float:
-    """Almost-sure limit of the Fisher eigenvalue spawned by spike ``lam``.
-
-    psi(x) = gamma x (x - 1 + c) / (x - gamma) on the normalized scale,
-    defined for x above the spike threshold (which exceeds the pole gamma).
-    """
-    if lam <= law.spike_threshold:
-        raise SubcriticalSpikeError(
-            f"spike {lam} at or below threshold {law.spike_threshold:.6f}"
-        )
-    x = lam / law.sigma2
-    g = law.gamma
-    return law.sigma2 * g * x * (x - 1.0 + law.c) / (x - g)
-
-
-def fisher_identifiable_count(spikes, law: FisherLaw) -> int:
-    """Number of spikes strictly above the Fisher spike threshold."""
-    spikes = np.asarray(spikes, dtype=float)
-    if spikes.size and np.any(np.diff(spikes) > 0):
-        raise ConfigurationError("spikes must be in descending order")
-    return int(np.sum(spikes > law.spike_threshold))

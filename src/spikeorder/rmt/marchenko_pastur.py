@@ -8,12 +8,13 @@ escape the bulk; the forward map of an escaping spike is phi(x) = x + cx/(x-1)
 on the sigma^2-normalized scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from ..errors import ConfigurationError, QuantileAtomError, SubcriticalSpikeError
+from ..errors import ConfigurationError, NumericalError, QuantileAtomError, SubcriticalSpikeError
 from ._integrate import integrate_density
 
 __all__ = [
@@ -21,9 +22,7 @@ __all__ = [
     "mp_density",
     "mp_cdf",
     "mp_quantile",
-    "pop_spike_map",
-    "pop_spike_threshold",
-    "pop_identifiable_count",
+    "spike_identifiable_count",
 ]
 
 
@@ -35,10 +34,14 @@ class MpLaw:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ConfigurationError(f"aspect ratio c must be positive, got {self.c}")
-        if self.sigma2 <= 0:
-            raise ConfigurationError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.c < math.inf:
+            raise ConfigurationError(f"aspect ratio c must be positive and finite, got {self.c}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ConfigurationError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        with np.errstate(over="ignore"):  # an overflowing edge is reported here
+            edge = self.upper_edge
+        if not math.isfinite(edge):
+            raise ConfigurationError(f"upper edge overflows for {self}")
 
     @property
     def lower_edge(self) -> float:
@@ -56,6 +59,24 @@ class MpLaw:
     @property
     def continuous_mass(self) -> float:
         return min(1.0, 1.0 / self.c)
+
+    @property
+    def spike_threshold(self) -> float:
+        """Phase-transition point: spikes at or below it are not identifiable."""
+        return self.sigma2 * (1.0 + np.sqrt(self.c))
+
+    def spike_map(self, lam: float) -> float:
+        """Almost-sure limit of the sample eigenvalue spawned by spike ``lam``.
+
+        On the normalized scale phi(x) = x + cx/(x - 1), strictly increasing for
+        x > 1 + sqrt(c); the returned value is sigma2 * phi(lam / sigma2).
+        """
+        x = lam / self.sigma2
+        if x <= 1.0 + np.sqrt(self.c):
+            raise SubcriticalSpikeError(
+                f"spike {lam} at or below threshold {self.spike_threshold}"
+            )
+        return _finite_limit(lam, self.sigma2 * (x + self.c * x / (x - 1.0)))
 
 
 def mp_density(x: float, law: MpLaw) -> float:
@@ -99,28 +120,17 @@ def mp_quantile(alpha: float, c: float) -> float:
     return optimize.brentq(lambda x: mp_cdf(x, law) - alpha, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
 
-def pop_spike_threshold(c: float, sigma2: float = 1.0) -> float:
-    """Phase-transition point: spikes at or below it are not identifiable."""
-    return sigma2 * (1.0 + np.sqrt(c))
+def _finite_limit(lam: float, limit: float) -> float:
+    if not math.isfinite(limit):
+        raise NumericalError(f"the sample limit of spike {lam} overflows")
+    return limit
 
 
-def pop_spike_map(lam: float, c: float, sigma2: float = 1.0) -> float:
-    """Almost-sure limit of the sample eigenvalue spawned by spike ``lam``.
-
-    On the normalized scale phi(x) = x + cx/(x - 1), strictly increasing for
-    x > 1 + sqrt(c); the returned value is sigma2 * phi(lam / sigma2).
-    """
-    x = lam / sigma2
-    if x <= 1.0 + np.sqrt(c):
-        raise SubcriticalSpikeError(
-            f"spike {lam} at or below threshold {pop_spike_threshold(c, sigma2)}"
-        )
-    return sigma2 * (x + c * x / (x - 1.0))
-
-
-def pop_identifiable_count(spikes, c: float, sigma2: float = 1.0) -> int:
-    """Number of spikes strictly above the phase-transition threshold."""
+def spike_identifiable_count(spikes, law) -> int:
+    """Number of spikes strictly above ``law.spike_threshold`` (MpLaw or FisherLaw)."""
     spikes = np.asarray(spikes, dtype=float)
-    if spikes.size and np.any(np.diff(spikes) > 0):
+    if not np.all(np.isfinite(spikes)):
+        raise ConfigurationError("spikes must be finite")
+    if np.any(np.diff(spikes) > 0):
         raise ConfigurationError("spikes must be in descending order")
-    return int(np.sum(spikes > pop_spike_threshold(c, sigma2)))
+    return int(np.sum(spikes > law.spike_threshold))

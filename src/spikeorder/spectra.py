@@ -10,9 +10,9 @@ descending sample eigenvalues:
 * lag-1 auto-covariance factor models: VAR(1) factors plus white noise,
   Sigma = sum_{t=2}^{T+1} y_t y_{t-1}' / T, eigenvalues of M = Sigma Sigma'.
 
-Each model class also describes its family (sizes it needs, primary sample
-count, estimator defaults, oracle order and bulk edge); ``FAMILIES`` maps
-each ``kind`` to its class.  Population and Fisher models also draw the top
+Each model class also describes its family (limiting law, sizes it needs,
+primary sample count, estimator defaults, oracle order and bulk edge);
+``FAMILIES`` maps each ``kind`` to its class.  Population and Fisher models also draw the top
 of a pure-noise spectrum from an O(p) bidiagonal model (``noise_top``), which
 the calibration uses, by LAPACK ``dstebz`` bisection.  Spiked population draws
 use the exact banded model (``simulate_population``), eigensolved by LAPACK
@@ -68,6 +68,7 @@ class PopulationModel:
     sigma2: float = 1.0
 
     kind = "population"
+    law = rmt.MpLaw
     sizes = ("p", "n")
     default_tau = 0.5
     transformed_ridge = "c2"
@@ -97,11 +98,11 @@ class PopulationModel:
         return self.n
 
     def true_order(self) -> int:
-        return rmt.pop_identifiable_count(self.spikes, c=self.p / self.n,
-                                          sigma2=self.sigma2)
+        law = self.law(c=self.p / self.n, sigma2=self.sigma2)
+        return rmt.spike_identifiable_count(self.spikes, law)
 
     def bulk_edge(self) -> float:
-        return rmt.MpLaw(c=self.p / self.n).upper_edge
+        return self.law(c=self.p / self.n).upper_edge
 
     def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
         """Top k eigenvalues of a pure-noise draw, on ``simulate``'s scale.
@@ -140,6 +141,7 @@ class FisherModel:
     noise_diag: tuple = (1.0, 2.0)
 
     kind = "fisher"
+    law = rmt.FisherLaw
     sizes = ("p", "n", "T")
     default_tau = 0.8
     transformed_ridge = "c3a"
@@ -178,11 +180,11 @@ class FisherModel:
         return self.n
 
     def true_order(self) -> int:
-        law = rmt.FisherLaw(c=self.p / self.n, y=self.p / self.T, sigma2=self.sigma2)
-        return rmt.fisher_identifiable_count(self.spikes, law)
+        law = self.law(c=self.p / self.n, y=self.p / self.T, sigma2=self.sigma2)
+        return rmt.spike_identifiable_count(self.spikes, law)
 
     def bulk_edge(self) -> float:
-        return rmt.FisherLaw(c=self.p / self.n, y=self.p / self.T).upper_edge
+        return self.law(c=self.p / self.n, y=self.p / self.T).upper_edge
 
     def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
         """Top k eigenvalues of a pure-noise draw, on ``simulate``'s scale.
@@ -232,6 +234,7 @@ class AutocovModel:
     burn_in: int = 1000
 
     kind = "autocov"
+    law = rmt.AutocovLaw
     sizes = ("p", "T")
     default_tau = 0.5
     transformed_ridge = "c2"
@@ -288,11 +291,11 @@ class AutocovModel:
         return tuple(out)
 
     def true_order(self) -> int:
-        law = rmt.AutocovLaw(y=self.p / self.T, sigma2=self.sigma2)
+        law = self.law(y=self.p / self.T, sigma2=self.sigma2)
         return rmt.autocov_identifiable_count(self.signatures, law)
 
     def bulk_edge(self) -> float:
-        return rmt.AutocovLaw(y=self.p / self.T).b1
+        return self.law(y=self.p / self.T).b1
 
 
 FAMILIES = {cls.kind: cls for cls in (PopulationModel, FisherModel, AutocovModel)}

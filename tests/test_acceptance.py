@@ -236,8 +236,8 @@ def test_criterion_8_property_suite(cache_dir):
     for c in (0.25, 1.0, 2.0):
         b = MpLaw(c=c).upper_edge
         for eps in (1e-4, 1e-6):
-            lam = rmt.pop_spike_threshold(c) * (1 + eps)
-            phi_ok &= abs(rmt.pop_spike_map(lam, c) - b) < 1e-3
+            lam = rmt.MpLaw(c=c).spike_threshold * (1 + eps)
+            phi_ok &= abs(rmt.MpLaw(c=c).spike_map(lam) - b) < 1e-3
     ok &= phi_ok
     msgs.append(f"phi continuity 1e-3={phi_ok}")
 
@@ -301,7 +301,7 @@ def test_criterion_9_oracle_valley_cliff():
     c = 1.0
     spikes = (5.0, 4.0, 3.0, 3.0)
     law = MpLaw(c=c)
-    images = [rmt.pop_spike_map(s, c) for s in spikes]
+    images = [rmt.MpLaw(c=c).spike_map(s) for s in spikes]
     vals = np.array(images + [law.upper_edge] * 16)
     spec = Spectrum(values=vals, p=20, n=200)
     c_n = 0.1

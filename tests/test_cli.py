@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikeorder
 import spikeorder.calibration as calibration_mod
 import spikeorder.cli as cli_mod
 import spikeorder.harness as harness_mod
-from spikeorder.cli import main
+from spikeorder.cli import FAMILIES, main
 from spikeorder.calibration import calibrate_ridge
 from spikeorder.errors import NumericalError
 from spikeorder.harness import (
@@ -45,6 +47,10 @@ def spectrum_file(tmp_path):
     f = tmp_path / "spectrum.txt"
     f.write_text("\n".join(repr(float(v)) for v in spec.values) + "\n")
     return str(f)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
 
 
 def write_config(tmp_path, **over):
@@ -100,9 +106,45 @@ class TestLimits:
         assert payload["factor_limits"] == pytest.approx([7.726, 5.496, 3.613],
                                                          abs=1e-2)
 
+    def test_fisher_with_spikes(self, runner):
+        res = runner.invoke(main, ["limits", "--family", "fisher", "--c", "0.2",
+                                   "--y", "0.5", "--spikes", "11,6,6", "--json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert payload["spike_limits"] == pytest.approx([24.933, 15.6, 15.6], abs=1e-3)
+        assert payload["identifiable"] == 3
+        assert payload["atom_at_zero"] == 0.0
+
     def test_missing_param_exit_2(self, runner):
-        res = runner.invoke(main, ["limits", "--family", "fisher", "--c", "0.2"])
-        assert res.exit_code == 2
+        for args, message in (
+            (["--family", "population", "--y", "0.5"], "population limits need --c"),
+            (["--family", "fisher", "--c", "0.2"], "fisher limits need --c and --y"),
+            (["--family", "autocov", "--c", "0.2"], "autocov limits need --y"),
+        ):
+            res = runner.invoke(main, ["limits", *args])
+            assert res.exit_code == 2
+            assert f"error: {message}" in res.stderr
+
+    def test_overflowing_spike_limit_exit_3(self, runner):
+        # sigma2 is subnormal, so the normalized spike 5 / sigma2 overflows
+        res = runner.invoke(main, ["limits", "--family", "population", "--c", "1",
+                                   "--sigma2", "1e-320", "--spikes", "5", "--json"])
+        assert res.exit_code == 3, res.output
+        assert res.stdout == ""
+        assert "overflows" in res.stderr
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(FAMILIES), c=st.none() | st.floats(),
+           y=st.none() | st.floats(), sigma2=st.floats(),
+           spikes=st.lists(st.floats(), max_size=3))
+    def test_any_numbers_keep_exit_contract(self, family, c, y, sigma2, spikes):
+        args = ["limits", "--family", family, f"--sigma2={sigma2!r}", "--json",
+                f"--spikes={','.join(map(repr, spikes))}"]
+        args += [f"--{name}={val!r}" for name, val in (("c", c), ("y", y)) if val is not None]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code in (0, 2, 3), res.output
+        if res.exit_code == 0:
+            json.loads(res.stdout, parse_constant=reject_constant)
 
 
 class TestCalibrate:
@@ -574,6 +616,11 @@ class TestReport:
         assert res.exit_code == 0
         assert res.output.startswith("model_id,")
         assert res.output.strip() == (tmp_path / "out.csv").read_text().strip()
+        out = tmp_path / "again.csv"
+        res = runner.invoke(main, ["report", "--in", mirror, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.output == f"wrote {out}\n"
+        assert out.read_text() == (tmp_path / "out.csv").read_text()
 
     def test_no_completed_replications(self, runner, tmp_path, monkeypatch):
         # replication 0 fails, so the metrics are NaN: the mirror stays valid
@@ -591,10 +638,7 @@ class TestReport:
         mirror = tmp_path / "mirror.json"
         mirror.write_text(result.to_json())
 
-        def reject(name):
-            raise ValueError(f"non-JSON constant {name}")
-
-        payload = json.loads(mirror.read_text(), parse_constant=reject)
+        payload = json.loads(mirror.read_text(), parse_constant=reject_constant)
         assert payload["reports"][0]["mean"] is None
         res = runner.invoke(main, ["report", "--in", str(mirror), "--format", "csv"])
         assert res.exit_code == 0, res.output
@@ -639,6 +683,15 @@ EXIT_2_CASES = {
         "limits", "--family", "autocov", "--y", "0.5", "--theta", "abc"],
     "limits-bad-spikes": lambda tmp, spec: [
         "limits", "--family", "population", "--c", "1", "--spikes", "4,x"],
+    # numbers that parse but leave a law's domain or overflow its upper edge
+    **{"limits-" + "-".join(a.lstrip("-") for a in args): lambda tmp, spec, args=args: [
+        "limits", "--json", "--family", *args] for args in (
+        ("autocov", "--y", "nan"), ("autocov", "--y", "inf"), ("autocov", "--y", "1e200"),
+        ("autocov", "--y", "1e-300"), ("population", "--c", "nan"),
+        ("population", "--c", "inf"), ("population", "--c", "1", "--sigma2", "nan"),
+        ("fisher", "--c", "nan", "--y", "0.5"), ("population", "--c", "1", "--spikes", "nan,3"),
+        ("population", "--c", "1", "--spikes", "inf"),
+        ("population", "--c", "1e308", "--sigma2", "1e308"))},
     "report-bad-distribution": lambda tmp, spec: ["report", "--in", bad_mirror(tmp)],
     "estimate-unwritable-plot-data": lambda tmp, spec: [
         "estimate", spec, "--method", "tvacle", "--family", "population", "--n", "240",

@@ -216,7 +216,7 @@ class TestOracleValleyCliff:
         c = 0.25
         spikes = (7.0, 6.0, 5.0, 4.0)
         law = rmt.MpLaw(c=c)
-        images = [rmt.pop_spike_map(s, c) for s in spikes]
+        images = [rmt.MpLaw(c=c).spike_map(s) for s in spikes]
         vals = np.array(images + [law.upper_edge] * 16)
         spec = make_spec(vals, n=200)
         c_n = 0.1

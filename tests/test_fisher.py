@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from spikeorder.errors import ConfigurationError, SubcriticalSpikeError
-from spikeorder.rmt import (
-    FisherLaw,
-    fisher_identifiable_count,
-    fisher_lsd_density,
-    fisher_spike_map,
-)
+from spikeorder.rmt import FisherLaw, fisher_lsd_density, spike_identifiable_count
 
 from conftest import gauss_legendre_mass
 
@@ -70,44 +65,43 @@ class TestSpikeMap:
     def test_hand_values(self):
         law = FisherLaw(c=0.2, y=0.5)
         # psi(11) = 2 * 11 * 10.2 / 9, psi(6) = 2 * 6 * 5.2 / 4
-        assert fisher_spike_map(11.0, law) == pytest.approx(2 * 11 * 10.2 / 9, abs=1e-12)
-        assert fisher_spike_map(6.0, law) == pytest.approx(15.6, abs=1e-12)
+        assert law.spike_map(11.0) == pytest.approx(2 * 11 * 10.2 / 9, abs=1e-12)
+        assert law.spike_map(6.0) == pytest.approx(15.6, abs=1e-12)
 
     def test_continuity_at_threshold(self):
         law = FisherLaw(c=0.2, y=0.5)
         diffs = []
         for eps in (1e-2, 1e-4, 1e-6):
             lam = law.spike_threshold * (1.0 + eps)
-            diffs.append(abs(fisher_spike_map(lam, law) - law.upper_edge))
+            diffs.append(abs(law.spike_map(lam) - law.upper_edge))
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-3
 
     def test_subcritical(self):
         law = FisherLaw(c=0.2, y=0.5)
         with pytest.raises(SubcriticalSpikeError):
-            fisher_spike_map(law.spike_threshold, law)
+            law.spike_map(law.spike_threshold)
         with pytest.raises(SubcriticalSpikeError):
-            fisher_spike_map(2.0, law)
+            law.spike_map(2.0)
 
     def test_strictly_increasing(self):
         law = FisherLaw(c=0.5, y=0.2)
         xs = law.spike_threshold * (1.0 + np.linspace(1e-3, 4.0, 50))
-        ys = [fisher_spike_map(x, law) for x in xs]
+        ys = [law.spike_map(x) for x in xs]
         assert all(ys[i] < ys[i + 1] for i in range(len(ys) - 1))
 
     def test_scale(self):
         base = FisherLaw(c=0.2, y=0.5, sigma2=1.0)
         scaled = FisherLaw(c=0.2, y=0.5, sigma2=3.0)
-        assert fisher_spike_map(33.0, scaled) == pytest.approx(
-            3.0 * fisher_spike_map(11.0, base))
+        assert scaled.spike_map(33.0) == pytest.approx(3.0 * base.spike_map(11.0))
 
 
 class TestIdentifiableCount:
     def test_examples(self):
-        assert fisher_identifiable_count((11.0, 6.0, 6.0), FisherLaw(c=0.2, y=0.5)) == 3
-        assert fisher_identifiable_count((11.0, 3.0, 3.0), FisherLaw(c=0.5, y=0.2)) == 3
-        assert fisher_identifiable_count((2.0,), FisherLaw(c=0.2, y=0.5)) == 0
+        assert spike_identifiable_count((11.0, 6.0, 6.0), FisherLaw(c=0.2, y=0.5)) == 3
+        assert spike_identifiable_count((11.0, 3.0, 3.0), FisherLaw(c=0.5, y=0.2)) == 3
+        assert spike_identifiable_count((2.0,), FisherLaw(c=0.2, y=0.5)) == 0
 
     def test_descending_required(self):
         with pytest.raises(ConfigurationError):
-            fisher_identifiable_count((3.0, 11.0), FisherLaw(c=0.2, y=0.5))
+            spike_identifiable_count((3.0, 11.0), FisherLaw(c=0.2, y=0.5))

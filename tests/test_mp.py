@@ -7,9 +7,7 @@ from spikeorder.rmt import (
     mp_cdf,
     mp_density,
     mp_quantile,
-    pop_identifiable_count,
-    pop_spike_map,
-    pop_spike_threshold,
+    spike_identifiable_count,
 )
 
 from conftest import gauss_legendre_mass
@@ -105,12 +103,12 @@ class TestQuantile:
 class TestSpikeMap:
     def test_hand_value(self):
         # phi(5) = 5 + 1*5/(5-1)
-        assert pop_spike_map(5.0, 1.0, 1.0) == pytest.approx(6.25, abs=1e-12)
+        assert MpLaw(c=1.0, sigma2=1.0).spike_map(5.0) == pytest.approx(6.25, abs=1e-12)
 
     def test_model_level_spike(self):
         lam = 259.72
         expected = lam + 0.25 * lam / (lam - 1.0)
-        got = pop_spike_map(lam, 0.25, 1.0)
+        got = MpLaw(c=0.25, sigma2=1.0).spike_map(lam)
         assert got == pytest.approx(expected, abs=1e-10)
         assert got > MpLaw(c=0.25).upper_edge
 
@@ -118,35 +116,36 @@ class TestSpikeMap:
     def test_continuity_at_threshold(self, c):
         b = MpLaw(c=c).upper_edge
         for eps in (1e-4, 1e-6):
-            lam = pop_spike_threshold(c) * (1.0 + eps)
-            assert abs(pop_spike_map(lam, c) - b) < 1e-3
+            lam = MpLaw(c=c).spike_threshold * (1.0 + eps)
+            assert abs(MpLaw(c=c).spike_map(lam) - b) < 1e-3
 
     def test_subcritical(self):
         with pytest.raises(SubcriticalSpikeError):
-            pop_spike_map(2.0, 1.0, 1.0)
+            MpLaw(c=1.0, sigma2=1.0).spike_map(2.0)
         with pytest.raises(SubcriticalSpikeError):
-            pop_spike_map(1.9, 1.0, 1.0)
+            MpLaw(c=1.0, sigma2=1.0).spike_map(1.9)
 
     def test_strictly_increasing(self):
         for c in (0.25, 1.0, 2.0):
-            xs = pop_spike_threshold(c) * (1.0 + np.linspace(1e-3, 5.0, 60))
-            ys = [pop_spike_map(x, c) for x in xs]
+            xs = MpLaw(c=c).spike_threshold * (1.0 + np.linspace(1e-3, 5.0, 60))
+            ys = [MpLaw(c=c).spike_map(x) for x in xs]
             assert all(ys[i] < ys[i + 1] for i in range(len(ys) - 1))
 
     def test_scale(self):
         # sigma2 phi(lam / sigma2) with sigma2 = 4
-        assert pop_spike_map(20.0, 1.0, 4.0) == pytest.approx(4.0 * pop_spike_map(5.0, 1.0, 1.0))
+        assert MpLaw(c=1.0, sigma2=4.0).spike_map(20.0) == pytest.approx(
+            4.0 * MpLaw(c=1.0, sigma2=1.0).spike_map(5.0))
 
 
 class TestIdentifiableCount:
     def test_examples(self):
-        assert pop_identifiable_count((5.0, 4.0, 3.0, 3.0), 1.0) == 4
-        assert pop_identifiable_count((1.5,), 1.0) == 0
-        assert pop_identifiable_count((7.0, 6.0, 5.0, 4.0), 0.25) == 4
+        assert spike_identifiable_count((5.0, 4.0, 3.0, 3.0), MpLaw(c=1.0)) == 4
+        assert spike_identifiable_count((1.5,), MpLaw(c=1.0)) == 0
+        assert spike_identifiable_count((7.0, 6.0, 5.0, 4.0), MpLaw(c=0.25)) == 4
 
     def test_threshold_strict(self):
-        assert pop_identifiable_count((2.0,), 1.0) == 0  # exactly at 1 + sqrt(c)
+        assert spike_identifiable_count((2.0,), MpLaw(c=1.0)) == 0  # exactly at 1 + sqrt(c)
 
     def test_descending_required(self):
         with pytest.raises(ConfigurationError):
-            pop_identifiable_count((3.0, 4.0), 1.0)
+            spike_identifiable_count((3.0, 4.0), MpLaw(c=1.0))

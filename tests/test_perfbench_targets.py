@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps program functions by module attribute name
 and raises when a pattern matches nothing, so renaming or dropping one of
 those names breaks every traced benchmark run.  The benchmark's own smoke
-test is outside this suite's ``testpaths``; this check only reads the file.
+test is outside this suite's ``testpaths``; these checks only read the file.
+The oracle counts must also be called through the attributes the tracer
+wraps, or the benchmark's per-layer oracle metrics read 0 calls.
 """
 
 import fnmatch
@@ -28,3 +30,27 @@ def test_span_target_matches_an_attribute(module_name, pattern, span):
     module = importlib.import_module(module_name)
     assert fnmatch.filter(vars(module), pattern), (
         f"{module_name} has no attribute matching {pattern!r} (span {span})")
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("population", "spike_identifiable_count"),
+    ("fisher", "spike_identifiable_count"),
+    ("autocov", "autocov_identifiable_count"),
+])
+def test_true_order_count_is_traced(monkeypatch, kind, count):
+    # the rmt.identifiable_count metrics see a count only through the module
+    # attributes the tracer wraps; a call that bypassed them would read 0 calls
+    rmt = importlib.import_module("spikeorder.rmt")
+    from spikeorder.spectra import AutocovModel, FisherModel, PopulationModel
+
+    (pattern,) = [pat for module, pat, _ in span_targets() if module == "spikeorder.rmt"]
+    seen = []
+    for name in fnmatch.filter(vars(rmt), pattern):
+        real = getattr(rmt, name)
+        monkeypatch.setattr(rmt, name, lambda *a, _real=real, _name=name:
+                            seen.append(_name) or _real(*a))
+    model = {"population": PopulationModel(p=50, n=200, spikes=(7.0, 4.0)),
+             "fisher": FisherModel(p=50, n=250, T=100, alpha=(10.0, 5.0, 5.0)),
+             "autocov": AutocovModel(p=20, T=40, theta=(0.6,))}[kind]
+    assert model.true_order() >= 1
+    assert seen == [count]

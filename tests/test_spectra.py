@@ -86,7 +86,7 @@ class TestPopulation:
         model = PopulationModel(p=50, n=200,
                                 spikes=(259.72, 17.97, 11.04, 7.88, 4.82))
         tops = [simulate_population(model, rng(100 + s)).values[0] for s in range(50)]
-        expected = rmt.pop_spike_map(259.72, 0.25, 1.0)
+        expected = rmt.MpLaw(c=0.25, sigma2=1.0).spike_map(259.72)
         assert np.mean(tops) == pytest.approx(expected, rel=0.05)
 
     def test_tall_case_zero_padding(self):
@@ -185,8 +185,8 @@ class TestFisher:
         self.check_means(model, 40, self.FINITE_SIZE)
         # at full size the limits hold
         law = FisherLaw(c=0.2, y=0.5)
-        psi_11 = rmt.fisher_spike_map(11.0, law)
-        psi_6 = rmt.fisher_spike_map(6.0, law)
+        psi_11 = law.spike_map(11.0)
+        psi_6 = law.spike_map(6.0)
         assert self.FINITE_SIZE_BIG["l1"][0] == pytest.approx(psi_11, rel=0.02)
         assert self.FINITE_SIZE_BIG["pair"][0] == pytest.approx(psi_6, rel=0.02)
         big = FisherModel(p=250, n=1250, T=500, alpha=(10.0, 5.0, 5.0))
