@@ -15,8 +15,8 @@ _QUAD_EPSABS = 1e-12
 _QUAD_LIMIT = 400
 
 
-def integrate_density(f, lo, hi, upto=None, weight=None):
-    """Integrate ``weight(x) * f(x)`` over (lo, min(hi, upto)).
+def integrate_density(f, lo, hi, upto=None):
+    """Integrate ``f`` over (lo, min(hi, upto)).
 
     Parameters
     ----------
@@ -26,8 +26,6 @@ def integrate_density(f, lo, hi, upto=None, weight=None):
         Support edges; f may have sqrt singular behaviour at either.
     upto : float, optional
         Upper limit strictly inside (lo, hi]; defaults to hi.
-    weight : callable, optional
-        Extra factor applied to the integrand (e.g. x -> x for moments).
     """
     if upto is None:
         upto = hi
@@ -37,14 +35,9 @@ def integrate_density(f, lo, hi, upto=None, weight=None):
     span = hi - lo
     theta_hi = np.arcsin(min(1.0, np.sqrt((upto - lo) / span)))
 
-    if weight is None:
-        def g(theta):
-            x = lo + span * np.sin(theta) ** 2
-            return f(x) * span * np.sin(2.0 * theta)
-    else:
-        def g(theta):
-            x = lo + span * np.sin(theta) ** 2
-            return weight(x) * f(x) * span * np.sin(2.0 * theta)
+    def g(theta):
+        x = lo + span * np.sin(theta) ** 2
+        return f(x) * span * np.sin(2.0 * theta)
 
     with warnings.catch_warnings():
         # requesting epsabs near machine precision makes quad warn about

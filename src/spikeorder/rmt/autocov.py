@@ -20,24 +20,27 @@ mass.  This normalization is validated against Monte Carlo in the test suite.
 A stationary factor with variance gamma0 and lag-1 auto-covariance gamma1
 adds a rank-one perturbation that (together with its O(1) noise cross terms)
 spawns an eigenvalue of M / sigma^4 converging to beta solving T(beta) = T1,
-where T is the T-transformation of the LSD and
+where T(z) = int t/(z-t) dmu(t) is the T-transformation of the LSD and
 
     T1 = [A - sqrt(A^2 - B)] / (2 y (gamma0^2 - gamma1^2)),
     A = 2 y sigma^2 gamma0 + gamma1^2,   B = 4 y^2 sigma^4 (gamma0^2 - gamma1^2),
 
 equivalently A^2 - B = gamma1^2 (gamma1^2 + 4 y sigma^2 gamma0 + 4 y^2 sigma^4),
-which is nonnegative for every valid signature.  When T1 >= T(b1+) the
-eigenvalue sticks to the bulk edge and the factor is not identifiable.
+which is nonnegative for every valid signature.  Putting T = -(1 + z S) / y
+into the cubic inverts T on (b1, inf): z(T) = y (1 + y T) (1 + T)^2 / T falls
+from +inf at T = 0+ to its minimum b1 at T(b1+) = 2 / (1 + sqrt(1 + 8y)).  A
+factor with T1 < T(b1+) has the limit beta = z(T1); otherwise its eigenvalue
+sticks to the bulk edge and the factor is not identifiable.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
 from ..errors import ConfigurationError, DegenerateSignatureError, NumericalError
-from ._integrate import integrate_density
 
 __all__ = [
     "AutocovLaw",
@@ -72,13 +75,9 @@ class AutocovLaw:
             raise ConfigurationError(f"y must be positive and finite, got {self.y}")
         if not 0.0 < self.sigma2 < math.inf:
             raise ConfigurationError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        try:
-            b1 = self.b1
-        except OverflowError:  # (1 + 8y)^1.5 leaves the float range
-            b1 = math.inf
-        # b1 overflows from y near 5e153 and cancels to zero below y near 1e-17
-        if not 0.0 < b1 < math.inf:
-            raise ConfigurationError(f"upper edge b1 = {b1} is not positive and finite for {self}")
+        # b1 overflows from y near 6e122; a subnormal b1 (1 + eps) rounds to b1
+        if not sys.float_info.min <= self.b1 < math.inf:
+            raise ConfigurationError(f"upper edge b1 = {self.b1} is not a normal float for {self}")
 
     @property
     def a1(self) -> float:
@@ -87,8 +86,10 @@ class AutocovLaw:
 
     @property
     def b1(self) -> float:
-        y = self.y
-        return (-1.0 + 20.0 * y + 8.0 * y * y + (1.0 + 8.0 * y) ** 1.5) / 8.0
+        # z(T(b1+)) = y (s + 3)^3 / (8 (s + 1)); a1's form with + cancels at small y
+        s = math.sqrt(1.0 + 8.0 * self.y)
+        c = s + 3.0
+        return self.y * c * c * c / (8.0 * (s + 1.0))
 
     @property
     def support_lo(self) -> float:
@@ -148,27 +149,42 @@ def autocov_lsd_density(x: float, law: AutocovLaw) -> float:
     return max(im, 0.0) / (np.pi * law.y)
 
 
+def _z_of_t(t: float, y: float) -> float:
+    """Inverse of the T-transform on (0, T(b1+)): the z > b1 with T(z) = t."""
+    return y * (1.0 + y * t) * (1.0 + t) ** 2 / t
+
+
 def autocov_t_transform(z: float, law: AutocovLaw) -> float:
     """T-transformation T(z) = int t/(z-t) dmu(t) of the LSD, for z > b1.
 
     Strictly decreasing and positive on (b1, inf), tending to zero at
-    infinity; computed by edge-aware quadrature against the density.
+    infinity: the one root of z(T) = z below T(b1+), where z(T) falls.
     """
-    if z <= law.b1:
+    if not z > law.b1:
         raise ValueError(f"z = {z} must exceed the upper edge b1 = {law.b1:.6f}")
-    return integrate_density(
-        lambda t: autocov_lsd_density(t, law),
-        law.support_lo,
-        law.b1,
-        weight=lambda t: t / (z - t),
-    )
+    y = law.y
+    # solved in u = 1/T >= 1: z(1/u) is nearly linear far from the edge, where
+    # a search in T crawls, and xtol is relative as well
+    excess = lambda u: _z_of_t(1.0 / u, y) / z - 1.0
+    u_edge = (1.0 + math.sqrt(1.0 + 8.0 * y)) / 2.0  # 1 / T(b1+)
+    u_hi = 2.0 * (z / y)  # z(1/u) > y u, so excess > 0 there
+    if excess(u_edge) >= 0.0:  # z is within rounding of b1
+        return 1.0 / u_edge
+    if u_hi == math.inf:  # T < y/z underflows
+        return 0.0
+    # maxiter: a z within a few ulps of b1 leaves excess flat in rounding noise
+    u, res = optimize.brentq(excess, u_edge, u_hi, xtol=1e-15, maxiter=200,
+                             full_output=True, disp=False)
+    if not res.converged:
+        raise NumericalError(f"T-transform solve at z = {z} ({law}) did not converge")
+    return 1.0 / u
 
 
 def autocov_t_edge_limit(law: AutocovLaw, eps: float = EDGE_EPS) -> float:
     """One-sided limit T(b1+), approximated at z = b1 (1 + eps).
 
-    The default eps = 1e-6 is the working definition; pass eps = 1e-5 to
-    gauge sensitivity (the two agree to about 0.4% in practice).
+    The exact limit is 2 / (1 + sqrt(1 + 8y)); eps = 1e-6 is kept as the
+    working definition.  Pass eps = 1e-5 to gauge sensitivity (0.4% at y = 0.5).
     """
     return autocov_t_transform(law.b1 * (1.0 + eps), law)
 
@@ -186,33 +202,22 @@ def autocov_t1(sig: FactorSignature, law: AutocovLaw) -> float:
     disc = g1 * g1 * (g1 * g1 + 4.0 * y * s2 * g0 + 4.0 * y * y * s2 * s2)
     if disc < 0.0:
         raise DegenerateSignatureError(f"negative discriminant {disc}")
-    return (a - np.sqrt(disc)) / denom
+    # plain floats overflow to NaN without a warning; a tiny sigma2 cancels T1 to 0
+    t1 = (a - math.sqrt(disc)) / denom
+    if not 0.0 < t1 < math.inf:
+        raise NumericalError(f"T1 = {t1} of {sig} is not finite and positive ({law})")
+    return t1
 
 
 def autocov_factor_limit(sig: FactorSignature, law: AutocovLaw) -> FactorLimit:
-    """Solve T(beta) = T1 on (b1, inf); sticks to b1 when unidentifiable.
-
-    T is strictly decreasing there, so the solution is unique whenever
-    T1 < T(b1+); otherwise the factor eigenvalue converges to the edge.
-    """
+    """beta = z(T1) when T1 < T(b1+); sticks to b1 when unidentifiable."""
     t1 = autocov_t1(sig, law)
-    cutoff = autocov_t_edge_limit(law)
-    if t1 >= cutoff:
+    if t1 >= autocov_t_edge_limit(law):
         return FactorLimit(value=law.b1, identifiable=False)
-
-    lo = law.b1 * (1.0 + EDGE_EPS)
-    hi = 2.0 * law.b1
-    f = lambda z: autocov_t_transform(z, law) - t1
-    f_hi = f(hi)
-    for _ in range(80):
-        if f_hi < 0.0:
-            break
-        hi *= 2.0
-        f_hi = f(hi)
-    else:
-        raise NumericalError(f"could not bracket T(beta) = {t1} above b1")
-    beta = optimize.brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    return FactorLimit(value=float(beta), identifiable=True)
+    beta = _z_of_t(t1, law.y)
+    if not math.isfinite(beta):
+        raise NumericalError(f"the limit of factor {sig} overflows ({law})")
+    return FactorLimit(value=beta, identifiable=True)
 
 
 def autocov_identifiable_count(sigs, law: AutocovLaw) -> int:

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 
 import numpy as np
 import pytest
@@ -68,13 +69,19 @@ def cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("calib_cache"))
 
 
+@functools.cache
+def _legendre_rule(nodes):
+    # the rule is an eigenproblem, slow at 2,000 nodes; callers do not mutate it
+    return np.polynomial.legendre.leggauss(nodes)
+
+
 def gauss_legendre_mass(density, lo, hi, nodes=1500, weight=None):
     """Independent quadrature oracle: Gauss-Legendre on the sin^2 substitution.
 
     Written against numpy only, deliberately sharing no code with the
     package's adaptive quadrature.
     """
-    theta, w = np.polynomial.legendre.leggauss(nodes)
+    theta, w = _legendre_rule(nodes)
     theta = 0.25 * np.pi * (theta + 1.0)
     w = w * 0.25 * np.pi
     span = hi - lo

@@ -1,6 +1,10 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
+import spikeorder.rmt.autocov as autocov_mod
 from spikeorder.errors import ConfigurationError, DegenerateSignatureError
 from spikeorder.rmt import (
     AutocovLaw,
@@ -12,6 +16,7 @@ from spikeorder.rmt import (
     autocov_t_edge_limit,
     autocov_t_transform,
 )
+from spikeorder.spectra import AutocovModel
 
 from conftest import gauss_legendre_mass
 
@@ -116,6 +121,7 @@ class TestTTransform:
     def test_vanishes_at_infinity(self):
         law = AutocovLaw(y=0.5)
         assert 0 < autocov_t_transform(1e6, law) < 1e-5
+        assert autocov_t_transform(math.inf, law) == 0.0
 
     def test_strictly_decreasing_positive(self):
         law = AutocovLaw(y=0.5)
@@ -131,6 +137,28 @@ class TestTTransform:
             z = mult * law.b1
             assert autocov_t_transform(z, law) == pytest.approx(
                 t_companion_oracle(z, law), abs=1e-6)
+
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    def test_against_density_quadrature(self, y):
+        # the LSD's own density under independent fixed-node quadrature
+        law = AutocovLaw(y=y)
+        density = functools.cache(lambda x: autocov_lsd_density(x, law))
+        for mult in (1.01, 1.5, 2.0, 5.0):
+            z = mult * law.b1
+            expected = gauss_legendre_mass(density, law.support_lo, law.b1, nodes=2000,
+                                           weight=lambda t: t / (z - t))
+            assert autocov_t_transform(z, law) == pytest.approx(expected, rel=1e-7)
+
+    # at y = 0.3 the closed form rounds above the first float past b1
+    @pytest.mark.parametrize("y", [0.05, 0.3, 0.5, 2.0, 5.0])
+    def test_edge_limit_rises_toward_exact_edge(self, y):
+        law = AutocovLaw(y=y)
+        edge = 2.0 / (1.0 + np.sqrt(1.0 + 8.0 * y))
+        vals = [autocov_t_edge_limit(law, eps) for eps in (1e-4, 1e-6, 1e-8)]
+        assert vals[0] < vals[1] < vals[2] < edge
+        # one ulp above b1 the closed form meets the edge within rounding
+        assert autocov_t_transform(math.nextafter(law.b1, math.inf), law) == pytest.approx(
+            edge, rel=1e-7)
 
     def test_edge_limit_frozen(self):
         assert autocov_t_edge_limit(AutocovLaw(y=0.5)) == pytest.approx(
@@ -206,6 +234,20 @@ class TestFactorLimit:
         fl = autocov_factor_limit(sig, law)
         assert not fl.identifiable
         assert fl.value == law.b1
+
+
+class TestOraclePath:
+    def test_oracle_reads_no_density(self, monkeypatch):
+        # the cutoff and the factor limits are closed form, not quadrature
+        def no_density(*args):
+            raise AssertionError("the oracle path evaluated the density")
+        monkeypatch.setattr(autocov_mod, "autocov_lsd_density", no_density)
+        law = AutocovLaw(y=0.5)
+        sigs = [ar1_signature(t) for t in (0.6, -0.5, 0.3)]
+        assert autocov_identifiable_count(sigs, law) == 3
+        assert autocov_factor_limit(sigs[0], law).value == pytest.approx(7.726, abs=1e-2)
+        model = AutocovModel(p=300, T=600, theta=(0.6, -0.5, 0.3))
+        assert model.true_order() == 3
 
 
 class TestIdentifiableCount:

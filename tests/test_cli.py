@@ -133,6 +133,30 @@ class TestLimits:
         assert res.stdout == ""
         assert "overflows" in res.stderr
 
+    @pytest.mark.parametrize("y", [1e-300, 1e-12, 1e-8, 1e-4, 1e4, 1e6, 1e30])
+    def test_autocov_extreme_y(self, runner, y):
+        res = runner.invoke(main, ["limits", "--family", "autocov", f"--y={y!r}", "--json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.stdout)
+        # both approximations lie below the exact one-sided limit T(b1+)
+        edge = 2.0 / (1.0 + np.sqrt(1.0 + 8.0 * y))
+        assert 0.0 < payload["t_edge_limit_eps1e5"] < payload["t_edge_limit"] < edge
+
+    # numpy's overflow warnings would reach stderr; as errors they exit 1
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        ["--theta", "0.5", "--gamma", "1e308"],          # T1 overflows to NaN
+        ["--theta", "0.9999999999", "--gamma", "1e300"],
+        ["--theta", "0.5", "--sigma2", "1e-300"],        # T1 cancels to zero
+        ["--theta", "0", "--sigma2", "1e-310"],          # beta = z(T1) overflows
+    ], ids=["gamma-1e308", "theta-near-1", "sigma2-1e-300", "sigma2-1e-310"])
+    def test_overflowing_factor_limit_exit_3(self, runner, args):
+        res = runner.invoke(main, ["limits", "--family", "autocov", "--y", "0.5",
+                                   "--json", *args])
+        assert res.exit_code == 3, res.output
+        assert res.stdout == ""
+        assert "RuntimeWarning" not in res.stderr
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(family=st.sampled_from(FAMILIES), c=st.none() | st.floats(),
            y=st.none() | st.floats(), sigma2=st.floats(),
@@ -141,6 +165,19 @@ class TestLimits:
         args = ["limits", "--family", family, f"--sigma2={sigma2!r}", "--json",
                 f"--spikes={','.join(map(repr, spikes))}"]
         args += [f"--{name}={val!r}" for name, val in (("c", c), ("y", y)) if val is not None]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code in (0, 2, 3), res.output
+        if res.exit_code == 0:
+            json.loads(res.stdout, parse_constant=reject_constant)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(y=st.floats(0.01, 100.0) | st.floats(), sigma2=st.floats(0.01, 100.0) | st.floats(),
+           theta=st.lists(st.floats(-1.0, 1.0) | st.floats(), min_size=1, max_size=3),
+           gamma=st.lists(st.floats(0.0, 1e3) | st.floats(), max_size=3))
+    def test_any_factor_numbers_keep_exit_contract(self, y, sigma2, theta, gamma):
+        args = ["limits", "--family", "autocov", f"--y={y!r}", f"--sigma2={sigma2!r}",
+                "--json", f"--theta={','.join(map(repr, theta))}",
+                f"--gamma={','.join(map(repr, gamma))}"]
         res = CliRunner().invoke(main, args)
         assert res.exit_code in (0, 2, 3), res.output
         if res.exit_code == 0:
@@ -687,8 +724,8 @@ EXIT_2_CASES = {
     **{"limits-" + "-".join(a.lstrip("-") for a in args): lambda tmp, spec, args=args: [
         "limits", "--json", "--family", *args] for args in (
         ("autocov", "--y", "nan"), ("autocov", "--y", "inf"), ("autocov", "--y", "1e200"),
-        ("autocov", "--y", "1e-300"), ("population", "--c", "nan"),
-        ("population", "--c", "inf"), ("population", "--c", "1", "--sigma2", "nan"),
+        ("population", "--c", "nan"), ("population", "--c", "inf"),
+        ("population", "--c", "1", "--sigma2", "nan"),
         ("fisher", "--c", "nan", "--y", "0.5"), ("population", "--c", "1", "--spikes", "nan,3"),
         ("population", "--c", "1", "--spikes", "inf"),
         ("population", "--c", "1e308", "--sigma2", "1e308"))},
