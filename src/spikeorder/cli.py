@@ -362,11 +362,7 @@ def limits(family, c, y, sigma2, spikes, theta, gamma, as_json):
     payload = {"family": family, **ratios, "sigma2": sigma2}
     if family == "autocov":
         payload.update(
-            a1=law.a1, b1=law.b1,
-            # one-sided limit approximated just outside the edge; the second
-            # value gauges the sensitivity of that approximation
-            t_edge_limit=rmt.autocov_t_edge_limit(law),
-            t_edge_limit_eps1e5=rmt.autocov_t_edge_limit(law, eps=1e-5),
+            a1=law.a1, b1=law.b1, t_edge_limit=rmt.autocov_t_edge_limit(law),
             atom_at_zero=law.atom_at_zero)
         if theta:
             thetas = _floats(theta)

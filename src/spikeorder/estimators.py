@@ -24,7 +24,7 @@ import numpy as np
 
 # estimate_sigma2 is unused here; perfbench/tracing.py wraps it by this module's name
 from .calibration import estimate_sigma2, loglog  # noqa: F401
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .spectra import Spectrum
 
 __all__ = [
@@ -55,9 +55,8 @@ class EstimatorConfig:
 
     ``sigma2`` is the positive noise scale the spectrum is normalized by,
     known or already estimated (``harness.build_estimator`` resolves it per
-    spectrum).  The transformation block (e, kappa_n, k1, k2) only matters
-    for the transformed variant; ``kappa_n = None`` selects the default
-    loglog(p) * p^(-2/3).
+    spectrum).  The transformation block (e, k1, k2) only matters for the
+    transformed variant, whose radius is loglog(p) * p^(-2/3).
     """
 
     c_n: float
@@ -65,7 +64,6 @@ class EstimatorConfig:
     L: int = 20
     sigma2: float = 1.0
     e: float | None = None
-    kappa_n: float | None = None
     k1: float = 5.0
     k2: float = 5.0
 
@@ -78,8 +76,6 @@ class EstimatorConfig:
             raise ConfigurationError(f"ridge c_n must be positive, got {self.c_n}")
         if self.sigma2 <= 0:
             raise ConfigurationError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.kappa_n is not None and self.kappa_n <= 0:
-            raise ConfigurationError("kappa_n must be positive")
         if self.k1 < 0 or self.k2 < 0:
             raise ConfigurationError("k1 and k2 must be nonnegative")
 
@@ -163,14 +159,26 @@ def _trace(x: np.ndarray, cfg: EstimatorConfig) -> RatioTrace:
                       q_hat=_select(ratios, cfg.tau))
 
 
+def _normalized(values: np.ndarray, sigma2: float, scale_power: int) -> np.ndarray:
+    """values / sigma2^scale_power; NumericalError when that leaves the float range."""
+    if sigma2 <= 0:
+        raise ConfigurationError("sigma2 must be positive")
+    try:
+        scale = sigma2 ** scale_power
+    except OverflowError:
+        scale = math.inf
+    top = float(values[0]) if values.size else 0.0  # the largest: spectra descend
+    if not (0.0 < scale < math.inf and top / scale < math.inf):
+        raise NumericalError(f"sigma2 = {sigma2} puts the normalized spectrum out of float range")
+    return values / scale
+
+
 def _normalized_head(spec: Spectrum, sigma2: float, cfg: EstimatorConfig) -> np.ndarray:
     if spec.p < cfg.L:
         raise ConfigurationError(
             f"search bound L = {cfg.L} exceeds the spectrum length p = {spec.p}"
         )
-    if sigma2 <= 0:
-        raise ConfigurationError("sigma2 must be positive")
-    return spec.values[: cfg.L] / sigma2 ** spec.scale_power
+    return _normalized(spec.values[: cfg.L], sigma2, spec.scale_power)
 
 
 def ridge_ratios(spec: Spectrum, sigma2: float, cfg: EstimatorConfig) -> RatioTrace:
@@ -200,8 +208,7 @@ def tvacle(spec: Spectrum, cfg: EstimatorConfig):
     if cfg.e is None:
         raise ConfigurationError("tvacle requires the bulk edge e in the config")
     x = _normalized_head(spec, cfg.sigma2, cfg)
-    kappa = cfg.kappa_n if cfg.kappa_n is not None else loglog_rate(spec.p)
-    fx = fn_transform(x, cfg.e, kappa, cfg.k1, cfg.k2)
+    fx = fn_transform(x, cfg.e, loglog_rate(spec.p), cfg.k1, cfg.k2)
     trace = _trace(fx, cfg)
     return trace.q_hat, trace
 
@@ -222,7 +229,7 @@ def py_estimator(spec: Spectrum, sigma2: float, C: float, L: int = 20,
         raise ConfigurationError("start_index must be 0 or 1")
     n = spec.n
     d_n = C * n ** (-2.0 / 3.0) * math.sqrt(2.0 * loglog(n))
-    x = spec.values / sigma2 ** spec.scale_power
+    x = _normalized(spec.values, sigma2, spec.scale_power)
     deltas = x[:-1] - x[1:]
     for i in range(start_index, L + 1):
         if i + 1 >= deltas.size:

@@ -9,7 +9,6 @@ from .autocov import (
     autocov_lsd_density,
     autocov_t1,
     autocov_t_edge_limit,
-    autocov_t_transform,
 )
 from .fisher import FisherLaw, fisher_lsd_density
 from .marchenko_pastur import MpLaw, mp_cdf, mp_density, mp_quantile, spike_identifiable_count
@@ -25,7 +24,6 @@ __all__ = [
     "autocov_lsd_density",
     "autocov_t1",
     "autocov_t_edge_limit",
-    "autocov_t_transform",
     "fisher_lsd_density",
     "mp_cdf",
     "mp_density",

@@ -30,15 +30,15 @@ which is nonnegative for every valid signature.  Putting T = -(1 + z S) / y
 into the cubic inverts T on (b1, inf): z(T) = y (1 + y T) (1 + T)^2 / T falls
 from +inf at T = 0+ to its minimum b1 at T(b1+) = 2 / (1 + sqrt(1 + 8y)).  A
 factor with T1 < T(b1+) has the limit beta = z(T1); otherwise its eigenvalue
-sticks to the bulk edge and the factor is not identifiable.
+sticks to the bulk edge and the factor is not identifiable.  The cutoff and
+the limits are these closed forms, with no root search and no quadrature;
+the density below serves the tests as an independent reference.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ConfigurationError, DegenerateSignatureError, NumericalError
 
@@ -47,7 +47,6 @@ __all__ = [
     "FactorSignature",
     "FactorLimit",
     "autocov_lsd_density",
-    "autocov_t_transform",
     "autocov_t_edge_limit",
     "autocov_t1",
     "autocov_factor_limit",
@@ -58,9 +57,6 @@ __all__ = [
 # largest positive imaginary part; below IM_FLOOR counts as "no root"
 _ETA = 1e-9
 _IM_FLOOR = 1e-12
-
-# T(b1+) is a one-sided limit; approximate it just outside the edge
-EDGE_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,9 +71,8 @@ class AutocovLaw:
             raise ConfigurationError(f"y must be positive and finite, got {self.y}")
         if not 0.0 < self.sigma2 < math.inf:
             raise ConfigurationError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        # b1 overflows from y near 6e122; a subnormal b1 (1 + eps) rounds to b1
-        if not sys.float_info.min <= self.b1 < math.inf:
-            raise ConfigurationError(f"upper edge b1 = {self.b1} is not a normal float for {self}")
+        if not self.b1 < math.inf:  # from y near 6e122
+            raise ConfigurationError(f"upper edge b1 overflows for {self}")
 
     @property
     def a1(self) -> float:
@@ -154,39 +149,9 @@ def _z_of_t(t: float, y: float) -> float:
     return y * (1.0 + y * t) * (1.0 + t) ** 2 / t
 
 
-def autocov_t_transform(z: float, law: AutocovLaw) -> float:
-    """T-transformation T(z) = int t/(z-t) dmu(t) of the LSD, for z > b1.
-
-    Strictly decreasing and positive on (b1, inf), tending to zero at
-    infinity: the one root of z(T) = z below T(b1+), where z(T) falls.
-    """
-    if not z > law.b1:
-        raise ValueError(f"z = {z} must exceed the upper edge b1 = {law.b1:.6f}")
-    y = law.y
-    # solved in u = 1/T >= 1: z(1/u) is nearly linear far from the edge, where
-    # a search in T crawls, and xtol is relative as well
-    excess = lambda u: _z_of_t(1.0 / u, y) / z - 1.0
-    u_edge = (1.0 + math.sqrt(1.0 + 8.0 * y)) / 2.0  # 1 / T(b1+)
-    u_hi = 2.0 * (z / y)  # z(1/u) > y u, so excess > 0 there
-    if excess(u_edge) >= 0.0:  # z is within rounding of b1
-        return 1.0 / u_edge
-    if u_hi == math.inf:  # T < y/z underflows
-        return 0.0
-    # maxiter: a z within a few ulps of b1 leaves excess flat in rounding noise
-    u, res = optimize.brentq(excess, u_edge, u_hi, xtol=1e-15, maxiter=200,
-                             full_output=True, disp=False)
-    if not res.converged:
-        raise NumericalError(f"T-transform solve at z = {z} ({law}) did not converge")
-    return 1.0 / u
-
-
-def autocov_t_edge_limit(law: AutocovLaw, eps: float = EDGE_EPS) -> float:
-    """One-sided limit T(b1+), approximated at z = b1 (1 + eps).
-
-    The exact limit is 2 / (1 + sqrt(1 + 8y)); eps = 1e-6 is kept as the
-    working definition.  Pass eps = 1e-5 to gauge sensitivity (0.4% at y = 0.5).
-    """
-    return autocov_t_transform(law.b1 * (1.0 + eps), law)
+def autocov_t_edge_limit(law: AutocovLaw) -> float:
+    """One-sided limit T(b1+) = 2 / (1 + sqrt(1 + 8y)), where z(T) has its minimum b1."""
+    return 2.0 / (1.0 + math.sqrt(1.0 + 8.0 * law.y))
 
 
 def autocov_t1(sig: FactorSignature, law: AutocovLaw) -> float:

@@ -5,7 +5,8 @@ n observations (p/n -> c) has limiting spectral distribution supported on
 (sigma^2 (1-sqrt(c))^2, sigma^2 (1+sqrt(c))^2), plus a point mass 1 - 1/c
 at zero when c > 1.  Population eigenvalues above sigma^2 (1+sqrt(c))
 escape the bulk; the forward map of an escaping spike is phi(x) = x + cx/(x-1)
-on the sigma^2-normalized scale.
+on the sigma^2-normalized scale.  The distribution function is the density's
+closed-form antiderivative; only the quantile solves for a root.
 """
 
 import math
@@ -15,7 +16,6 @@ import numpy as np
 from scipy import optimize
 
 from ..errors import ConfigurationError, NumericalError, QuantileAtomError, SubcriticalSpikeError
-from ._integrate import integrate_density
 
 __all__ = [
     "MpLaw",
@@ -91,14 +91,31 @@ def mp_density(x: float, law: MpLaw) -> float:
 
 
 def mp_cdf(x: float, law: MpLaw) -> float:
-    """Distribution function, atom at zero included."""
-    a, b = law.lower_edge, law.upper_edge
+    """Distribution function, atom at zero included.
+
+    On the sigma2-normalized scale u = x / sigma2, with edges a, b = (1 -+ sqrt(c))^2,
+    the continuous part is [G(u) - G(a)] / (2 pi c), G(a) = -pi min(1, c), where
+
+        G(u) = r + (1 + c) asin((2u - a - b) / (b - a))
+                 - |1 - c| asin(((a + b) u - 2ab) / (u (b - a))),   r = sqrt((b - u)(u - a))
+
+    (Bai & Silverstein, Spectral Analysis of Large Dimensional Random Matrices,
+    2010).  Each asin is taken as atan2 of its argument's numerator and cosine,
+    2r and 2 |1 - c| r: near the edges the argument is within rounding of -+1,
+    where asin would lose half the digits.
+    """
+    c, s = law.c, math.sqrt(law.c)
+    a, b = (1.0 - s) ** 2, (1.0 + s) ** 2
+    u = x / law.sigma2
     atom = law.atom_at_zero if x >= 0 else 0.0
-    if x <= a:
+    if u <= a:
         return atom
-    if x >= b:
+    if u >= b:
         return atom + law.continuous_mass
-    return atom + integrate_density(lambda t: mp_density(t, law), a, b, upto=x)
+    r = math.sqrt((b - u) * (u - a))
+    g = (r + (1.0 + c) * math.atan2(2.0 * u - a - b, 2.0 * r)
+         - abs(1.0 - c) * math.atan2((a + b) * u - 2.0 * a * b, 2.0 * abs(1.0 - c) * r))
+    return atom + (g + math.pi * min(1.0, c)) / (2.0 * math.pi * c)
 
 
 def mp_quantile(alpha: float, c: float) -> float:

@@ -29,6 +29,7 @@ import csv
 import ctypes
 import functools
 import math
+import sys
 import threading
 from concurrent import futures
 from contextlib import nullcontext
@@ -318,6 +319,8 @@ def at_size(model_or_kind, p: int, n=None, T=None, **fields):
     sizes = {name: {"p": p, "n": n, "T": T}[name] for name in cls.sizes}
     if None in sizes.values():
         raise ConfigurationError(f"{cls.kind} models need {', '.join(cls.sizes)}")
+    if any(size > sys.float_info.max for size in sizes.values()):  # rates read them as floats
+        raise ConfigurationError(f"{cls.kind} sizes must not exceed the float range")
     return cls(**sizes, **fields) if by_kind else replace(model_or_kind, **sizes, **fields)
 
 

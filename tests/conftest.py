@@ -79,7 +79,7 @@ def gauss_legendre_mass(density, lo, hi, nodes=1500, weight=None):
     """Independent quadrature oracle: Gauss-Legendre on the sin^2 substitution.
 
     Written against numpy only, deliberately sharing no code with the
-    package's adaptive quadrature.
+    adaptive quadrature in ``quadrature_reference``.
     """
     theta, w = _legendre_rule(nodes)
     theta = 0.25 * np.pi * (theta + 1.0)

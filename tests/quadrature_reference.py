@@ -1,4 +1,4 @@
-"""Edge-aware quadrature for densities with square-root edge behaviour.
+"""Edge-aware adaptive quadrature: the tests' reference for the closed-form oracles.
 
 All the limiting spectral densities handled here vanish like sqrt(edge - x)
 at their support edges, which ruins naive quadrature rules.  Substituting

@@ -14,8 +14,8 @@ from spikeorder.rmt import (
     autocov_lsd_density,
     autocov_t1,
     autocov_t_edge_limit,
-    autocov_t_transform,
 )
+from spikeorder.rmt.autocov import _z_of_t
 from spikeorder.spectra import AutocovModel
 
 from conftest import gauss_legendre_mass
@@ -110,63 +110,65 @@ class TestDensity:
         assert mean == pytest.approx(0.5, abs=1e-5)
 
 
+def t_by_quadrature(z, law):
+    """T(z) = int t/(z-t) dmu(t) from the LSD's own density, fixed-node quadrature."""
+    density = functools.cache(lambda x: autocov_lsd_density(x, law))
+    return gauss_legendre_mass(density, law.support_lo, law.b1, nodes=2000,
+                               weight=lambda t: t / (z - t))
+
+
 class TestTTransform:
+    """The closed-form inverse z(t) of the T-transform on (0, T(b1+))."""
+
     def test_domain(self):
+        # z(t) maps (0, T(b1+)) onto (b1, inf) and rises again past the edge
         law = AutocovLaw(y=0.5)
-        with pytest.raises(ValueError):
-            autocov_t_transform(law.b1, law)
-        with pytest.raises(ValueError):
-            autocov_t_transform(1.0, law)
+        edge = autocov_t_edge_limit(law)
+        for t in edge * np.array([1e-6, 0.1, 0.5, 0.999, 1.001, 2.0]):
+            assert _z_of_t(float(t), law.y) > law.b1
 
     def test_vanishes_at_infinity(self):
+        # T(z) -> 0 as z -> inf: z(t) grows like y / t near zero
         law = AutocovLaw(y=0.5)
-        assert 0 < autocov_t_transform(1e6, law) < 1e-5
-        assert autocov_t_transform(math.inf, law) == 0.0
+        assert _z_of_t(1e-6, law.y) > 1e5
+        assert _z_of_t(1e-300, law.y) == pytest.approx(0.5e300, rel=1e-12)
 
     def test_strictly_decreasing_positive(self):
         law = AutocovLaw(y=0.5)
-        zs = law.b1 * (1.0 + np.geomspace(1e-6, 99.0, 20))
-        ts = [autocov_t_transform(float(z), law) for z in zs]
-        assert all(t > 0 for t in ts)
-        assert all(ts[i] > ts[i + 1] for i in range(len(ts) - 1))
+        ts = autocov_t_edge_limit(law) * np.geomspace(1e-6, 0.999, 20)
+        zs = [_z_of_t(float(t), law.y) for t in ts]
+        assert all(z > law.b1 for z in zs)
+        assert all(zs[i] > zs[i + 1] for i in range(len(zs) - 1))
 
     @pytest.mark.parametrize("y", [0.5, 2.0])
     def test_against_companion_root_oracle(self, y):
         law = AutocovLaw(y=y)
-        for mult in (1.5, 2.0, 5.0):
-            z = mult * law.b1
-            assert autocov_t_transform(z, law) == pytest.approx(
-                t_companion_oracle(z, law), abs=1e-6)
+        for frac in (0.1, 0.4, 0.7):
+            t = frac * autocov_t_edge_limit(law)
+            assert t_companion_oracle(_z_of_t(t, y), law) == pytest.approx(t, abs=1e-6)
 
     @pytest.mark.parametrize("y", [0.5, 2.0])
     def test_against_density_quadrature(self, y):
         # the LSD's own density under independent fixed-node quadrature
         law = AutocovLaw(y=y)
-        density = functools.cache(lambda x: autocov_lsd_density(x, law))
-        for mult in (1.01, 1.5, 2.0, 5.0):
-            z = mult * law.b1
-            expected = gauss_legendre_mass(density, law.support_lo, law.b1, nodes=2000,
-                                           weight=lambda t: t / (z - t))
-            assert autocov_t_transform(z, law) == pytest.approx(expected, rel=1e-7)
+        for frac in (0.1, 0.3, 0.6, 0.9):
+            t = frac * autocov_t_edge_limit(law)
+            assert t_by_quadrature(_z_of_t(t, y), law) == pytest.approx(t, rel=1e-7)
 
-    # at y = 0.3 the closed form rounds above the first float past b1
     @pytest.mark.parametrize("y", [0.05, 0.3, 0.5, 2.0, 5.0])
     def test_edge_limit_rises_toward_exact_edge(self, y):
+        # as z falls to b1, T(z) rises to the edge, where z(t) has its minimum b1
         law = AutocovLaw(y=y)
-        edge = 2.0 / (1.0 + np.sqrt(1.0 + 8.0 * y))
-        vals = [autocov_t_edge_limit(law, eps) for eps in (1e-4, 1e-6, 1e-8)]
-        assert vals[0] < vals[1] < vals[2] < edge
-        # one ulp above b1 the closed form meets the edge within rounding
-        assert autocov_t_transform(math.nextafter(law.b1, math.inf), law) == pytest.approx(
-            edge, rel=1e-7)
+        edge = autocov_t_edge_limit(law)
+        assert edge == 2.0 / (1.0 + np.sqrt(1.0 + 8.0 * y))
+        zs = [_z_of_t(float(t), y) for t in edge * (1.0 - np.geomspace(0.1, 1e-6, 6))]
+        assert all(zs[i] > zs[i + 1] > law.b1 for i in range(len(zs) - 1))
+        assert _z_of_t(edge, y) == pytest.approx(law.b1, rel=1e-14)
 
     def test_edge_limit_frozen(self):
-        assert autocov_t_edge_limit(AutocovLaw(y=0.5)) == pytest.approx(
-            0.6169527977142047, abs=1e-6)
-        assert autocov_t_edge_limit(AutocovLaw(y=0.5), eps=1e-5) == pytest.approx(
-            0.6146207350604237, abs=1e-6)
+        assert autocov_t_edge_limit(AutocovLaw(y=0.5)) == 0.6180339887498948
         assert autocov_t_edge_limit(AutocovLaw(y=2.0)) == pytest.approx(
-            0.3897040027913782, abs=1e-6)
+            2.0 / (1.0 + math.sqrt(17.0)), rel=1e-15)
 
 
 class TestT1:
@@ -224,7 +226,7 @@ class TestFactorLimit:
         for theta in (0.6, 0.3):
             sig = ar1_signature(theta)
             fl = autocov_factor_limit(sig, law)
-            assert autocov_t_transform(fl.value, law) == pytest.approx(
+            assert t_by_quadrature(fl.value, law) == pytest.approx(
                 autocov_t1(sig, law), abs=1e-6)
 
     def test_subcritical_sticks_to_edge(self):

@@ -80,9 +80,9 @@ class TestLimits:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert payload["b1"] == pytest.approx(2.773, abs=1e-3)
-        # both edge-limit approximation points are reported
-        assert payload["t_edge_limit"] == pytest.approx(0.61695, abs=1e-4)
-        assert payload["t_edge_limit_eps1e5"] == pytest.approx(0.61462, abs=1e-4)
+        # the exact one-sided limit T(b1+) = 2 / (1 + sqrt(1 + 8y))
+        assert payload["t_edge_limit"] == 0.6180339887498948
+        assert "t_edge_limit_eps1e5" not in payload
 
     def test_fisher_threshold(self, runner):
         res = runner.invoke(main, ["limits", "--family", "fisher", "--c", "0.2",
@@ -133,14 +133,24 @@ class TestLimits:
         assert res.stdout == ""
         assert "overflows" in res.stderr
 
-    @pytest.mark.parametrize("y", [1e-300, 1e-12, 1e-8, 1e-4, 1e4, 1e6, 1e30])
+    @pytest.mark.parametrize("y", [1e-310, 1e-300, 1e-12, 1e-8, 1e-4, 1e4, 1e6, 1e30])
     def test_autocov_extreme_y(self, runner, y):
         res = runner.invoke(main, ["limits", "--family", "autocov", f"--y={y!r}", "--json"])
         assert res.exit_code == 0, res.output
         payload = json.loads(res.stdout)
-        # both approximations lie below the exact one-sided limit T(b1+)
         edge = 2.0 / (1.0 + np.sqrt(1.0 + 8.0 * y))
-        assert 0.0 < payload["t_edge_limit_eps1e5"] < payload["t_edge_limit"] < edge
+        assert payload["t_edge_limit"] == pytest.approx(edge, rel=1e-15)
+
+    def test_autocov_cutoff_at_huge_y(self, runner):
+        # T1 = sigma2 / gamma0 = 1e-20 lies below the exact edge 7.07e-16, so
+        # the factor is identifiable even where the bulk edge b1 is 1e60
+        res = runner.invoke(main, ["limits", "--family", "autocov", "--y", "1e30",
+                                   "--theta", "0", "--gamma", "1e20", "--json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.stdout)
+        assert payload["t_edge_limit"] == pytest.approx(7.0710678118654e-16, rel=1e-12)
+        assert payload["identifiable"] == 1
+        assert payload["factor_limits"] == [pytest.approx(1.0000000001e60, rel=1e-12)]
 
     # numpy's overflow warnings would reach stderr; as errors they exit 1
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -784,6 +794,59 @@ class TestExitCodes:
         assert res.exit_code == 3, res.output
         assert "error: synthetic" in res.stderr
 
+    @pytest.mark.parametrize("method", [
+        ["py"], ["vacle", "--c-n", "1", "--bound", "3"], ["tvacle", "--c-n", "1", "--bound", "3"],
+    ], ids=["py", "vacle", "tvacle"])
+    def test_overflowing_scale_exit_3(self, runner, spectrum_file, method):
+        # autocov spectra are normalized by sigma2^2, which overflows at 1e200
+        res = runner.invoke(main, ["estimate", spectrum_file, "--family", "autocov", "--t", "4",
+                                   "--sigma2", "1e200", "--method", *method])
+        assert res.exit_code == 3, res.output
+        assert "out of float range" in res.stderr
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_oversized_count_exit_2(self, runner, tmp_path, spectrum_file, command):
+        # a sample count beyond the float range cannot enter the estimators' rates
+        huge = str(10 ** 330)
+        args = {"estimate": ["estimate", spectrum_file, "--method", "py", "--family",
+                             "population", "--n", huge, "--py-c", "1"],
+                "simulate": ["simulate", "--config", write_config(
+                    tmp_path, harness={"grid": f"p:50 n:{huge}", "estimators": "py"})]}[command]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "error: population sizes must not exceed the float range" in res.stderr
+
+    # any order of magnitude, the float range's ends and beyond included
+    MAGNITUDES = st.integers(-330, 330).map(lambda k: float(f"1e{k}"))
+    COUNTS = st.integers(2, 10_000) | st.integers(0, 340).map(lambda k: 10 ** k) | st.integers()
+
+    # every estimator option that needs no calibration draw: a ridge, a ratio
+    # tolerance, a py constant, or none for wy
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(FAMILIES),
+           method=st.sampled_from(["vacle", "tvacle", "lwy", "py", "wy"]),
+           values=st.lists(st.floats(0.0, 1e3) | st.floats(0.0, allow_infinity=False),
+                           min_size=3, max_size=40),
+           n=COUNTS, t=COUNTS,
+           sigma2=(st.floats(0.01, 100.0) | MAGNITUDES | st.floats()).map(repr)
+           | st.just("estimated"),
+           tune=st.floats(0.0, 1.0) | st.floats(),
+           bound=st.none() | st.integers(3, 40) | st.integers(),
+           tau=st.none() | st.floats(0.0, 1.0) | st.floats())
+    def test_any_input_keeps_exit_contract(self, tmp_path_factory, family, method, values,
+                                           n, t, sigma2, tune, bound, tau):
+        spectrum = tmp_path_factory.getbasetemp() / "estimate-fuzz.txt"
+        spectrum.write_text("".join(f"{v!r}\n" for v in values))
+        option = {"vacle": "--c-n", "tvacle": "--c-n", "lwy": "--d-t", "py": "--py-c"}
+        args = ["estimate", str(spectrum), "--method", method, "--family", family,
+                f"--n={n}", f"--t={t}", f"--sigma2={sigma2}"]
+        args += [f"--bound={bound}"] if bound is not None else []
+        args += [f"{option[method]}={tune!r}"] if method in option else []
+        args += [f"--tau={tau!r}"] if tau is not None else []
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code in (0, 2, 3), res.output
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("case", ["simulate-unwritable-out",
                                       "calibrate-uncreatable-cache-dir"])
     def test_unusable_output_fails_before_any_draw(self, runner, tmp_path, spectrum_file,
@@ -815,14 +878,16 @@ class TestExitCodes:
         assert "--py-start-index INTEGER RANGE [default: 0; 0<=x<=1]" in text
 
 
-def test_import_leaves_out_scipy_signal():
-    # scipy.signal pulls in scipy.stats, about half the CLI's import time;
-    # only autocov factor models need it
+# scipy.signal pulls in scipy.stats, about half the CLI's import time, and
+# only autocov factor models need it; the oracles are closed form and need no
+# scipy.integrate
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+def test_import_leaves_out(module):
     src = str(Path(spikeorder.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     code = ("import sys, spikeorder.cli, spikeorder.harness; "
-            "print('scipy.signal' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"

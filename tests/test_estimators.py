@@ -193,14 +193,14 @@ class TestTvacle:
             tvacle(spec, EstimatorConfig(c_n=0.2))
 
     def test_sharpens_valley(self):
-        # spike above the window, bulk inside it: the transformed ratio at q
-        # cannot exceed the plain one (requirement on the q-th gap)
+        # spike above the window, bulk inside the default radius
+        # loglog_rate(6) ~ 0.18: the transformed ratio at q cannot exceed the
+        # plain one (requirement on the q-th gap)
         e = 4.0
-        kappa = 0.05
         vals = np.array([9.0, e + 0.02, e + 0.01, e - 0.002, e - 0.01, e - 0.02])
         spec = make_spec(vals)
         cfg_plain = EstimatorConfig(c_n=0.05, L=6)
-        cfg_tr = EstimatorConfig(c_n=0.05, L=6, e=e, kappa_n=kappa, k1=5.0, k2=5.0)
+        cfg_tr = EstimatorConfig(c_n=0.05, L=6, e=e, k1=5.0, k2=5.0)
         _, tr_plain = vacle(spec, cfg_plain)
         _, tr_tr = tvacle(spec, cfg_tr)
         assert tr_tr.ratios[0] <= tr_plain.ratios[0]

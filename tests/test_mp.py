@@ -11,6 +11,7 @@ from spikeorder.rmt import (
 )
 
 from conftest import gauss_legendre_mass
+from quadrature_reference import integrate_density
 
 
 class TestMpLaw:
@@ -61,6 +62,29 @@ class TestDensity:
                                        law.lower_edge, law.upper_edge,
                                        weight=lambda x: x)
             assert mean == pytest.approx(sigma2, abs=1e-6)
+
+
+class TestCdf:
+    @pytest.mark.parametrize("sigma2", [1.0, 2.5])
+    @pytest.mark.parametrize("c", [0.05, 0.25, 1.0, 2.0, 4.0])
+    def test_closed_form_against_quadrature(self, c, sigma2):
+        # the antiderivative against adaptive quadrature of the density, with
+        # points within 1e-9 relative of both edges, where asin would lose digits
+        law = MpLaw(c=c, sigma2=sigma2)
+        a, b = law.lower_edge, law.upper_edge
+        xs = [a * (1 + 1e-9), a + 1e-9 * (b - a), *np.linspace(a, b, 41)[1:-1],
+              b - 1e-9 * (b - a), b * (1 - 1e-9)]
+        for x in (x for x in xs if a < x < b):
+            expected = law.atom_at_zero + integrate_density(
+                lambda t: mp_density(t, law), a, b, upto=x)
+            assert mp_cdf(x, law) == pytest.approx(expected, abs=1e-9)
+
+    def test_outside_support(self):
+        for c in (0.25, 1.0, 2.0):
+            law = MpLaw(c=c, sigma2=2.5)
+            assert mp_cdf(-1.0, law) == 0.0
+            assert mp_cdf(law.lower_edge, law) == law.atom_at_zero
+            assert mp_cdf(law.upper_edge, law) == law.atom_at_zero + law.continuous_mass
 
 
 class TestQuantile:

@@ -6,6 +6,7 @@ import fisher_reference
 import numpy as np
 import population_reference
 import pytest
+from quadrature_reference import integrate_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
@@ -14,7 +15,6 @@ from spikeorder import rmt
 from spikeorder import spectra as spectra_module
 from spikeorder.errors import ConfigurationError, IngestionError, NumericalError
 from spikeorder.rmt import AutocovLaw, FisherLaw, MpLaw, mp_cdf
-from spikeorder.rmt._integrate import integrate_density
 from spikeorder.spectra import (
     AutocovModel,
     FisherModel,
