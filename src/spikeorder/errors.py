@@ -28,7 +28,3 @@ class SubcriticalSpikeError(ValueError, SpikeOrderError):
 
 class QuantileAtomError(ValueError, SpikeOrderError):
     """Requested quantile falls inside the point mass at zero (c > 1)."""
-
-
-class DegenerateSignatureError(ValueError, SpikeOrderError):
-    """Factor signature with gamma0^2 == gamma1^2 or an invalid discriminant."""

@@ -6,12 +6,11 @@ from .autocov import (
     FactorSignature,
     autocov_factor_limit,
     autocov_identifiable_count,
-    autocov_lsd_density,
     autocov_t1,
     autocov_t_edge_limit,
 )
-from .fisher import FisherLaw, fisher_lsd_density
-from .marchenko_pastur import MpLaw, mp_cdf, mp_density, mp_quantile, spike_identifiable_count
+from .fisher import FisherLaw
+from .marchenko_pastur import MpLaw, mp_cdf, mp_quantile, spike_identifiable_count
 
 __all__ = [
     "AutocovLaw",
@@ -21,12 +20,9 @@ __all__ = [
     "MpLaw",
     "autocov_factor_limit",
     "autocov_identifiable_count",
-    "autocov_lsd_density",
     "autocov_t1",
     "autocov_t_edge_limit",
-    "fisher_lsd_density",
     "mp_cdf",
-    "mp_density",
     "mp_quantile",
     "spike_identifiable_count",
 ]

@@ -6,57 +6,46 @@ limiting spectral distribution of M / sigma^4 is supported on
 
     [a1 * 1{y >= 1}, b1],   a1, b1 = (-1 + 20y + 8y^2 -+ (1+8y)^(3/2)) / 8,
 
-with an atom of mass 1 - 1/y at zero when y > 1.  Its Stieltjes data come
-from the cubic
+with an atom of mass 1 - 1/y at zero when y > 1.  The Stieltjes transform S
+of the lag-side companion Sigma' Sigma, whose LSD weights the common nonzero
+eigenvalues by 1/T rather than 1/p, solves the cubic
 
-    z^2 S^3 - 2 z (y-1) S^2 + (y-1)^2 S - z S - 1 = 0,
-
-whose boundary solution S(x + i0+) describes the LSD of the *lag-side
-companion* matrix Sigma' Sigma: that measure weights the common nonzero
-eigenvalues by 1/T rather than 1/p, so the eigenvalue density of M itself is
-Im S / (pi y) and the companion's complementary atom carries the rest of the
-mass.  This normalization is validated against Monte Carlo in the test suite.
+    z^2 S^3 - 2 z (y-1) S^2 + (y-1)^2 S - z S - 1 = 0.
 
 A stationary factor with variance gamma0 and lag-1 auto-covariance gamma1
 adds a rank-one perturbation that (together with its O(1) noise cross terms)
 spawns an eigenvalue of M / sigma^4 converging to beta solving T(beta) = T1,
 where T(z) = int t/(z-t) dmu(t) is the T-transformation of the LSD and
 
-    T1 = [A - sqrt(A^2 - B)] / (2 y (gamma0^2 - gamma1^2)),
+    T1 = [A - sqrt(A^2 - B)] / (2 y (gamma0^2 - gamma1^2))
+       = 2 y sigma^4 / (A + sqrt(A^2 - B)),
     A = 2 y sigma^2 gamma0 + gamma1^2,   B = 4 y^2 sigma^4 (gamma0^2 - gamma1^2),
 
-equivalently A^2 - B = gamma1^2 (gamma1^2 + 4 y sigma^2 gamma0 + 4 y^2 sigma^4),
-which is nonnegative for every valid signature.  Putting T = -(1 + z S) / y
+with A^2 - B = gamma1^2 (gamma1^2 + 4 y sigma^2 gamma0 + 4 y^2 sigma^4) >= 0 for
+every valid signature.  The second form is the one computed: the first
+cancels as y -> 0, where A and sqrt(A^2 - B) both tend to gamma1^2, and is
+0 / 0 at gamma1^2 = gamma0^2.  Putting T = -(1 + z S) / y
 into the cubic inverts T on (b1, inf): z(T) = y (1 + y T) (1 + T)^2 / T falls
 from +inf at T = 0+ to its minimum b1 at T(b1+) = 2 / (1 + sqrt(1 + 8y)).  A
 factor with T1 < T(b1+) has the limit beta = z(T1); otherwise its eigenvalue
 sticks to the bulk edge and the factor is not identifiable.  The cutoff and
-the limits are these closed forms, with no root search and no quadrature;
-the density below serves the tests as an independent reference.
+the limits are these closed forms, with no root search and no quadrature.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..errors import ConfigurationError, DegenerateSignatureError, NumericalError
+from ..errors import ConfigurationError, NumericalError
 
 __all__ = [
     "AutocovLaw",
     "FactorSignature",
     "FactorLimit",
-    "autocov_lsd_density",
     "autocov_t_edge_limit",
     "autocov_t1",
     "autocov_factor_limit",
     "autocov_identifiable_count",
 ]
-
-# boundary extraction: evaluate S at x + i*eta and keep the root with the
-# largest positive imaginary part; below IM_FLOOR counts as "no root"
-_ETA = 1e-9
-_IM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,11 +76,6 @@ class AutocovLaw:
         return self.y * c * c * c / (8.0 * (s + 1.0))
 
     @property
-    def support_lo(self) -> float:
-        """Lower support edge of the continuous part (a1 is active for y >= 1)."""
-        return max(self.a1, 0.0) if self.y >= 1.0 else 0.0
-
-    @property
     def atom_at_zero(self) -> float:
         return max(0.0, 1.0 - 1.0 / self.y)
 
@@ -120,30 +104,6 @@ class FactorLimit:
     identifiable: bool
 
 
-def _stieltjes_roots(z: complex, y: float) -> np.ndarray:
-    return np.roots([z * z, -2.0 * z * (y - 1.0), (y - 1.0) ** 2 - z, -1.0])
-
-
-def autocov_lsd_density(x: float, law: AutocovLaw) -> float:
-    """Density of the LSD of M / sigma^4 at x; zero outside the support."""
-    lo, hi = law.support_lo, law.b1
-    if x <= lo or x >= hi:
-        return 0.0
-    roots = _stieltjes_roots(complex(x, _ETA), law.y)
-    im = max(r.imag for r in roots)
-    if im < _IM_FLOOR:
-        raise NumericalError(
-            f"no Stieltjes root with positive imaginary part at x={x} (y={law.y})"
-        )
-    # for y < 1 the companion measure carries a point mass 1 - y at zero;
-    # its Lorentzian leaks into Im S for x comparable to eta and must be
-    # removed before reading off the continuous density
-    atom = max(0.0, 1.0 - law.y)
-    if atom:
-        im -= atom * _ETA / (x * x + _ETA * _ETA)
-    return max(im, 0.0) / (np.pi * law.y)
-
-
 def _z_of_t(t: float, y: float) -> float:
     """Inverse of the T-transform on (0, T(b1+)): the z > b1 with T(z) = t."""
     return y * (1.0 + y * t) * (1.0 + t) ** 2 / t
@@ -158,17 +118,10 @@ def autocov_t1(sig: FactorSignature, law: AutocovLaw) -> float:
     """Critical T-value of one factor; identifiable iff T1 < T(b1+)."""
     g0, g1 = sig.gamma0, sig.gamma1
     y, s2 = law.y, law.sigma2
-    denom = 2.0 * y * (g0 * g0 - g1 * g1)
-    if denom == 0.0:
-        raise DegenerateSignatureError(
-            f"gamma0^2 == gamma1^2 (gamma0={g0}, gamma1={g1}): zero denominator"
-        )
     a = 2.0 * y * s2 * g0 + g1 * g1
     disc = g1 * g1 * (g1 * g1 + 4.0 * y * s2 * g0 + 4.0 * y * y * s2 * s2)
-    if disc < 0.0:
-        raise DegenerateSignatureError(f"negative discriminant {disc}")
-    # plain floats overflow to NaN without a warning; a tiny sigma2 cancels T1 to 0
-    t1 = (a - math.sqrt(disc)) / denom
+    # plain floats overflow to inf or NaN without a warning; a tiny y sigma^4 underflows
+    t1 = 2.0 * y * s2 * s2 / (a + math.sqrt(disc))
     if not 0.0 < t1 < math.inf:
         raise NumericalError(f"T1 = {t1} of {sig} is not finite and positive ({law})")
     return t1

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import ConfigurationError, SubcriticalSpikeError
 from .marchenko_pastur import _finite_limit
 
-__all__ = ["FisherLaw", "fisher_lsd_density"]
+__all__ = ["FisherLaw"]
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,3 @@ class FisherLaw:
         x = lam / self.sigma2
         g = self.gamma
         return _finite_limit(lam, self.sigma2 * g * x * (x - 1.0 + self.c) / (x - g))
-
-
-def fisher_lsd_density(x: float, law: FisherLaw) -> float:
-    """Bulk density of the Fisher eigenvalues at x (continuous part)."""
-    a, b = law.lower_edge, law.upper_edge
-    if x <= a or x >= b:
-        return 0.0
-    u = x / law.sigma2
-    a1, b1 = a / law.sigma2, b / law.sigma2
-    dens = ((1.0 - law.y) * np.sqrt((b1 - u) * (u - a1))
-            / (2.0 * np.pi * u * (law.c + u * law.y)))
-    return dens / law.sigma2

@@ -6,20 +6,18 @@ n observations (p/n -> c) has limiting spectral distribution supported on
 at zero when c > 1.  Population eigenvalues above sigma^2 (1+sqrt(c))
 escape the bulk; the forward map of an escaping spike is phi(x) = x + cx/(x-1)
 on the sigma^2-normalized scale.  The distribution function is the density's
-closed-form antiderivative; only the quantile solves for a root.
+closed-form antiderivative; the quantile bisects it down to adjacent floats.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ConfigurationError, NumericalError, QuantileAtomError, SubcriticalSpikeError
 
 __all__ = [
     "MpLaw",
-    "mp_density",
     "mp_cdf",
     "mp_quantile",
     "spike_identifiable_count",
@@ -79,17 +77,6 @@ class MpLaw:
         return _finite_limit(lam, self.sigma2 * (x + self.c * x / (x - 1.0)))
 
 
-def mp_density(x: float, law: MpLaw) -> float:
-    """Continuous-part density at x; zero outside the open support.
-
-    The c > 1 atom at zero is reported separately via ``law.atom_at_zero``.
-    """
-    a, b = law.lower_edge, law.upper_edge
-    if x <= a or x >= b:
-        return 0.0
-    return np.sqrt((b - x) * (x - a)) / (2.0 * np.pi * x * law.c * law.sigma2)
-
-
 def mp_cdf(x: float, law: MpLaw) -> float:
     """Distribution function, atom at zero included.
 
@@ -122,7 +109,9 @@ def mp_quantile(alpha: float, c: float) -> float:
     """Quantile of the unit-scale (sigma2 = 1) Marchenko-Pastur law.
 
     For c > 1 the CDF includes the atom at zero, so alpha <= 1 - 1/c would
-    land inside the point mass and is rejected.
+    land inside the point mass and is rejected.  The CDF is monotone, so
+    bisection of the bracket ends at two adjacent floats; the one whose CDF is
+    nearer alpha is returned.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -134,7 +123,12 @@ def mp_quantile(alpha: float, c: float) -> float:
     a, b = law.lower_edge, law.upper_edge
     lo = a + 1e-14 * max(1.0, b)
     hi = b - 1e-14 * max(1.0, b)
-    return optimize.brentq(lambda x: mp_cdf(x, law) - alpha, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mp_cdf(mid, law) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda x: abs(mp_cdf(x, law) - alpha))
 
 
 def _finite_limit(lam: float, limit: float) -> float:

@@ -19,7 +19,10 @@ use the exact banded model (``simulate_population``), eigensolved by LAPACK
 ``dsbevd``; spiked Fisher draws use the whitened Bartlett model
 (``simulate_fisher``); auto-covariance draws are dense.  Fisher and
 auto-covariance eigensolve by LAPACK ``dsyevd``.  Every LAPACK call goes
-through ctypes with the GIL released.
+through ctypes with the GIL released, to the function pointers of scipy's
+Cython LAPACK API.  That extension is loaded from its file: importing it from
+``scipy.linalg`` would first import numpy.f2py, numpy.testing and numpy.ma,
+the larger part of the package's import time.
 
 All generators are deterministic functions of (spec, rng) and never share
 state, so ``replicate`` can run replications concurrently, one stream each.
@@ -28,6 +31,8 @@ state, so ``replicate`` can run replications concurrently, one stream each.
 import csv
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import sys
 import threading
@@ -38,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg import cython_lapack
 
 from . import rmt
 from .errors import ConfigurationError, IngestionError, NumericalError
@@ -366,6 +370,22 @@ def _finish(w: np.ndarray, p: int, info: int = 0) -> np.ndarray:
     if info:
         raise NumericalError(f"eigensolver did not converge (LAPACK info {info})")
     return np.maximum(np.sort(np.concatenate([np.zeros(p - w.size), w]))[::-1], 0.0)
+
+
+def _load_cython_lapack():
+    """scipy's Cython LAPACK API from its extension file, without ``scipy/linalg/__init__``;
+    the extension hands back the module object ``scipy.linalg`` gets, whichever loads first."""
+    folder = Path(scipy.__file__).parent / "linalg"
+    # the suffix, not a glob: cython_lapack.pxd sits next to the extension
+    path = next(path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                if (path := folder / f"cython_lapack{suffix}").is_file())
+    spec = importlib.util.spec_from_file_location("scipy.linalg.cython_lapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cython_lapack = _load_cython_lapack()
 
 
 def _lapack(name: str, *argtypes):

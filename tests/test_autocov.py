@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-import spikeorder.rmt.autocov as autocov_mod
-from spikeorder.errors import ConfigurationError, DegenerateSignatureError
+from spikeorder.errors import ConfigurationError
 from spikeorder.rmt import (
     AutocovLaw,
     FactorSignature,
     autocov_factor_limit,
     autocov_identifiable_count,
-    autocov_lsd_density,
     autocov_t1,
     autocov_t_edge_limit,
 )
@@ -19,6 +17,7 @@ from spikeorder.rmt.autocov import _z_of_t
 from spikeorder.spectra import AutocovModel
 
 from conftest import gauss_legendre_mass
+from rmt_reference import autocov_lsd_density, autocov_support_lo
 
 
 def ar1_signature(theta, innovation_var=2.0):
@@ -51,11 +50,11 @@ class TestLaw:
         law = AutocovLaw(y=0.5)
         assert law.b1 == pytest.approx(2.7725424859373686, abs=1e-14)
         assert law.a1 == pytest.approx(-0.022542485937368628, abs=1e-14)
-        assert law.support_lo == 0.0
+        assert autocov_support_lo(law) == 0.0
         law2 = AutocovLaw(y=2.0)
         assert law2.b1 == pytest.approx(17.63659945443753, abs=1e-12)
         assert law2.a1 == pytest.approx(0.11340054556247203, abs=1e-14)
-        assert law2.support_lo == law2.a1
+        assert autocov_support_lo(law2) == law2.a1
 
     def test_edges_against_reported_values(self):
         assert abs(AutocovLaw(y=0.5).b1 - 2.773) < 1e-3
@@ -88,7 +87,7 @@ class TestDensity:
     def test_positive_root_inside_support(self):
         for y in (0.5, 2.0):
             law = AutocovLaw(y=y)
-            lo, hi = law.support_lo, law.b1
+            lo, hi = autocov_support_lo(law), law.b1
             for x in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 25):
                 assert autocov_lsd_density(float(x), law) > 0
 
@@ -98,14 +97,14 @@ class TestDensity:
     def test_mass(self, y, tol):
         law = AutocovLaw(y=y)
         mass = gauss_legendre_mass(lambda x: autocov_lsd_density(x, law),
-                                   law.support_lo, law.b1, nodes=2000)
+                                   autocov_support_lo(law), law.b1, nodes=2000)
         assert mass == pytest.approx(min(1.0, 1.0 / y), abs=tol)
 
     def test_mean(self):
         # first moment of the full LSD equals y (the atom contributes zero)
         law = AutocovLaw(y=0.5)
         mean = gauss_legendre_mass(lambda x: autocov_lsd_density(x, law),
-                                   law.support_lo, law.b1, nodes=2000,
+                                   autocov_support_lo(law), law.b1, nodes=2000,
                                    weight=lambda x: x)
         assert mean == pytest.approx(0.5, abs=1e-5)
 
@@ -113,7 +112,7 @@ class TestDensity:
 def t_by_quadrature(z, law):
     """T(z) = int t/(z-t) dmu(t) from the LSD's own density, fixed-node quadrature."""
     density = functools.cache(lambda x: autocov_lsd_density(x, law))
-    return gauss_legendre_mass(density, law.support_lo, law.b1, nodes=2000,
+    return gauss_legendre_mass(density, autocov_support_lo(law), law.b1, nodes=2000,
                                weight=lambda t: t / (z - t))
 
 
@@ -192,10 +191,18 @@ class TestT1:
         law2 = AutocovLaw(y=0.7, sigma2=2.0)
         assert autocov_t1(sig, law2) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
+    def test_small_y_without_cancellation(self):
+        # A and sqrt(disc) both tend to gamma1^2 as y -> 0; their difference
+        # cancels to 0 at y = 1e-10, where T1 ~ y sigma^4 / gamma1^2
+        sig = ar1_signature(0.5)
+        assert autocov_t1(sig, AutocovLaw(y=1e-10)) == pytest.approx(5.6249999983e-11, rel=1e-10)
+
     def test_degenerate(self):
+        # at gamma1^2 = gamma0^2 the first form is 0 / 0; the computed one
+        # gives y sigma^4 / A, A = 2 y sigma^2 gamma0 + gamma0^2 = 6
         law = AutocovLaw(y=0.5)
-        with pytest.raises(DegenerateSignatureError):
-            autocov_t1(FactorSignature(gamma0=2.0, gamma1=2.0), law)
+        assert autocov_t1(FactorSignature(gamma0=2.0, gamma1=2.0), law) == pytest.approx(
+            0.5 / 6.0, rel=1e-15)
 
     def test_signature_validation(self):
         with pytest.raises(ConfigurationError):
@@ -240,10 +247,11 @@ class TestFactorLimit:
 
 class TestOraclePath:
     def test_oracle_reads_no_density(self, monkeypatch):
-        # the cutoff and the factor limits are closed form, not quadrature
+        # the cutoff and the factor limits are closed form, not quadrature of
+        # the density, which needs a root of the Stieltjes cubic at every node
         def no_density(*args):
             raise AssertionError("the oracle path evaluated the density")
-        monkeypatch.setattr(autocov_mod, "autocov_lsd_density", no_density)
+        monkeypatch.setattr(np, "roots", no_density)
         law = AutocovLaw(y=0.5)
         sigs = [ar1_signature(t) for t in (0.6, -0.5, 0.3)]
         assert autocov_identifiable_count(sigs, law) == 3

@@ -880,8 +880,12 @@ class TestExitCodes:
 
 # scipy.signal pulls in scipy.stats, about half the CLI's import time, and
 # only autocov factor models need it; the oracles are closed form and need no
-# scipy.integrate
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+# scipy.integrate; LAPACK is bound without the scipy.linalg package, which
+# imports numpy.f2py, and the MP quantile bisects without scipy.optimize, which
+# imports scipy.special and scipy.fft
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy.linalg",
+                                    "scipy.optimize", "scipy.special", "scipy.fft",
+                                    "numpy.f2py"])
 def test_import_leaves_out(module):
     src = str(Path(spikeorder.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from spikeorder.errors import ConfigurationError, SubcriticalSpikeError
-from spikeorder.rmt import FisherLaw, fisher_lsd_density, spike_identifiable_count
+from spikeorder.rmt import FisherLaw, spike_identifiable_count
 
 from conftest import gauss_legendre_mass
+from rmt_reference import fisher_lsd_density
 
 
 class TestFisherLaw:

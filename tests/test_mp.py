@@ -5,13 +5,13 @@ from spikeorder.errors import ConfigurationError, QuantileAtomError, Subcritical
 from spikeorder.rmt import (
     MpLaw,
     mp_cdf,
-    mp_density,
     mp_quantile,
     spike_identifiable_count,
 )
 
 from conftest import gauss_legendre_mass
 from quadrature_reference import integrate_density
+from rmt_reference import mp_density, mp_quantile_brentq
 
 
 class TestMpLaw:
@@ -111,6 +111,30 @@ class TestQuantile:
         qs = [mp_quantile(a, 0.25) for a in (0.2, 0.4, 0.6, 0.8)]
         assert all(qs[i] < qs[i + 1] for i in range(3))
         assert all(0.25 < q < 2.25 for q in qs)
+
+    # mp_quantile bisects the CDF to adjacent floats; brentq on the same
+    # bracket is the reference, over six decades of aspect ratios
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9, 0.9999])
+    def test_against_brentq(self, alpha):
+        checked = 0
+        for c in np.geomspace(1e-3, 1e3, 301):
+            if alpha <= MpLaw(c=float(c)).atom_at_zero + 1e-15:
+                continue
+            assert mp_quantile(alpha, float(c)) == pytest.approx(
+                mp_quantile_brentq(alpha, float(c)), rel=1e-12)
+            checked += 1
+        assert checked >= 150
+
+    @pytest.mark.parametrize("c", [1.01, 1.5, 2.0, 10.0, 1e3])
+    def test_just_above_atom(self, c):
+        # the CDF is flat at the lower edge, so the quantile is ill-conditioned
+        # there: it meets brentq's loosely, and alpha to the CDF's own rounding
+        law = MpLaw(c=c)
+        for gap in (1e-12, 1e-9, 1e-6):
+            alpha = law.atom_at_zero + gap
+            q = mp_quantile(alpha, c)
+            assert law.lower_edge < q == pytest.approx(mp_quantile_brentq(alpha, c), rel=1e-9)
+            assert abs(mp_cdf(q, law) - alpha) <= 4 * np.finfo(float).eps
 
     def test_atom_error(self):
         with pytest.raises(QuantileAtomError):

@@ -1,5 +1,9 @@
 import ast
+import ctypes
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fisher_reference
@@ -7,6 +11,7 @@ import numpy as np
 import population_reference
 import pytest
 from quadrature_reference import integrate_density
+from rmt_reference import autocov_lsd_density, autocov_support_lo, fisher_lsd_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
@@ -311,7 +316,7 @@ class TestFisher:
         law = FisherLaw(c=0.2, y=0.5)
 
         def cdf(x):
-            return integrate_density(lambda t: rmt.fisher_lsd_density(t, law),
+            return integrate_density(lambda t: fisher_lsd_density(t, law),
                                      law.lower_edge, law.upper_edge, upto=x)
 
         ks = ks_statistic(spec.values[5:], cdf)
@@ -387,8 +392,8 @@ class TestAutocov:
         law = AutocovLaw(y=0.5)
 
         def cdf(x):
-            return integrate_density(lambda t: rmt.autocov_lsd_density(t, law),
-                                     law.support_lo, law.b1, upto=x)
+            return integrate_density(lambda t: autocov_lsd_density(t, law),
+                                     autocov_support_lo(law), law.b1, upto=x)
 
         ks = ks_statistic(spec.values[5:], cdf)
         assert ks <= 0.05
@@ -514,15 +519,47 @@ class TestBisection:
 
 def test_lapack_only_through_cython_api():
     # scipy.linalg's f2py wrappers hold the GIL while LAPACK runs, so every
-    # solver goes through spectra._lapack and the Cython API's function pointers
+    # solver goes through spectra._lapack and the Cython API's function
+    # pointers, whose extension is loaded from its file: spectra.py imports
+    # nothing of scipy.linalg by name
     nodes = list(ast.walk(ast.parse(Path(spectra_module.__file__).read_text())))
-    imported = [(node.module, alias.name) for node in nodes if isinstance(node, ast.ImportFrom)
-                for alias in node.names if (node.module or "").startswith("scipy.linalg")]
-    imported += [(alias.name, None) for node in nodes if isinstance(node, ast.Import)
-                 for alias in node.names if alias.name.startswith("scipy.linalg")]
-    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)
-                  and ast.unparse(node.value) == "scipy.linalg"}
-    assert imported == [("scipy.linalg", "cython_lapack")] and attributes <= {"cython_lapack"}
+    imported = [f"{node.module}.{alias.name}" for node in nodes
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    imported += [alias.name for node in nodes if isinstance(node, ast.Import)
+                 for alias in node.names]
+    attributes = {ast.unparse(node) for node in nodes if isinstance(node, ast.Attribute)}
+    assert not [name for name in imported if name.startswith("scipy.linalg")]
+    assert "scipy.linalg" not in attributes
+    for name in ("dsyevd", "dsbevd", "dstebz", "dsygst"):
+        assert ctypes.cast(spectra_module._lapack(name), ctypes.c_void_p).value
+
+
+# the same function pointer whichever of the two loads the extension first
+CAPSULE_POINTERS = """
+import ctypes, importlib, sys
+importlib.import_module(sys.argv[1])
+linalg_loaded = "scipy.linalg" in sys.modules
+from scipy.linalg import cython_lapack
+from spikeorder import spectra
+api = ctypes.pythonapi
+api.PyCapsule_GetName.restype, api.PyCapsule_GetName.argtypes = ctypes.c_char_p, [ctypes.py_object]
+api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+capsule = cython_lapack.__pyx_capi__["dsyevd"]
+print(linalg_loaded, spectra.cython_lapack is cython_lapack,
+      api.PyCapsule_GetPointer(capsule, api.PyCapsule_GetName(capsule))
+      == ctypes.cast(spectra._dsyevd, ctypes.c_void_p).value)
+"""
+
+
+@pytest.mark.parametrize("first", ["spikeorder.spectra", "scipy.linalg"])
+def test_cython_lapack_load_order(first):
+    src = str(Path(spectra_module.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", CAPSULE_POINTERS, first],
+                         env={**os.environ, "PYTHONPATH": path}, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == [str(first == "scipy.linalg"), "True", "True"]
 
 
 NAN, INF = math.nan, math.inf
