@@ -61,10 +61,6 @@ SCHEMA_VERSION = 2
 DEFAULT_REPS = 500
 DEFAULT_SEED = 7
 
-# the ratio-tolerance d_T fires the consecutive-ratio rule at i = 1 in this
-# fraction of pure-noise runs; 1.0 picks the largest observed statistic
-LWY_FIRE_LEVEL = 1.0
-
 # calibration constants for the consecutive-gap baseline, keyed by c = p/n
 _PY_TABLE = ((0.25, 5.5226), (1.0, 6.3424), (2.0, 7.6257))
 
@@ -281,7 +277,7 @@ def aggregate_gaps(kind: str, p: int, n, T, seed: int, gaps, lwy_stats) -> Calib
     }
     clamped = tuple(name for name, v in raw.items() if v <= 0.0)
     ridges = {name: (v if v > 0.0 else RIDGE_FLOOR) for name, v in raw.items()}
-    d_t = _rank_quantile(np.sort(lwy_stats), LWY_FIRE_LEVEL)
+    d_t = float(np.max(lwy_stats))  # the largest pure-noise consecutive-ratio statistic
 
     return CalibrationResult(
         kind=kind, p=p, n=n, T=T, reps=reps, seed=seed,

@@ -1,10 +1,11 @@
 """Command-line surface: calibrate, estimate, simulate, report, limits.
 
 Exit codes: 0 on success, 2 on configuration or ingestion errors and on a
-path that cannot be read or written, 3 on numerical failures, which for
-``simulate`` includes a grid point none of whose replications completed
-(reported after the CSV is written).  The ``main`` group maps every error
-to its exit code in one place; the commands raise.
+path that cannot be read or written, 3 on numerical failures.  A ``simulate``
+grid point none of whose replications completed exits 3 when a numerical
+failure stopped it and 2 for any other failure (reported after the CSV is
+written).  The ``main`` group maps every error to its exit code in one place;
+the commands raise.
 With ``--json``, stdout carries one JSON object per line for machine
 consumption.
 """
@@ -312,9 +313,10 @@ def simulate(config_path, seed, reps, out, workers, want_trace, cache_dir):
     for r in result.reports[::len(cfg.estimators)]:  # the first row of each grid point
         if r.partial:
             click.echo(f"warning: partial grid point p={r.p}: {r.error}", err=True)
-    for exc in result.failures:
-        if isinstance(exc, NumericalError):
-            raise NumericalError(f"no replication of a grid point completed: {exc}")
+    if result.failures:  # the first grid point that completed no replication
+        exc = result.failures[0]
+        kind = NumericalError if isinstance(exc, NumericalError) else ConfigurationError
+        raise kind(f"no replication of a grid point completed: {exc}")
 
 
 @main.command()

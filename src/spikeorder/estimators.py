@@ -208,7 +208,10 @@ def tvacle(spec: Spectrum, cfg: EstimatorConfig):
     if cfg.e is None:
         raise ConfigurationError("tvacle requires the bulk edge e in the config")
     x = _normalized_head(spec, cfg.sigma2, cfg)
-    fx = fn_transform(x, cfg.e, loglog_rate(spec.p), cfg.k1, cfg.k2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported here
+        fx = fn_transform(x, cfg.e, loglog_rate(spec.p), cfg.k1, cfg.k2)
+    if not np.all(np.isfinite(fx)):
+        raise NumericalError(f"the transformed spectrum leaves the float range (top {x[0]})")
     trace = _trace(fx, cfg)
     return trace.q_hat, trace
 

@@ -246,10 +246,7 @@ def _aggregate(model_id, model, setting, q_true, qs, seed, runtime_s,
         mean = float(np.mean(qs))
         mse = float(np.mean((qs - q_true) ** 2))
         misest = float(np.mean(qs != q_true))
-        buckets = np.zeros(N_BUCKETS + 1)
-        for q in qs:
-            buckets[min(int(q), N_BUCKETS)] += 1
-        buckets /= reps
+        buckets = np.bincount(np.minimum(qs, N_BUCKETS), minlength=N_BUCKETS + 1) / reps
     else:
         mean = mse = misest = float("nan")
         buckets = np.zeros(N_BUCKETS + 1)

@@ -63,7 +63,7 @@ def _stieltjes_roots(z: complex, y: float) -> np.ndarray:
 def autocov_lsd_density(x: float, law: AutocovLaw) -> float:
     """Density of the LSD of M / sigma^4 at x; zero outside the support.
 
-    The boundary root S(x + i eta) of the cubic in ``spikeorder.rmt.autocov``
+    The boundary root S(x + i eta) of the cubic in ``spikeorder.rmt``
     describes the lag-side companion Sigma' Sigma, whose LSD weights the common
     nonzero eigenvalues by 1/T rather than 1/p; the density of M itself is
     Im S / (pi y), and the companion's complementary atom carries the rest of

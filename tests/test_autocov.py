@@ -13,7 +13,7 @@ from spikeorder.rmt import (
     autocov_t1,
     autocov_t_edge_limit,
 )
-from spikeorder.rmt.autocov import _z_of_t
+from spikeorder.rmt import _z_of_t
 from spikeorder.spectra import AutocovModel
 
 from conftest import gauss_legendre_mass

@@ -561,6 +561,21 @@ class TestSimulate:
         assert ("warning: partial grid point p=30" in res.stderr) == (code == 3)
         assert ("error: " in res.stderr) == (code == 3)
 
+    def test_no_completed_replication_on_bad_input_exit_2(self, runner, tmp_path):
+        # a burn-in beyond numpy's dimension limit fails every replication with
+        # a ValueError (nothing is allocated); the CSV and the warning come
+        # out, then exit 2, not a partial grid point with exit 0
+        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": "", "theta": "0.5",
+                                            "burn_in": str(10 ** 20)},
+                           harness={"grid": "p:10 T:20", "estimators": "lwy"},
+                           calibration={"reps": "20"})
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--reps", "2",
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "warning: partial grid point p=10" in res.stderr
+        assert "error: no replication of a grid point completed" in res.stderr
+        assert (tmp_path / "out.csv").exists()
+
     def test_partial_warning_once_per_grid_point(self, runner, tmp_path):
         cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": "", "sigma2": "1e200"},
                            harness={"grid": "p:30 T:60", "estimators": "lwy, tvacle"})
@@ -803,6 +818,16 @@ class TestExitCodes:
                                    "--sigma2", "1e200", "--method", *method])
         assert res.exit_code == 3, res.output
         assert "out of float range" in res.stderr
+
+    def test_overflowing_transform_exit_3(self, runner, tmp_path):
+        # the transform squares the top value 8.48e153 past the float range
+        spectrum = tmp_path / "huge.txt"
+        spectrum.write_text("0\n0\n8.48e153\n")
+        res = runner.invoke(main, ["estimate", str(spectrum), "--method", "tvacle",
+                                   "--family", "population", "--n", "2", "--sigma2", "1.0",
+                                   "--bound", "3", "--c-n", "1.0"])
+        assert res.exit_code == 3, res.output
+        assert "transformed spectrum" in res.stderr
 
     @pytest.mark.parametrize("command", ["estimate", "simulate"])
     def test_oversized_count_exit_2(self, runner, tmp_path, spectrum_file, command):
