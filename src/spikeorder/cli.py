@@ -89,7 +89,7 @@ def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
     cache = _cache_dir(cache_dir)
     result = calibrate_ridge(kind, p=p, n=n, T=t_, reps=reps, seed=seed,
                              workers=workers, cache_dir=cache, force=force)
-    _emit({"kind": kind, "p": p, "n": n, "T": t_, "reps": reps, "seed": seed,
+    _emit({"kind": kind, "p": p, "n": result.n, "T": result.T, "reps": reps, "seed": seed,
            "m_pn": result.m_pn, "c1": result.c1, "c2": result.c2,
            "c3a": result.c3a, "c3b": result.c3b, "d_t_lwy": result.d_t_lwy,
            "clamped": list(result.clamped), "cache_dir": cache}, as_json)
@@ -146,7 +146,7 @@ def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed
 
     if trace_path and trace is not None:
         with open(trace_path, "w") as fh:
-            fh.write(trace.to_json())
+            fh.write(json.dumps(trace.to_dict()))
     if plot_data and trace is not None:
         with open(plot_data, "w") as fh:
             fh.write("i,ratio,tau\n")
@@ -272,8 +272,10 @@ def load_experiment_config(path, seed=None, reps=None, out=None):
         cfg = ExperimentConfig(model_id=os.path.splitext(os.path.basename(path))[0],
                                model=model, estimators=estimators, **settings)
         out_path = out if out is not None else parser.get("io", "out", fallback=None)
-        want_trace = parser.get("io", "trace", fallback="false").strip().lower() in (
-            "1", "true", "yes")
+        try:
+            want_trace = parser.getboolean("io", "trace", fallback=False)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value for io.trace: {exc}") from None
         return cfg, out_path, want_trace
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config file {path}: {exc}") from None

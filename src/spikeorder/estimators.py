@@ -16,7 +16,6 @@ rule (``py_estimator``), a consecutive-eigenvalue-ratio rule
 (``lwy_estimator``) and a bulk-edge exceedance count (``wy_estimator``).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ __all__ = [
     "loglog",
     "loglog_rate",
     "fn_transform",
-    "ridge_ratios",
     "vacle",
     "tvacle",
     "py_estimator",
@@ -53,16 +51,13 @@ def loglog_rate(p: int) -> float:
 class EstimatorConfig:
     """Tuning for the valley-cliff estimators.
 
-    ``sigma2`` is the positive noise scale the spectrum is normalized by,
-    known or already estimated (``harness.build_estimator`` resolves it per
-    spectrum).  The transformation block (e, k1, k2) only matters for the
-    transformed variant, whose radius is loglog(p) * p^(-2/3).
+    The transformation block (e, k1, k2) only matters for the transformed
+    variant, whose radius is loglog(p) * p^(-2/3).
     """
 
     c_n: float
     tau: float = 0.5
     L: int = 20
-    sigma2: float = 1.0
     e: float | None = None
     k1: float = 5.0
     k2: float = 5.0
@@ -74,8 +69,6 @@ class EstimatorConfig:
             raise ConfigurationError(f"search bound L must be at least 3, got {self.L}")
         if self.c_n <= 0:
             raise ConfigurationError(f"ridge c_n must be positive, got {self.c_n}")
-        if self.sigma2 <= 0:
-            raise ConfigurationError(f"sigma2 must be positive, got {self.sigma2}")
         if self.k1 < 0 or self.k2 < 0:
             raise ConfigurationError("k1 and k2 must be nonnegative")
 
@@ -98,9 +91,6 @@ class RatioTrace:
             "c_n": self.c_n,
             "q_hat": self.q_hat,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -181,25 +171,18 @@ def _normalized_head(spec: Spectrum, sigma2: float, cfg: EstimatorConfig) -> np.
     return _normalized(spec.values[: cfg.L], sigma2, spec.scale_power)
 
 
-def ridge_ratios(spec: Spectrum, sigma2: float, cfg: EstimatorConfig) -> RatioTrace:
-    """Gaps and ridge ratios of the sigma-normalized spectrum.
+def vacle(spec: Spectrum, sigma2: float, cfg: EstimatorConfig):
+    """Valley-cliff estimate on the gaps of the spectrum normalized by ``sigma2``.
 
-    Produces delta_1 .. delta_{L-1} and r_1 .. r_{L-2}; q_hat is the
-    thresholded valley index (0 when no ratio falls at or below tau).
+    Returns ``(q_hat, trace)``.  The trace holds delta_1 .. delta_{L-1} and
+    r_1 .. r_{L-2}; q_hat is the thresholded valley index (0 when no ratio
+    falls at or below tau).
     """
-    return _trace(_normalized_head(spec, sigma2, cfg), cfg)
-
-
-def vacle(spec: Spectrum, cfg: EstimatorConfig):
-    """Valley-cliff estimate on the raw normalized gaps.
-
-    Returns ``(q_hat, trace)``.
-    """
-    trace = ridge_ratios(spec, cfg.sigma2, cfg)
+    trace = _trace(_normalized_head(spec, sigma2, cfg), cfg)
     return trace.q_hat, trace
 
 
-def tvacle(spec: Spectrum, cfg: EstimatorConfig):
+def tvacle(spec: Spectrum, sigma2: float, cfg: EstimatorConfig):
     """Valley-cliff estimate on transformed gaps; returns ``(q_hat, trace)``.
 
     Requires ``cfg.e``, the bulk upper edge of the model family on the
@@ -207,7 +190,7 @@ def tvacle(spec: Spectrum, cfg: EstimatorConfig):
     """
     if cfg.e is None:
         raise ConfigurationError("tvacle requires the bulk edge e in the config")
-    x = _normalized_head(spec, cfg.sigma2, cfg)
+    x = _normalized_head(spec, sigma2, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported here
         fx = fn_transform(x, cfg.e, loglog_rate(spec.p), cfg.k1, cfg.k2)
     if not np.all(np.isfinite(fx)):

@@ -204,16 +204,14 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
         # a unit ridge stands in for a calibrated one while the tuning is checked
         cfg = EstimatorConfig(
             c_n=1.0 if setting.c_n is None else setting.c_n, tau=tau, L=setting.L,
-            sigma2=model.sigma2, e=model.bulk_edge() if name == "tvacle" else None,
+            e=model.bulk_edge() if name == "tvacle" else None,
             k1=setting.k1, k2=setting.k2,
         )
         fn = tvacle if name == "tvacle" else vacle
         ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
         tuned = functools.cache(
             lambda: cfg if setting.c_n is not None else replace(cfg, c_n=calibrate().ridge(ridge)))
-        if estimated:
-            return lambda spec: fn(spec, replace(tuned(), sigma2=scale(spec)))
-        return lambda spec: fn(spec, tuned())
+        return lambda spec: fn(spec, scale(spec), tuned())
 
     if name == "py":
         if setting.py_start_index not in (0, 1):

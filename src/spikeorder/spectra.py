@@ -366,9 +366,11 @@ class Spectrum:
 
 def _finish(w: np.ndarray, p: int, info: int = 0) -> np.ndarray:
     """The ascending eigenvalues w of a solve, zero-padded to length p, sorted descending and
-    clamped at zero (eigensolver noise); NumericalError on a nonzero LAPACK ``info``."""
+    clamped at zero (eigensolver noise); NumericalError on a LAPACK ``info`` or a non-finite w."""
     if info:
         raise NumericalError(f"eigensolver did not converge (LAPACK info {info})")
+    if not np.all(np.isfinite(w)):
+        raise NumericalError("eigensolver returned a non-finite eigenvalue")
     return np.maximum(np.sort(np.concatenate([np.zeros(p - w.size), w]))[::-1], 0.0)
 
 

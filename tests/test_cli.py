@@ -246,6 +246,17 @@ class TestCalibrate:
         assert list(tmp_path.glob("calib_*.json")) == [path]
         assert path.stat().st_mtime_ns == mtime
 
+    def test_reports_the_sizes_the_result_is_keyed_by(self, runner, tmp_path):
+        # a population calibration is keyed by (p, n): --t is not one of its sizes
+        res = runner.invoke(main, ["calibrate", "--kind", "population", "--p", "20",
+                                   "--n", "30", "--t", "99", "--reps", "20",
+                                   "--cache-dir", str(tmp_path), "--json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        (path,) = tmp_path.glob("calib_*.json")
+        cached = json.loads(path.read_text())
+        assert (payload["n"], payload["T"]) == (30, None) == (cached["n"], cached["T"])
+
     def test_reps_floor_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["calibrate", "--kind", "population", "--p", "40",
                                    "--n", "60", "--reps", "1",
@@ -482,6 +493,8 @@ class TestSimulate:
         ("model", "spikes", "7, x"),
         ("harness", "reps", "ten"),
         ("harness", "grid", "p:5x n:20"),
+        ("io", "trace", "ture"),
+        ("io", "trace", ""),
     ])
     def test_bad_value_named(self, runner, tmp_path, section, key, value):
         cfg = write_config(tmp_path, **{section: {key: value}})
@@ -489,6 +502,16 @@ class TestSimulate:
                                    "--cache-dir", str(tmp_path / "cache")])
         assert res.exit_code == 2, res.output
         assert f"{section}.{key}" in res.output + (res.stderr or "")
+
+    @pytest.mark.parametrize("value, mirrored", [("on", True), ("No", False)])
+    def test_trace_takes_configparser_booleans(self, runner, tmp_path, value, mirrored):
+        cfg = write_config(tmp_path, io={"trace": value},
+                           harness={"grid": "p:10 n:20", "reps": "2", "estimators": "lwy"},
+                           calibration={"reps": "20"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "out.json").exists() == mirrored
 
     def test_unknown_section_named(self, runner, tmp_path):
         cfg = write_config(tmp_path, alien={"x": "1"})
@@ -560,6 +583,22 @@ class TestSimulate:
         assert len(rows) == 2 and {row.split(",")[5] for row in rows} == {reps}
         assert ("warning: partial grid point p=30" in res.stderr) == (code == 3)
         assert ("error: " in res.stderr) == (code == 3)
+
+    @pytest.mark.parametrize("alpha, sigma2", [("1.7e308, 1e308, 1e308", "1e300"),
+                                               ("1.7e308, 1.7e308, 1.7e308", "1.0")],
+                             ids=["inf-eigenvalue", "lapack-info"])
+    def test_overflowing_draw_exit_3(self, runner, tmp_path, alpha, sigma2):
+        # both overflow the pencil: its solve returns an infinite eigenvalue
+        # with LAPACK info 0, or fails to converge; each is a numerical failure
+        cfg = write_config(tmp_path, model={"kind": "fisher", "spikes": "", "alpha": alpha,
+                                            "sigma2": sigma2},
+                           harness={"grid": "p:10 n:20 T:40", "reps": "2", "seed": "0",
+                                    "estimators": "wy"},
+                           calibration={"reps": "20"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 3, res.output
+        assert "NumericalError" in res.stderr
 
     def test_no_completed_replication_on_bad_input_exit_2(self, runner, tmp_path):
         # a burn-in beyond numpy's dimension limit fails every replication with

@@ -9,7 +9,6 @@ from spikeorder.estimators import (
     loglog_rate,
     lwy_estimator,
     py_estimator,
-    ridge_ratios,
     tvacle,
     vacle,
     wy_estimator,
@@ -26,7 +25,7 @@ class TestRidgeRatios:
     def test_hand_example(self):
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
         cfg = EstimatorConfig(c_n=0.1, tau=0.5, L=6)
-        trace = ridge_ratios(spec, 1.0, cfg)
+        trace = vacle(spec, 1.0, cfg)[1]
         expected = [3.9 / 4.1, 0.2 / 3.9, 0.15 / 0.2, 0.15 / 0.15]
         assert np.allclose(trace.ratios, expected, atol=1e-14)
         assert trace.q_hat == 2
@@ -34,7 +33,7 @@ class TestRidgeRatios:
     def test_all_equal(self):
         spec = make_spec([2.0] * 10)
         cfg = EstimatorConfig(c_n=0.3, L=10)
-        trace = ridge_ratios(spec, 1.0, cfg)
+        trace = vacle(spec, 1.0, cfg)[1]
         assert np.all(trace.ratios == 1.0)
         assert trace.q_hat == 0
 
@@ -42,8 +41,8 @@ class TestRidgeRatios:
         # joint scaling by a power of two is exact in IEEE arithmetic
         vals = np.array([9.0, 5.0, 1.2, 1.1, 1.07, 1.01, 0.95, 0.9])
         cfg = EstimatorConfig(c_n=0.07, L=8)
-        base = ridge_ratios(make_spec(vals), 1.0, cfg)
-        scaled = ridge_ratios(make_spec(vals * 4.0), 4.0, cfg)
+        base = vacle(make_spec(vals), 1.0, cfg)[1]
+        scaled = vacle(make_spec(vals * 4.0), 4.0, cfg)[1]
         assert np.array_equal(base.ratios, scaled.ratios)
         assert np.array_equal(base.deltas, scaled.deltas)
         assert base.q_hat == scaled.q_hat
@@ -51,20 +50,20 @@ class TestRidgeRatios:
     def test_length_contract(self):
         spec = make_spec([3.0, 2.0, 1.0])
         with pytest.raises(ConfigurationError, match="exceeds"):
-            ridge_ratios(spec, 1.0, EstimatorConfig(c_n=0.1, L=20))
+            vacle(spec, 1.0, EstimatorConfig(c_n=0.1, L=20))
         # p == L is the boundary case that still works (delta_{L-1} exists)
-        trace = ridge_ratios(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0,
-                             EstimatorConfig(c_n=0.1, L=4))
+        trace = vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0,
+                      EstimatorConfig(c_n=0.1, L=4))[1]
         assert trace.ratios.size == 2
         with pytest.raises(ConfigurationError):
-            ridge_ratios(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0,
-                         EstimatorConfig(c_n=0.1, L=5))
+            vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0,
+                  EstimatorConfig(c_n=0.1, L=5))
 
     def test_trace_serialization(self):
         import json
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
-        trace = ridge_ratios(spec, 1.0, EstimatorConfig(c_n=0.1, L=6))
-        d = json.loads(trace.to_json())
+        trace = vacle(spec, 1.0, EstimatorConfig(c_n=0.1, L=6))[1]
+        d = json.loads(json.dumps(trace.to_dict()))
         assert set(d) == {"deltas", "ratios", "tau", "c_n", "q_hat"}
         assert d["q_hat"] == 2
 
@@ -78,7 +77,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             EstimatorConfig(c_n=0.1, L=2)
         with pytest.raises(ConfigurationError):
-            EstimatorConfig(c_n=0.1, sigma2=0.0)
+            vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 0.0, EstimatorConfig(c_n=0.1, L=4))
         with pytest.raises(ConfigurationError):
             EstimatorConfig(c_n=0.1, k1=-1.0)
 
@@ -167,12 +166,12 @@ class TestFnTransform:
 class TestVacle:
     def test_selection_rule(self):
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
-        q, trace = vacle(spec, EstimatorConfig(c_n=0.1, tau=0.5, L=6))
+        q, trace = vacle(spec, 1.0, EstimatorConfig(c_n=0.1, tau=0.5, L=6))
         assert q == 2 and trace.q_hat == 2
 
     def test_empty_set_gives_zero(self):
         spec = make_spec(np.linspace(5.0, 4.0, 10))
-        q, _ = vacle(spec, EstimatorConfig(c_n=5.0, tau=0.2, L=10))
+        q, _ = vacle(spec, 1.0, EstimatorConfig(c_n=5.0, tau=0.2, L=10))
         assert q == 0
 
 
@@ -181,8 +180,8 @@ class TestTvacle:
         g = np.random.default_rng(3)
         vals = np.sort(g.uniform(1.0, 9.0, 30))[::-1]
         spec = make_spec(vals)
-        q_v, tr_v = vacle(spec, EstimatorConfig(c_n=0.2, L=20))
-        q_t, tr_t = tvacle(spec, EstimatorConfig(c_n=0.2, L=20, e=4.0, k1=0.0, k2=0.0))
+        q_v, tr_v = vacle(spec, 1.0, EstimatorConfig(c_n=0.2, L=20))
+        q_t, tr_t = tvacle(spec, 1.0, EstimatorConfig(c_n=0.2, L=20, e=4.0, k1=0.0, k2=0.0))
         assert q_v == q_t
         assert np.array_equal(tr_v.deltas, tr_t.deltas)
         assert np.array_equal(tr_v.ratios, tr_t.ratios)
@@ -190,7 +189,7 @@ class TestTvacle:
     def test_requires_edge(self):
         spec = make_spec(np.linspace(9.0, 1.0, 25))
         with pytest.raises(ConfigurationError, match="edge"):
-            tvacle(spec, EstimatorConfig(c_n=0.2))
+            tvacle(spec, 1.0, EstimatorConfig(c_n=0.2))
 
     def test_sharpens_valley(self):
         # spike above the window, bulk inside the default radius
@@ -201,8 +200,8 @@ class TestTvacle:
         spec = make_spec(vals)
         cfg_plain = EstimatorConfig(c_n=0.05, L=6)
         cfg_tr = EstimatorConfig(c_n=0.05, L=6, e=e, k1=5.0, k2=5.0)
-        _, tr_plain = vacle(spec, cfg_plain)
-        _, tr_tr = tvacle(spec, cfg_tr)
+        _, tr_plain = vacle(spec, 1.0, cfg_plain)
+        _, tr_tr = tvacle(spec, 1.0, cfg_tr)
         assert tr_tr.ratios[0] <= tr_plain.ratios[0]
 
     def test_default_kappa(self):
@@ -220,7 +219,7 @@ class TestOracleValleyCliff:
         vals = np.array(images + [law.upper_edge] * 16)
         spec = make_spec(vals, n=200)
         c_n = 0.1
-        q, trace = vacle(spec, EstimatorConfig(c_n=c_n, tau=0.5, L=20))
+        q, trace = vacle(spec, 1.0, EstimatorConfig(c_n=c_n, tau=0.5, L=20))
         assert q == 4
         # the cliff is exactly one
         assert np.all(trace.ratios[4:] == 1.0)
@@ -322,12 +321,10 @@ class TestScaleInvariance:
         spec = make_spec(vals, n=150)
         s = 4.0  # power of two: exact in floating point
         spec_s = make_spec(vals * s, n=150)
-        cfg = EstimatorConfig(c_n=0.15, L=20, sigma2=1.0)
-        cfg_s = EstimatorConfig(c_n=0.15, L=20, sigma2=s)
-        assert vacle(spec, cfg)[0] == vacle(spec_s, cfg_s)[0]
-        cfg_t = EstimatorConfig(c_n=0.15, L=20, sigma2=1.0, e=4.0)
-        cfg_ts = EstimatorConfig(c_n=0.15, L=20, sigma2=s, e=4.0)
-        assert tvacle(spec, cfg_t)[0] == tvacle(spec_s, cfg_ts)[0]
+        cfg = EstimatorConfig(c_n=0.15, L=20)
+        assert vacle(spec, 1.0, cfg)[0] == vacle(spec_s, s, cfg)[0]
+        cfg_t = EstimatorConfig(c_n=0.15, L=20, e=4.0)
+        assert tvacle(spec, 1.0, cfg_t)[0] == tvacle(spec_s, s, cfg_t)[0]
         assert (py_estimator(spec, 1.0, C=6.3).q_hat
                 == py_estimator(spec_s, s, C=6.3).q_hat)
 
@@ -338,9 +335,8 @@ class TestScaleInvariance:
         s = 2.0
         spec = make_spec(vals, n=100, scale_power=2)
         spec_s = make_spec(vals * s ** 2, n=100, scale_power=2)
-        cfg = EstimatorConfig(c_n=0.1, L=20, sigma2=1.0)
-        cfg_s = EstimatorConfig(c_n=0.1, L=20, sigma2=s)
-        a, tr_a = vacle(spec, cfg)
-        b, tr_b = vacle(spec_s, cfg_s)
+        cfg = EstimatorConfig(c_n=0.1, L=20)
+        a, tr_a = vacle(spec, 1.0, cfg)
+        b, tr_b = vacle(spec_s, s, cfg)
         assert a == b
         assert np.array_equal(tr_a.ratios, tr_b.ratios)

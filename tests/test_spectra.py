@@ -452,6 +452,14 @@ class TestEigensolver:
         with pytest.raises(NumericalError, match="LAPACK info"):
             _eigvals(A, p)
 
+    def test_non_finite_eigenvalue_raises(self):
+        # at these seeds the overflowing pencil solves with LAPACK info 0 and
+        # an infinite eigenvalue; that is a numerical failure like info != 0
+        model = FisherModel(p=10, n=20, T=40, alpha=(1.7e308, 1e308, 1e308), sigma2=1e300)
+        for seed in (0, 2):
+            _, error = replicate(lambda g: simulate(model, g), seed=seed, reps=1)
+            assert isinstance(error, NumericalError), error
+
 
 class TestBandEigensolver:
     """``_band_eigvals``, the dsbevd binding behind the population generator."""
