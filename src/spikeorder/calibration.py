@@ -31,7 +31,6 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "load_cached",
     "loglog",
     "py_constant",
-    "PyConstant",
 ]
 
 QUANTILE_ALPHAS = (0.01, 0.05, 0.8, 0.95, 0.99)
@@ -65,25 +63,17 @@ DEFAULT_SEED = 7
 _PY_TABLE = ((0.25, 5.5226), (1.0, 6.3424), (2.0, 7.6257))
 
 
-class PyConstant(NamedTuple):
-    value: float
-    interpolated: bool
-
-
-def py_constant(c: float) -> PyConstant:
+def py_constant(c: float) -> float:
     """Threshold constant C for the consecutive-gap rule at aspect ratio c.
 
     Tabulated at c in {0.25, 1, 2}; elsewhere log-linear interpolation in c,
-    held flat beyond the table, with the ``interpolated`` flag set.
+    held flat beyond the table.
     """
     if c <= 0:
         raise ConfigurationError(f"c must be positive, got {c}")
-    for ck, val in _PY_TABLE:
-        if c == ck:
-            return PyConstant(value=val, interpolated=False)
     xs = [math.log(ck) for ck, _ in _PY_TABLE]
     ys = [v for _, v in _PY_TABLE]
-    return PyConstant(value=float(np.interp(math.log(c), xs, ys)), interpolated=True)
+    return float(np.interp(math.log(c), xs, ys))
 
 
 @lru_cache(maxsize=256)

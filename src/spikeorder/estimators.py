@@ -67,10 +67,10 @@ class EstimatorConfig:
             raise ConfigurationError(f"tau must lie in (0, 1), got {self.tau}")
         if self.L < 3:
             raise ConfigurationError(f"search bound L must be at least 3, got {self.L}")
-        if self.c_n <= 0:
-            raise ConfigurationError(f"ridge c_n must be positive, got {self.c_n}")
-        if self.k1 < 0 or self.k2 < 0:
-            raise ConfigurationError("k1 and k2 must be nonnegative")
+        if not 0.0 < self.c_n < math.inf:
+            raise ConfigurationError(f"ridge c_n must be positive and finite, got {self.c_n}")
+        if not (0.0 <= self.k1 < math.inf and 0.0 <= self.k2 < math.inf):
+            raise ConfigurationError("k1 and k2 must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +213,10 @@ def py_estimator(spec: Spectrum, sigma2: float, C: float, L: int = 20,
         raise ConfigurationError("py_estimator needs n >= 3")
     if start_index not in (0, 1):
         raise ConfigurationError("start_index must be 0 or 1")
+    if not 0.0 < C < math.inf:
+        raise ConfigurationError(f"py constant C must be positive and finite, got {C}")
+    if L < 0:
+        raise ConfigurationError(f"search bound L must be at least 0, got {L}")
     n = spec.n
     d_n = C * n ** (-2.0 / 3.0) * math.sqrt(2.0 * loglog(n))
     x = _normalized(spec.values, sigma2, spec.scale_power)
@@ -236,6 +240,8 @@ def lwy_estimator(spec: Spectrum, d_T: float, L: int = 20) -> LwyEstimate:
         raise ConfigurationError(f"d_T must lie in (0, 1), got {d_T}")
     if spec.p < 3:
         raise ConfigurationError("need at least 3 eigenvalues")
+    if L < 0:
+        raise ConfigurationError(f"search bound L must be at least 0, got {L}")
     v = spec.values
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = v[1:] / v[:-1]

@@ -80,6 +80,8 @@ class EstimatorSetting:
             )
         if self.ridge is not None and self.ridge not in ("c1", "c2", "c3a", "c3b"):
             raise ConfigurationError(f"unknown ridge {self.ridge!r}")
+        if self.L < 0:
+            raise ConfigurationError(f"search bound L must be at least 0, got {self.L}")
 
     @property
     def column(self) -> str:
@@ -217,7 +219,9 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
         if setting.py_start_index not in (0, 1):
             raise ConfigurationError(
                 f"py_start_index must be 0 or 1, got {setting.py_start_index}")
-        C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count).value
+        C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count)
+        if not 0.0 < C < math.inf:
+            raise ConfigurationError(f"py_c must be positive and finite, got {C}")
         return lambda spec: (py_estimator(spec, scale(spec), C, L=setting.L,
                                           start_index=setting.py_start_index).q_hat, None)
 

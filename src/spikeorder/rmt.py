@@ -301,9 +301,9 @@ class FactorSignature:
     gamma1: float
 
     def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise ConfigurationError(f"gamma0 must be positive, got {self.gamma0}")
-        if abs(self.gamma1) > self.gamma0:
+        if not 0.0 < self.gamma0 < math.inf:
+            raise ConfigurationError(f"gamma0 must be positive and finite, got {self.gamma0}")
+        if not abs(self.gamma1) <= self.gamma0:
             raise ConfigurationError(
                 f"|gamma1| = {abs(self.gamma1)} exceeds gamma0 = {self.gamma0}"
             )

@@ -10,21 +10,22 @@ descending sample eigenvalues:
 * lag-1 auto-covariance factor models: VAR(1) factors plus white noise,
   Sigma = sum_{t=2}^{T+1} y_t y_{t-1}' / T, eigenvalues of M = Sigma Sigma'.
 
-Each model class also describes its family (limiting law, sizes it needs,
-primary sample count, estimator defaults, oracle order and bulk edge);
-``FAMILIES`` maps each ``kind`` to its class.  Population and Fisher models also draw the top
-of a pure-noise spectrum from an O(p) bidiagonal model (``noise_top``), which
-the calibration uses, by LAPACK ``dstebz`` bisection.  Spiked population draws
-use the exact banded model (``simulate_population``), eigensolved by LAPACK
-``dsbevd``; spiked Fisher draws use the whitened Bartlett model
-(``simulate_fisher``); auto-covariance draws are dense.  Fisher and
-auto-covariance eigensolve by LAPACK ``dsyevd``.  Every LAPACK call goes
-through ctypes with the GIL released, to the function pointers of scipy's
-Cython LAPACK API.  That extension is loaded from its file: importing it from
-``scipy.linalg`` would first import numpy.f2py, numpy.testing and numpy.ma,
-the larger part of the package's import time.
+Each model class describes its family (limiting law, sizes it needs,
+primary sample count, estimator defaults, oracle order and bulk edge) and
+draws its spiked eigenvalues (``draw``), which ``simulate`` wraps in a
+``Spectrum``; ``FAMILIES`` maps each ``kind`` to its class.  Population and
+Fisher models also draw the top of a pure-noise spectrum from an O(p)
+bidiagonal model (``noise_top``), which the calibration uses, by LAPACK
+``dstebz`` bisection.  ``PopulationModel.draw`` uses the exact banded model,
+eigensolved by LAPACK ``dsbevd``; ``FisherModel.draw`` uses the whitened
+Bartlett model; auto-covariance draws are dense.  Fisher and auto-covariance
+eigensolve by LAPACK ``dsyevd``.  Every LAPACK call goes through ctypes with
+the GIL released, to the function pointers of scipy's Cython LAPACK API.
+That extension is loaded from its file: importing it from ``scipy.linalg``
+would first import numpy.f2py, numpy.testing and numpy.ma, the larger part of
+the package's import time.
 
-All generators are deterministic functions of (spec, rng) and never share
+Every ``draw`` is a deterministic function of (model, rng) and shares no
 state, so ``replicate`` can run replications concurrently, one stream each.
 """
 
@@ -55,9 +56,6 @@ __all__ = [
     "Spectrum",
     "FAMILIES",
     "at_size",
-    "simulate_population",
-    "simulate_fisher",
-    "simulate_autocov",
     "simulate",
     "replicate",
     "ingest_spectrum",
@@ -121,6 +119,33 @@ class PopulationModel:
         d2 = rng.chisquare(max(self.p, self.n) - np.arange(m))
         e2 = rng.chisquare(m - 1 - np.arange(m - 1))
         return _bidiagonal_top(d2, e2, k) * (self.sigma2 / self.n)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Eigenvalues of the uncentered sample covariance S = X X' / n, X = D^{1/2} Z.
+
+        Exact banded model.  With q spikes and r = max(q, 1), alternating LQ steps over the
+        unused columns and QR steps over the unused noise rows (rows >= q, where D = sigma2 I,
+        so they commute with D) reduce X to a lower-banded B, min(p, n + r) x m, m = min(p, n),
+        with independent entries: chi_{n - j} at (j, j), chi_{p - r - j} at (j + r, j), N(0, 1)
+        strictly between, row i scaled by sqrt(D_ii).  S's nonzero eigenvalues are those of the
+        m x m band B'B / n.  Draw order: the diagonal chis, the r-th subdiagonal chis, then the
+        normals column by column of B, dropping those below row p - 1 (when p < m + r).
+        """
+        p, n, q = self.p, self.n, len(self.spikes)
+        r, m = max(q, 1), min(p, n)
+        # W[j, d] = B[j + d, j] / sqrt(n); zero past column m - 1 and row p - 1 of B
+        W = np.zeros((m + r, r + 1))
+        W[:m, 0] = np.sqrt(rng.chisquare(n - np.arange(m)))
+        k = min(m, p - r)
+        W[:k, r] = np.sqrt(rng.chisquare(p - r - np.arange(k)))
+        W[:m, 1:r] = rng.standard_normal((m, r - 1))
+        row_scale = np.sqrt(np.concatenate([self.spikes, np.full(p - q, self.sigma2),
+                                            np.zeros(m + r)]) / n)
+        W *= row_scale[np.add.outer(np.arange(m + r), np.arange(r + 1))]
+        # ab[j, d] = (B'B)[j + d, j] = sum_e B[j + d + e, j + d] B[j + d + e, j], d <= m - 1
+        ab = np.stack([np.einsum("je,je->j", W[d:d + m, :r + 1 - d], W[:m, d:])
+                       for d in range(min(r, m - 1) + 1)], axis=1)
+        return _band_eigvals(ab, p)
 
 
 @dataclass(frozen=True)
@@ -213,6 +238,26 @@ class FisherModel:
         lam = _bidiagonal_top(c2 * np.append(1.0, 1.0 - cp2), (1.0 - c2[:-1]) * cp2, k)
         return self.sigma2 * self.T / self.n * lam / (1.0 - lam)
 
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Eigenvalues of S1 S2^{-1} via the symmetric-definite pencil (S1, S2).
+
+        Whitened Bartlett model.  Congruences by D^{-1/2} (D the noise covariance)
+        and by the eigenvectors of the whitened signal covariance sigma2 I + A A'/d1
+        change neither the pencil's eigenvalues nor the law of a white Wishart
+        matrix, so S1 = F K K' F/n, F^2 = diag(spikes, sigma2, ..., sigma2), and
+        S2 = L L'/T, K and L the Bartlett factors of Wishart(n, I_p), Wishart(T, I_p).
+        Draw order: K's chi diagonal, K's normals row by row, then the same for L.
+        LAPACK reads the C-ordered L/sqrt(T) as S2's upper Cholesky factor; as
+        T > p, L's diagonal is chi with >= 2 degrees of freedom: S2 is never singular.
+        """
+        p, n, T = self.p, self.n, self.T
+        F2 = np.concatenate([self.spikes, np.full(p - len(self.spikes), self.sigma2)])
+        G = _bartlett(rng, p, n) * np.sqrt(F2 / n)[:, None]
+        S1, chol = G @ G.T, _bartlett(rng, p, T) / math.sqrt(T)
+        size = ctypes.c_int(p)
+        _dsygst(ctypes.c_int(1), b"U", size, S1, size, chol, size, ctypes.c_int())
+        return _eigvals(S1, p)
+
     @property
     def spikes(self) -> tuple:
         """Spiked eigenvalues of Sigma1 Sigma2^{-1} implied by the loadings."""
@@ -292,6 +337,8 @@ class AutocovModel:
         out = []
         for th, g in zip(self.theta, self.gamma_diag):
             g0 = g / (1.0 - th * th)
+            if math.isinf(g0):  # finite inputs: an overflow, not bad input
+                raise NumericalError(f"the variance of the factor with theta = {th} overflows")
             out.append(FactorSignature(gamma0=g0, gamma1=th * g0))
         return tuple(out)
 
@@ -301,6 +348,28 @@ class AutocovModel:
 
     def bulk_edge(self) -> float:
         return self.law(y=self.p / self.T).b1
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Eigenvalues of M = Sigma Sigma' with Sigma = sum_t y_t y_{t-1}' / T.
+
+        T + 1 observations are kept after burn-in so that exactly T lag-1
+        products enter Sigma.  Draw order: factor innovations, then noise.
+        """
+        p, T, q = self.p, self.T, self.q
+        keep = T + 1
+        if q:
+            e = rng.standard_normal((q, self.burn_in + keep))
+            e *= np.sqrt(np.asarray(self.gamma_diag))[:, None]
+            x = np.empty_like(e)
+            for i, th in enumerate(self.theta):
+                x[i] = scipy.signal.lfilter([1.0], [1.0, -th], e[i])
+            x = x[:, -keep:]
+        Y = rng.standard_normal((p, keep))
+        Y *= math.sqrt(self.sigma2)
+        if q:
+            Y[:q] += x
+        Sig = Y[:, 1:] @ Y[:, :-1].T / T
+        return _eigvals(Sig @ Sig.T, p)
 
 
 FAMILIES = {cls.kind: cls for cls in (PopulationModel, FisherModel, AutocovModel)}
@@ -448,34 +517,6 @@ def _band_eigvals(ab: np.ndarray, p: int) -> np.ndarray:
     return _finish(w, p, info.value)
 
 
-def simulate_population(spec: PopulationModel, rng: np.random.Generator) -> Spectrum:
-    """Spectrum of the uncentered sample covariance S = X X' / n, X = D^{1/2} Z.
-
-    Exact banded model.  With q spikes and r = max(q, 1), alternating LQ steps over the
-    unused columns and QR steps over the unused noise rows (rows >= q, where D = sigma2 I,
-    so they commute with D) reduce X to a lower-banded B, min(p, n + r) x m, m = min(p, n),
-    with independent entries: chi_{n - j} at (j, j), chi_{p - r - j} at (j + r, j), N(0, 1)
-    strictly between, row i scaled by sqrt(D_ii).  S's nonzero eigenvalues are those of the
-    m x m band B'B / n.  Draw order: the diagonal chis, the r-th subdiagonal chis, then the
-    normals column by column of B, dropping those below row p - 1 (when p < m + r).
-    """
-    p, n, q = spec.p, spec.n, len(spec.spikes)
-    r, m = max(q, 1), min(p, n)
-    # W[j, d] = B[j + d, j] / sqrt(n); zero past column m - 1 and row p - 1 of B
-    W = np.zeros((m + r, r + 1))
-    W[:m, 0] = np.sqrt(rng.chisquare(n - np.arange(m)))
-    k = min(m, p - r)
-    W[:k, r] = np.sqrt(rng.chisquare(p - r - np.arange(k)))
-    W[:m, 1:r] = rng.standard_normal((m, r - 1))
-    row_scale = np.sqrt(np.concatenate([spec.spikes, np.full(p - q, spec.sigma2),
-                                        np.zeros(m + r)]) / n)
-    W *= row_scale[np.add.outer(np.arange(m + r), np.arange(r + 1))]
-    # ab[j, d] = (B'B)[j + d, j] = sum_e B[j + d + e, j + d] B[j + d + e, j], d <= m - 1
-    ab = np.stack([np.einsum("je,je->j", W[d:d + m, :r + 1 - d], W[:m, d:])
-                   for d in range(min(r, m - 1) + 1)], axis=1)
-    return Spectrum(values=_band_eigvals(ab, p), p=p, n=n, scale_power=1)
-
-
 def _bartlett(rng: np.random.Generator, p: int, df: int) -> np.ndarray:
     """Bartlett factor K of a Wishart(df, I_p) matrix W = K K': lower trapezoidal,
     p x min(p, df), chi_{df - i} at (i, i), drawn first, then N(0, 1) below the
@@ -487,60 +528,11 @@ def _bartlett(rng: np.random.Generator, p: int, df: int) -> np.ndarray:
     return K
 
 
-def simulate_fisher(spec: FisherModel, rng: np.random.Generator) -> Spectrum:
-    """Spectrum of S1 S2^{-1} via the symmetric-definite pencil (S1, S2).
-
-    Whitened Bartlett model.  Congruences by D^{-1/2} (D the noise covariance)
-    and by the eigenvectors of the whitened signal covariance sigma2 I + A A'/d1
-    change neither the pencil's eigenvalues nor the law of a white Wishart
-    matrix, so S1 = F K K' F/n, F^2 = diag(spikes, sigma2, ..., sigma2), and
-    S2 = L L'/T, K and L the Bartlett factors of Wishart(n, I_p), Wishart(T, I_p).
-    Draw order: K's chi diagonal, K's normals row by row, then the same for L.
-    LAPACK reads the C-ordered L/sqrt(T) as S2's upper Cholesky factor; as
-    T > p, L's diagonal is chi with >= 2 degrees of freedom: S2 is never singular.
-    """
-    p, n, T = spec.p, spec.n, spec.T
-    F2 = np.concatenate([spec.spikes, np.full(p - len(spec.spikes), spec.sigma2)])
-    G = _bartlett(rng, p, n) * np.sqrt(F2 / n)[:, None]
-    S1, chol = G @ G.T, _bartlett(rng, p, T) / math.sqrt(T)
-    size = ctypes.c_int(p)
-    _dsygst(ctypes.c_int(1), b"U", size, S1, size, chol, size, ctypes.c_int())
-    return Spectrum(values=_eigvals(S1, p), p=p, n=n, scale_power=1)
-
-
-def simulate_autocov(spec: AutocovModel, rng: np.random.Generator) -> Spectrum:
-    """Spectrum of M = Sigma Sigma' with Sigma = sum_t y_t y_{t-1}' / T.
-
-    T + 1 observations are kept after burn-in so that exactly T lag-1
-    products enter Sigma.  Draw order: factor innovations, then noise.
-    """
-    p, T, q = spec.p, spec.T, spec.q
-    keep = T + 1
-    if q:
-        e = rng.standard_normal((q, spec.burn_in + keep))
-        e *= np.sqrt(np.asarray(spec.gamma_diag))[:, None]
-        x = np.empty_like(e)
-        for i, th in enumerate(spec.theta):
-            x[i] = scipy.signal.lfilter([1.0], [1.0, -th], e[i])
-        x = x[:, -keep:]
-    Y = rng.standard_normal((p, keep))
-    Y *= math.sqrt(spec.sigma2)
-    if q:
-        Y[:q] += x
-    Sig = Y[:, 1:] @ Y[:, :-1].T / T
-    return Spectrum(values=_eigvals(Sig @ Sig.T, p), p=p, n=T, scale_power=2)
-
-
-_SIMULATORS = {PopulationModel: simulate_population, FisherModel: simulate_fisher,
-               AutocovModel: simulate_autocov}
-
-
 def simulate(spec, rng: np.random.Generator) -> Spectrum:
-    """Draw one spectrum from the generator of the model's family."""
-    generate = _SIMULATORS.get(type(spec))
-    if generate is None:
+    """Draw one spectrum from the model's ``draw``, with its family's sample count and scale."""
+    if type(spec) not in FAMILIES.values():
         raise ConfigurationError(f"unknown model spec {type(spec).__name__}")
-    return generate(spec, rng)
+    return Spectrum(values=spec.draw(rng), p=spec.p, n=spec.count, scale_power=spec.scale_power)
 
 
 # numpy and scipy each bundle their own OpenBLAS; numpy's is the build with

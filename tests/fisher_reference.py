@@ -3,7 +3,7 @@
 The signal and noise samples are drawn in full, with the anisotropic noise
 covariance and the loading matrix, and the pencil is solved through a
 Cholesky factor of S2 that guards against a singular noise covariance.
-Distributional tests compare ``spikeorder.spectra.simulate_fisher``, which
+Distributional tests compare ``spikeorder.spectra.FisherModel.draw``, which
 draws the whitened Bartlett model, with it.
 """
 

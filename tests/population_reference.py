@@ -4,7 +4,7 @@ The p x n Gaussian data matrix is drawn in full, scaled row by row to the
 covariance diag(spikes, sigma2, ..., sigma2), and S = X X' / n (or, for
 p > n, the n x n Gram X' X / n, which shares S's nonzero eigenvalues) is
 eigensolved densely.  Distributional tests compare
-``spikeorder.spectra.simulate_population``, which draws the exact banded
+``spikeorder.spectra.PopulationModel.draw``, which draws the exact banded
 model, with it.
 """
 

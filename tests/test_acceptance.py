@@ -95,16 +95,16 @@ def test_criterion_3_equal_spikes(cache_dir):
 def test_criterion_4_sigma2_estimator():
     # Model: spikes (7,6,5,4) at (200,800); quantile-matching scale estimate
     model = PopulationModel(p=200, n=800, spikes=(7.0, 6.0, 5.0, 4.0))
-    from spikeorder.spectra import simulate_population
+    from spikeorder.spectra import simulate
     children = np.random.SeedSequence(104).spawn(200)
     est = np.array([
-        estimate_sigma2(simulate_population(model, np.random.Generator(np.random.Philox(ch))))
+        estimate_sigma2(simulate(model, np.random.Generator(np.random.Philox(ch))))
         for ch in children
     ])
     mean, mse = float(est.mean()), float(np.mean((est - 1.0) ** 2))
 
     # exact scale equivariance under a power-of-two rescaling
-    spec = simulate_population(model, np.random.default_rng(104))
+    spec = simulate(model, np.random.default_rng(104))
     s = 4.0
     scaled = Spectrum(values=spec.values * s, p=spec.p, n=spec.n)
     equivariant = estimate_sigma2(scaled) == s * estimate_sigma2(spec)
@@ -251,7 +251,7 @@ def test_criterion_8_property_suite(cache_dir):
 
     # pure-noise false detection at (200,200) with a noise-stable ridge (c1);
     # the spiked-table ridge c2 runs slightly hotter and is reported alongside
-    from spikeorder.spectra import simulate_population
+    from spikeorder.spectra import simulate
     cal = calibrate_ridge("population", p=200, n=200, reps=500, seed=7,
                           cache_dir=cache_dir)
     noise = PopulationModel(p=200, n=200)
@@ -261,7 +261,7 @@ def test_criterion_8_property_suite(cache_dir):
     children = np.random.SeedSequence(108).spawn(200)
     fv = ft = ft2 = 0
     for ch in children:
-        spec_n = simulate_population(noise, np.random.Generator(np.random.Philox(ch)))
+        spec_n = simulate(noise, np.random.Generator(np.random.Philox(ch)))
         fv += vacle(spec_n, 1.0, cfg_noise_v)[0] != 0
         ft += tvacle(spec_n, 1.0, cfg_noise_t)[0] != 0
         ft2 += tvacle(spec_n, 1.0, cfg_noise_t2)[0] != 0

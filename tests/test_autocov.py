@@ -205,10 +205,10 @@ class TestT1:
             0.5 / 6.0, rel=1e-15)
 
     def test_signature_validation(self):
-        with pytest.raises(ConfigurationError):
-            FactorSignature(gamma0=-1.0, gamma1=0.0)
-        with pytest.raises(ConfigurationError):
-            FactorSignature(gamma0=1.0, gamma1=1.5)
+        for gamma0, gamma1 in ((-1.0, 0.0), (1.0, 1.5), (math.nan, 0.0), (math.inf, 0.0),
+                               (1.0, math.nan)):
+            with pytest.raises(ConfigurationError):
+                FactorSignature(gamma0=gamma0, gamma1=gamma1)
 
 
 class TestFactorLimit:

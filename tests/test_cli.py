@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +32,6 @@ from spikeorder.spectra import (
     FisherModel,
     PopulationModel,
     simulate,
-    simulate_population,
 )
 
 
@@ -43,7 +43,7 @@ def runner():
 @pytest.fixture()
 def spectrum_file(tmp_path):
     model = PopulationModel(p=60, n=240, spikes=(7.0, 6.0, 5.0, 4.0))
-    spec = simulate_population(model, np.random.default_rng(42))
+    spec = simulate(model, np.random.default_rng(42))
     f = tmp_path / "spectrum.txt"
     f.write_text("\n".join(repr(float(v)) for v in spec.values) + "\n")
     return str(f)
@@ -236,7 +236,7 @@ class TestCalibrate:
         assert res.exit_code == 0, res.output
         (path,) = tmp_path.glob("calib_*.json")
         mtime = path.stat().st_mtime_ns
-        spec = simulate_population(PopulationModel(p=40, n=60, spikes=(9.0, 7.0)),
+        spec = simulate(PopulationModel(p=40, n=60, spikes=(9.0, 7.0)),
                                    np.random.default_rng(3))
         write_spectrum(tmp_path / "eigs.txt", spec)
         res = runner.invoke(main, ["estimate", str(tmp_path / "eigs.txt"), "--method",
@@ -333,7 +333,7 @@ class TestEstimate:
         # estimate restores the normalization before thresholding
         model = PopulationModel(p=100, n=400, spikes=(25.0, 20.0, 15.0, 10.0),
                                 sigma2=2.5)
-        spec = simulate_population(model, np.random.default_rng(12))
+        spec = simulate(model, np.random.default_rng(12))
         f = tmp_path / "scaled.txt"
         f.write_text("\n".join(repr(float(v)) for v in spec.values) + "\n")
         res = runner.invoke(main, ["estimate", str(f), "--method", "vacle",
@@ -346,9 +346,9 @@ class TestEstimate:
     def test_autocov_workflow(self, runner, tmp_path):
         # factor-count estimation from an ingested squared-auto-covariance
         # spectrum, the intended real-data workflow
-        from spikeorder.spectra import AutocovModel, simulate_autocov
+        from spikeorder.spectra import AutocovModel, simulate
         model = AutocovModel(p=60, T=120, theta=(0.6, -0.5), gamma_diag=(2.0, 2.0))
-        spec = simulate_autocov(model, np.random.default_rng(8))
+        spec = simulate(model, np.random.default_rng(8))
         f = tmp_path / "auto_eigs.txt"
         f.write_text("\n".join(repr(float(v)) for v in spec.values) + "\n")
         res = runner.invoke(main, ["estimate", str(f), "--method", "tvacle",
@@ -534,6 +534,10 @@ class TestSimulate:
     @pytest.mark.parametrize("method, key, value", [
         ("lwy", "d_t", "1.5"),
         ("py", "py_start_index", "4"),
+        ("py", "l", "-5"),
+        ("lwy", "l", "-1"),
+        ("py", "py_c", "nan"),
+        ("tvacle", "k1", "nan"),
     ])
     def test_bad_tuning_exit_2(self, runner, tmp_path, method, key, value):
         # rejected before the calibration, not as a partial all-NaN row
@@ -793,6 +797,17 @@ EXIT_2_CASES = {
         ("fisher", "--c", "nan", "--y", "0.5"), ("population", "--c", "1", "--spikes", "nan,3"),
         ("population", "--c", "1", "--spikes", "inf"),
         ("population", "--c", "1e308", "--sigma2", "1e308"))},
+    # tuning that parses but leaves its range: a negative search bound, a
+    # non-finite or nonpositive constant, a non-finite transformation slope
+    **{"estimate-" + "-".join(a.lstrip("-") for a in args): lambda tmp, spec, args=args: [
+        "estimate", spec, "--family", args[0], "--method", args[1], "--n", "240", "--t", "120",
+        *args[2:]] for args in (
+        ("population", "py", "--bound", "-5"), ("population", "lwy", "--d-t", "0.3", "--bound", "-1"),
+        ("fisher", "wy", "--bound", "-1"), ("population", "py", "--py-c", "nan"),
+        ("population", "py", "--py-c", "-1"), ("population", "vacle", "--c-n", "nan"),
+        ("population", "vacle", "--c-n", "inf"),
+        ("population", "tvacle", "--c-n", "0.15", "--k1", "nan"),
+        ("population", "tvacle", "--c-n", "0.15", "--k2", "inf"))},
     "report-bad-distribution": lambda tmp, spec: ["report", "--in", bad_mirror(tmp)],
     "estimate-unwritable-plot-data": lambda tmp, spec: [
         "estimate", spec, "--method", "tvacle", "--family", "population", "--n", "240",
@@ -896,9 +911,10 @@ class TestExitCodes:
            | st.just("estimated"),
            tune=st.floats(0.0, 1.0) | st.floats(),
            bound=st.none() | st.integers(3, 40) | st.integers(),
-           tau=st.none() | st.floats(0.0, 1.0) | st.floats())
+           tau=st.none() | st.floats(0.0, 1.0) | st.floats(),
+           k1=st.none() | st.floats(), k2=st.none() | st.floats())
     def test_any_input_keeps_exit_contract(self, tmp_path_factory, family, method, values,
-                                           n, t, sigma2, tune, bound, tau):
+                                           n, t, sigma2, tune, bound, tau, k1, k2):
         spectrum = tmp_path_factory.getbasetemp() / "estimate-fuzz.txt"
         spectrum.write_text("".join(f"{v!r}\n" for v in values))
         option = {"vacle": "--c-n", "tvacle": "--c-n", "lwy": "--d-t", "py": "--py-c"}
@@ -907,9 +923,16 @@ class TestExitCodes:
         args += [f"--bound={bound}"] if bound is not None else []
         args += [f"{option[method]}={tune!r}"] if method in option else []
         args += [f"--tau={tau!r}"] if tau is not None else []
+        slopes = [(name, k) for name, k in (("k1", k1), ("k2", k2))
+                  if k is not None and method == "tvacle"]
+        args += [f"--{name}={k!r}" for name, k in slopes]
         res = CliRunner().invoke(main, args)
         assert res.exit_code in (0, 2, 3), res.output
         assert "Traceback" not in res.output
+        if res.exit_code == 0:  # the tuning was in range, and so is the estimate
+            assert method == "wy" or 0.0 < tune < math.inf
+            assert all(0.0 <= k < math.inf for _, k in slopes)
+            assert 0 <= int(res.stdout.split("=")[-1]) <= (20 if bound is None else bound)
 
     @pytest.mark.parametrize("case", ["simulate-unwritable-out",
                                       "calibrate-uncreatable-cache-dir"])

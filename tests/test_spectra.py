@@ -33,9 +33,6 @@ from spikeorder.spectra import (
     ingest_spectrum,
     replicate,
     simulate,
-    simulate_autocov,
-    simulate_fisher,
-    simulate_population,
 )
 
 
@@ -78,24 +75,24 @@ class TestSpectrumType:
 class TestPopulation:
     def test_determinism(self):
         model = PopulationModel(p=40, n=60, spikes=(8.0, 5.0))
-        a = simulate_population(model, rng(123)).values
-        b = simulate_population(model, rng(123)).values
+        a = simulate(model, rng(123)).values
+        b = simulate(model, rng(123)).values
         assert np.array_equal(a, b)
 
     def test_pure_noise_edge(self):
-        spec = simulate_population(PopulationModel(p=400, n=400), rng(0))
+        spec = simulate(PopulationModel(p=400, n=400), rng(0))
         assert spec.values[0] == pytest.approx(4.0, rel=0.10)
 
     def test_spike_against_oracle(self):
         # single draws fluctuate ~10% at p = 50; compare the replication mean
         model = PopulationModel(p=50, n=200,
                                 spikes=(259.72, 17.97, 11.04, 7.88, 4.82))
-        tops = [simulate_population(model, rng(100 + s)).values[0] for s in range(50)]
+        tops = [simulate(model, rng(100 + s)).values[0] for s in range(50)]
         expected = rmt.MpLaw(c=0.25, sigma2=1.0).spike_map(259.72)
         assert np.mean(tops) == pytest.approx(expected, rel=0.05)
 
     def test_tall_case_zero_padding(self):
-        spec = simulate_population(PopulationModel(p=30, n=10), rng(3))
+        spec = simulate(PopulationModel(p=30, n=10), rng(3))
         assert spec.p == 30
         assert np.sum(spec.values == 0.0) >= 20
         assert np.sum(spec.values > 0) <= 10
@@ -124,7 +121,7 @@ class TestPopulation:
         B = B[:p] * np.sqrt([*model.spikes] + [model.sigma2] * (p - q))[:min(p, m + r), None]
         w = np.linalg.eigvalsh(B.T @ B / n)
         expected = _finish(w, p)
-        got = simulate_population(model, rng(17)).values
+        got = simulate(model, rng(17)).values
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * expected[0])
 
     def test_errors(self):
@@ -138,7 +135,7 @@ class TestPopulation:
             PopulationModel(p=10, n=10, spikes=(4.0, 5.0))  # ascending
 
     def test_bulk_law_ks(self):
-        spec = simulate_population(PopulationModel(p=400, n=800), rng(11))
+        spec = simulate(PopulationModel(p=400, n=800), rng(11))
         law = MpLaw(c=0.5)
         ks = ks_statistic(spec.values[5:], lambda x: mp_cdf(x, law))
         assert ks <= 0.05
@@ -147,16 +144,16 @@ class TestPopulation:
 class TestFisher:
     def test_determinism(self):
         model = FisherModel(p=30, n=60, T=80, alpha=(10.0, 5.0, 5.0))
-        a = simulate_fisher(model, rng(5)).values
-        b = simulate_fisher(model, rng(5)).values
+        a = simulate(model, rng(5)).values
+        b = simulate(model, rng(5)).values
         assert np.array_equal(a, b)
 
     def test_all_positive(self):
-        spec = simulate_fisher(FisherModel(p=40, n=90, T=90), rng(2))
+        spec = simulate(FisherModel(p=40, n=90, T=90), rng(2))
         assert np.all(spec.values > 0)
 
     def test_pure_noise_edge(self):
-        spec = simulate_fisher(FisherModel(p=200, n=400, T=1000), rng(4))
+        spec = simulate(FisherModel(p=200, n=400, T=1000), rng(4))
         law = FisherLaw(c=0.5, y=0.2)
         assert spec.values[0] == pytest.approx(law.upper_edge, rel=0.10)
 
@@ -177,7 +174,7 @@ class TestFisher:
         # the equal pair splits into order statistics, so compare its mean.
         # The replication mean must sit within 3.5 standard errors of the
         # finite-size reference: the spread of both means sets the tolerance
-        tops = np.array([simulate_fisher(model, rng(300 + s)).values[:3]
+        tops = np.array([simulate(model, rng(300 + s)).values[:3]
                          for s in range(reps)]).mean(axis=0)
         for name, got in (("l1", tops[0]), ("pair", 0.5 * (tops[1] + tops[2]))):
             mean, sd = reference[name]
@@ -213,7 +210,7 @@ class TestFisher:
         # Sigma1 = sigma2 Sigma2 + Delta lifts the base level to sigma2
         model = FisherModel(p=40, n=200, T=100, alpha=(10.0, 5.0, 5.0), sigma2=2.0)
         assert model.spikes == (12.0, 7.0, 7.0)
-        spec = simulate_fisher(model, rng(43))
+        spec = simulate(model, rng(43))
         law = FisherLaw(c=0.2, y=0.4, sigma2=2.0)
         assert spec.values[0] > law.upper_edge
 
@@ -245,7 +242,7 @@ class TestFisher:
         F = np.diag(np.sqrt([*model.spikes] + [model.sigma2] * (p - len(model.spikes))))
         w = linalg.eigh(F @ K @ K.T @ F / n, L @ L.T / T, eigvals_only=True)
         expected = _finish(w, p)
-        got = simulate_fisher(model, rng(17)).values
+        got = simulate(model, rng(17)).values
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12 * expected[0])
 
     @PENCIL_CASES
@@ -312,7 +309,7 @@ class TestFisher:
         FisherModel(p=5, n=50, T=60)  # pure noise has no loadings
 
     def test_bulk_law_ks(self):
-        spec = simulate_fisher(FisherModel(p=400, n=2000, T=800), rng(13))
+        spec = simulate(FisherModel(p=400, n=2000, T=800), rng(13))
         law = FisherLaw(c=0.2, y=0.5)
 
         def cdf(x):
@@ -326,19 +323,19 @@ class TestFisher:
 class TestAutocov:
     def test_determinism(self):
         model = AutocovModel(p=30, T=50, theta=(0.6, -0.5), gamma_diag=(2.0, 2.0))
-        a = simulate_autocov(model, rng(17)).values
-        b = simulate_autocov(model, rng(17)).values
+        a = simulate(model, rng(17)).values
+        b = simulate(model, rng(17)).values
         assert np.array_equal(a, b)
 
     def test_pure_noise_edge(self):
-        spec = simulate_autocov(AutocovModel(p=400, T=800), rng(19))
+        spec = simulate(AutocovModel(p=400, T=800), rng(19))
         assert spec.values[0] == pytest.approx(AutocovLaw(y=0.5).b1, rel=0.10)
         assert spec.scale_power == 2
 
     def test_factor_limits(self):
         model = AutocovModel(p=500, T=1000, theta=(0.6, -0.5, 0.3),
                              gamma_diag=(2.0, 2.0, 2.0))
-        tops = np.array([simulate_autocov(model, rng(1000 + s)).values[:3]
+        tops = np.array([simulate(model, rng(1000 + s)).values[:3]
                          for s in range(40)]).mean(axis=0)
         for i, beta in enumerate((7.726, 5.496, 3.613)):
             assert tops[i] == pytest.approx(beta, rel=0.05)
@@ -362,15 +359,15 @@ class TestAutocov:
     def test_tall_ratio_edge_and_rank(self):
         # y = 2: rank T leaves p - T eigenvalues at solver-noise level and
         # the top sits near b1
-        spec = simulate_autocov(AutocovModel(p=400, T=200), rng(37))
+        spec = simulate(AutocovModel(p=400, T=200), rng(37))
         law = AutocovLaw(y=2.0)
         assert spec.values[0] == pytest.approx(law.b1, rel=0.10)
         assert np.sum(spec.values < 1e-8) >= 200
 
     def test_scaled_noise(self):
         # eigenvalues of M scale with sigma^4
-        base = simulate_autocov(AutocovModel(p=200, T=400), rng(41))
-        scaled = simulate_autocov(AutocovModel(p=200, T=400, sigma2=2.0), rng(41))
+        base = simulate(AutocovModel(p=200, T=400), rng(41))
+        scaled = simulate(AutocovModel(p=200, T=400, sigma2=2.0), rng(41))
         assert scaled.values[0] == pytest.approx(4.0 * base.values[0], rel=1e-10)
 
     def test_errors(self):
@@ -388,7 +385,7 @@ class TestAutocov:
         assert sig.gamma1 == pytest.approx(1.875)
 
     def test_bulk_law_ks(self):
-        spec = simulate_autocov(AutocovModel(p=400, T=800), rng(29))
+        spec = simulate(AutocovModel(p=400, T=800), rng(29))
         law = AutocovLaw(y=0.5)
 
         def cdf(x):
@@ -401,8 +398,11 @@ class TestAutocov:
 
 class TestDispatch:
     def test_simulate_dispatch(self):
-        assert simulate(PopulationModel(p=10, n=10), rng(0)).scale_power == 1
-        assert simulate(AutocovModel(p=10, T=20), rng(0)).scale_power == 2
+        for model in (PopulationModel(p=10, n=12), FisherModel(p=10, n=12, T=30),
+                      AutocovModel(p=10, T=20)):
+            spec = simulate(model, rng(0))
+            assert (spec.p, spec.n, spec.scale_power) == (model.p, model.count, model.scale_power)
+            assert np.array_equal(spec.values, model.draw(rng(0)))
         with pytest.raises(ConfigurationError):
             simulate(object(), rng(0))
 
@@ -721,7 +721,7 @@ class TestFisherBartlett:
         dense_rng, bartlett_rng = rng(21), rng(22)
         dense = np.array([fisher_reference.simulate_fisher(model, dense_rng).values[:4]
                           for _ in range(self.DRAWS)])
-        drawn = np.array([simulate_fisher(model, bartlett_rng).values[:4]
+        drawn = np.array([simulate(model, bartlett_rng).values[:4]
                           for _ in range(self.DRAWS)])
         for name, stat in self.STATS.items():
             pvalue = ks_2samp(stat(dense), stat(drawn)).pvalue
@@ -758,7 +758,7 @@ class TestPopulationBanded:
         dense_rng, banded_rng = rng(31), rng(32)
         dense = np.array([population_reference.simulate_population(model, dense_rng).values
                           for _ in range(self.DRAWS)])
-        drawn = np.array([simulate_population(model, banded_rng).values
+        drawn = np.array([simulate(model, banded_rng).values
                           for _ in range(self.DRAWS)])
         for name, stat in self.stats(model).items():
             pvalue = ks_2samp(stat(dense), stat(drawn)).pvalue
