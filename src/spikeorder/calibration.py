@@ -213,6 +213,8 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
     """
     if reps < 2:
         raise ConfigurationError(f"calibration needs R >= 2, got {reps}")
+    if seed < 0:
+        raise ConfigurationError(f"calibration seed must be nonnegative, got {seed}")
     if p < 3:
         # the noise statistics read the top three eigenvalues
         raise ConfigurationError(f"calibration needs p >= 3, got p = {p}")

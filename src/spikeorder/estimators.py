@@ -14,6 +14,8 @@ the spikes above it, sharpening the valley without touching the cliff.
 Three baselines are included for comparison: a consecutive-gap threshold
 rule (``py_estimator``), a consecutive-eigenvalue-ratio rule
 (``lwy_estimator``) and a bulk-edge exceedance count (``wy_estimator``).
+Every estimator takes its tuning (c_n, tau, the search bound L, the slopes
+k1 and k2, the baselines' constants) as plain arguments.
 """
 
 import math
@@ -27,7 +29,6 @@ from .errors import ConfigurationError, NumericalError
 from .spectra import Spectrum
 
 __all__ = [
-    "EstimatorConfig",
     "RatioTrace",
     "PyEstimate",
     "LwyEstimate",
@@ -45,32 +46,6 @@ __all__ = [
 def loglog_rate(p: int) -> float:
     """loglog(p) * p^(-2/3): the default transformation radius and edge shift."""
     return loglog(p) * p ** (-2.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Tuning for the valley-cliff estimators.
-
-    The transformation block (e, k1, k2) only matters for the transformed
-    variant, whose radius is loglog(p) * p^(-2/3).
-    """
-
-    c_n: float
-    tau: float = 0.5
-    L: int = 20
-    e: float | None = None
-    k1: float = 5.0
-    k2: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigurationError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.L < 3:
-            raise ConfigurationError(f"search bound L must be at least 3, got {self.L}")
-        if not 0.0 < self.c_n < math.inf:
-            raise ConfigurationError(f"ridge c_n must be positive and finite, got {self.c_n}")
-        if not (0.0 <= self.k1 < math.inf and 0.0 <= self.k2 < math.inf):
-            raise ConfigurationError("k1 and k2 must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +89,10 @@ def fn_transform(x, e: float, kappa_n: float, k1: float, k2: float):
     k1 = 0 (resp. k2 = 0) selects the identity on that side; both zero is
     the identity everywhere.  Accepts scalars or arrays.
     """
-    if kappa_n <= 0:
-        raise ConfigurationError("kappa_n must be positive")
-    if k1 < 0 or k2 < 0:
-        raise ConfigurationError("k1 and k2 must be nonnegative")
+    if not 0.0 < kappa_n < math.inf:
+        raise ConfigurationError(f"kappa_n must be positive and finite, got {kappa_n}")
+    if not (0.0 <= k1 < math.inf and 0.0 <= k2 < math.inf):
+        raise ConfigurationError(f"k1 and k2 must be nonnegative and finite, got {k1}, {k2}")
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = xs.copy()
@@ -142,17 +117,17 @@ def _select(ratios: np.ndarray, tau: float) -> int:
     return int(hits[-1]) + 1 if hits.size else 0
 
 
-def _trace(x: np.ndarray, cfg: EstimatorConfig) -> RatioTrace:
+def _trace(x: np.ndarray, c_n: float, tau: float) -> RatioTrace:
     deltas = x[:-1] - x[1:]
-    ratios = (deltas[1:] + cfg.c_n) / (deltas[:-1] + cfg.c_n)
-    return RatioTrace(deltas=deltas, ratios=ratios, tau=cfg.tau, c_n=cfg.c_n,
-                      q_hat=_select(ratios, cfg.tau))
+    ratios = (deltas[1:] + c_n) / (deltas[:-1] + c_n)
+    return RatioTrace(deltas=deltas, ratios=ratios, tau=tau, c_n=c_n,
+                      q_hat=_select(ratios, tau))
 
 
 def _normalized(values: np.ndarray, sigma2: float, scale_power: int) -> np.ndarray:
     """values / sigma2^scale_power; NumericalError when that leaves the float range."""
-    if sigma2 <= 0:
-        raise ConfigurationError("sigma2 must be positive")
+    if not sigma2 > 0:
+        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
     try:
         scale = sigma2 ** scale_power
     except OverflowError:
@@ -163,39 +138,44 @@ def _normalized(values: np.ndarray, sigma2: float, scale_power: int) -> np.ndarr
     return values / scale
 
 
-def _normalized_head(spec: Spectrum, sigma2: float, cfg: EstimatorConfig) -> np.ndarray:
-    if spec.p < cfg.L:
-        raise ConfigurationError(
-            f"search bound L = {cfg.L} exceeds the spectrum length p = {spec.p}"
-        )
-    return _normalized(spec.values[: cfg.L], sigma2, spec.scale_power)
+def _normalized_head(spec: Spectrum, sigma2: float, c_n: float, tau: float,
+                     L: int) -> np.ndarray:
+    if not 0.0 < tau < 1.0:
+        raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
+    if L < 3:
+        raise ConfigurationError(f"search bound L must be at least 3, got {L}")
+    if not 0.0 < c_n < math.inf:
+        raise ConfigurationError(f"ridge c_n must be positive and finite, got {c_n}")
+    if spec.p < L:
+        raise ConfigurationError(f"search bound L = {L} exceeds the spectrum length p = {spec.p}")
+    return _normalized(spec.values[:L], sigma2, spec.scale_power)
 
 
-def vacle(spec: Spectrum, sigma2: float, cfg: EstimatorConfig):
+def vacle(spec: Spectrum, sigma2: float, c_n: float, tau: float = 0.5, L: int = 20):
     """Valley-cliff estimate on the gaps of the spectrum normalized by ``sigma2``.
 
     Returns ``(q_hat, trace)``.  The trace holds delta_1 .. delta_{L-1} and
     r_1 .. r_{L-2}; q_hat is the thresholded valley index (0 when no ratio
     falls at or below tau).
     """
-    trace = _trace(_normalized_head(spec, sigma2, cfg), cfg)
+    trace = _trace(_normalized_head(spec, sigma2, c_n, tau, L), c_n, tau)
     return trace.q_hat, trace
 
 
-def tvacle(spec: Spectrum, sigma2: float, cfg: EstimatorConfig):
+def tvacle(spec: Spectrum, sigma2: float, c_n: float, e: float, tau: float = 0.5,
+           L: int = 20, k1: float = 5.0, k2: float = 5.0):
     """Valley-cliff estimate on transformed gaps; returns ``(q_hat, trace)``.
 
-    Requires ``cfg.e``, the bulk upper edge of the model family on the
-    normalized scale.  With k1 = k2 = 0 this reproduces ``vacle`` exactly.
+    ``e`` is the bulk upper edge of the model family on the normalized scale;
+    the transformation radius is loglog(p) * p^(-2/3).  With k1 = k2 = 0 this
+    reproduces ``vacle`` exactly.
     """
-    if cfg.e is None:
-        raise ConfigurationError("tvacle requires the bulk edge e in the config")
-    x = _normalized_head(spec, sigma2, cfg)
+    x = _normalized_head(spec, sigma2, c_n, tau, L)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported here
-        fx = fn_transform(x, cfg.e, loglog_rate(spec.p), cfg.k1, cfg.k2)
+        fx = fn_transform(x, e, loglog_rate(spec.p), k1, k2)
     if not np.all(np.isfinite(fx)):
         raise NumericalError(f"the transformed spectrum leaves the float range (top {x[0]})")
-    trace = _trace(fx, cfg)
+    trace = _trace(fx, c_n, tau)
     return trace.q_hat, trace
 
 

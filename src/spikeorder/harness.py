@@ -13,22 +13,14 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import calibration
 from .calibration import calibrate_ridge, py_constant
 from .errors import ConfigurationError
-from .estimators import (
-    EstimatorConfig,
-    loglog_rate,
-    lwy_estimator,
-    py_estimator,
-    tvacle,
-    vacle,
-    wy_estimator,
-)
+from .estimators import loglog_rate, lwy_estimator, py_estimator, tvacle, vacle, wy_estimator
 from .spectra import at_size, replicate, simulate
 
 __all__ = [
@@ -58,7 +50,8 @@ class EstimatorSetting:
     ``ridge`` picks the calibrated ridge for the valley-cliff methods
     (default c1 for the plain variant, the family's ``transformed_ridge``
     for the transformed one); ``c_n`` gives the ridge value outright.
-    ``tau`` defaults to the family's ``default_tau``.
+    ``tau`` defaults to the family's ``default_tau``.  Every field that is
+    set is range-checked here, whichever method reads it.
     """
 
     name: str
@@ -80,8 +73,18 @@ class EstimatorSetting:
             )
         if self.ridge is not None and self.ridge not in ("c1", "c2", "c3a", "c3b"):
             raise ConfigurationError(f"unknown ridge {self.ridge!r}")
-        if self.L < 0:
-            raise ConfigurationError(f"search bound L must be at least 0, got {self.L}")
+        least = 3 if self.name in ("vacle", "tvacle") else 0
+        if self.L < least:
+            raise ConfigurationError(f"search bound L must be at least {least}, got {self.L}")
+        for key, value, upper in (("tau", self.tau, 1), ("d_t", self.d_t, 1),
+                                  ("c_n", self.c_n, math.inf), ("py_c", self.py_C, math.inf)):
+            if value is not None and not 0 < value < upper:
+                raise ConfigurationError(f"{key} must lie in (0, {upper}), got {value}")
+        if not (0.0 <= self.k1 < math.inf and 0.0 <= self.k2 < math.inf):
+            raise ConfigurationError(
+                f"k1 and k2 must be nonnegative and finite, got {self.k1}, {self.k2}")
+        if self.py_start_index not in (0, 1):
+            raise ConfigurationError(f"py_start_index must be 0 or 1, got {self.py_start_index}")
 
     @property
     def column(self) -> str:
@@ -112,6 +115,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ConfigurationError("reps must be at least 1")
+        for key, seed in (("seed", self.seed), ("calibration seed", self.calibration_seed)):
+            if seed < 0:
+                raise ConfigurationError(f"{key} must be nonnegative, got {seed}")
         if not self.grid:
             raise ConfigurationError("grid must be nonempty")
         if not self.estimators:
@@ -203,31 +209,21 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
             raise ConfigurationError(
                 f"search bound L = {setting.L} exceeds the spectrum length p = {model.p}"
             )
-        # a unit ridge stands in for a calibrated one while the tuning is checked
-        cfg = EstimatorConfig(
-            c_n=1.0 if setting.c_n is None else setting.c_n, tau=tau, L=setting.L,
-            e=model.bulk_edge() if name == "tvacle" else None,
-            k1=setting.k1, k2=setting.k2,
-        )
-        fn = tvacle if name == "tvacle" else vacle
         ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
-        tuned = functools.cache(
-            lambda: cfg if setting.c_n is not None else replace(cfg, c_n=calibrate().ridge(ridge)))
-        return lambda spec: fn(spec, scale(spec), tuned())
+        c_n = functools.cache(
+            lambda: setting.c_n if setting.c_n is not None else calibrate().ridge(ridge))
+        if name == "vacle":
+            return lambda spec: vacle(spec, scale(spec), c_n(), tau, setting.L)
+        e = model.bulk_edge()
+        return lambda spec: tvacle(spec, scale(spec), c_n(), e, tau, setting.L,
+                                   setting.k1, setting.k2)
 
     if name == "py":
-        if setting.py_start_index not in (0, 1):
-            raise ConfigurationError(
-                f"py_start_index must be 0 or 1, got {setting.py_start_index}")
         C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count)
-        if not 0.0 < C < math.inf:
-            raise ConfigurationError(f"py_c must be positive and finite, got {C}")
         return lambda spec: (py_estimator(spec, scale(spec), C, L=setting.L,
                                           start_index=setting.py_start_index).q_hat, None)
 
     if name == "lwy":
-        if setting.d_t is not None and not 0.0 < setting.d_t < 1.0:
-            raise ConfigurationError(f"d_t must lie in (0, 1), got {setting.d_t}")
         d_t = functools.cache(
             lambda: setting.d_t if setting.d_t is not None else calibrate().d_t_lwy)
         return lambda spec: (lwy_estimator(spec, d_t(), L=setting.L).q_hat, None)

@@ -9,7 +9,7 @@ import numpy as np
 
 from spikeorder import rmt
 from spikeorder.calibration import calibrate_ridge, estimate_sigma2
-from spikeorder.estimators import EstimatorConfig, fn_transform, tvacle, vacle
+from spikeorder.estimators import fn_transform, tvacle, vacle
 from spikeorder.harness import (
     EstimatorSetting,
     ExperimentConfig,
@@ -190,11 +190,10 @@ def test_criterion_8_property_suite(cache_dir):
     s = 4.0
     spec = Spectrum(values=vals, p=26, n=150)
     spec_s = Spectrum(values=vals * s, p=26, n=150)
-    cfg_v = EstimatorConfig(c_n=0.15, L=20)
-    cfg_t = EstimatorConfig(c_n=0.15, L=20, e=4.0)
     scale_ok = (
-        vacle(spec, 1.0, cfg_v)[0] == vacle(spec_s, s, cfg_v)[0]
-        and tvacle(spec, 1.0, cfg_t)[0] == tvacle(spec_s, s, cfg_t)[0]
+        vacle(spec, 1.0, c_n=0.15, L=20)[0] == vacle(spec_s, s, c_n=0.15, L=20)[0]
+        and (tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0)[0]
+             == tvacle(spec_s, s, c_n=0.15, L=20, e=4.0)[0])
         and py_estimator(spec, 1.0, C=6.3).q_hat == py_estimator(spec_s, s, C=6.3).q_hat
         and lwy_estimator(spec, 0.07).q_hat == lwy_estimator(spec_s, 0.07).q_hat
         and wy_estimator(spec, edge=4.0, d_n=0.2) == wy_estimator(spec_s, edge=4.0 * s, d_n=0.2 * s)
@@ -203,8 +202,8 @@ def test_criterion_8_property_suite(cache_dir):
     msgs.append(f"scale-invariance exact={scale_ok}")
 
     # transformed variant degenerates to the plain one at k1 = k2 = 0 (bitwise)
-    q_v, tr_v = vacle(spec, 1.0, cfg_v)
-    q_t, tr_t = tvacle(spec, 1.0, EstimatorConfig(c_n=0.15, L=20, e=4.0, k1=0.0, k2=0.0))
+    q_v, tr_v = vacle(spec, 1.0, c_n=0.15, L=20)
+    q_t, tr_t = tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0, k1=0.0, k2=0.0)
     degen_ok = (q_v == q_t and np.array_equal(tr_v.deltas, tr_t.deltas)
                 and np.array_equal(tr_v.ratios, tr_t.ratios))
     ok &= degen_ok
@@ -255,16 +254,13 @@ def test_criterion_8_property_suite(cache_dir):
     cal = calibrate_ridge("population", p=200, n=200, reps=500, seed=7,
                           cache_dir=cache_dir)
     noise = PopulationModel(p=200, n=200)
-    cfg_noise_v = EstimatorConfig(c_n=cal.c1, L=20)
-    cfg_noise_t = EstimatorConfig(c_n=cal.c1, L=20, e=4.0)
-    cfg_noise_t2 = EstimatorConfig(c_n=cal.c2, L=20, e=4.0)
     children = np.random.SeedSequence(108).spawn(200)
     fv = ft = ft2 = 0
     for ch in children:
         spec_n = simulate(noise, np.random.Generator(np.random.Philox(ch)))
-        fv += vacle(spec_n, 1.0, cfg_noise_v)[0] != 0
-        ft += tvacle(spec_n, 1.0, cfg_noise_t)[0] != 0
-        ft2 += tvacle(spec_n, 1.0, cfg_noise_t2)[0] != 0
+        fv += vacle(spec_n, 1.0, c_n=cal.c1, L=20)[0] != 0
+        ft += tvacle(spec_n, 1.0, c_n=cal.c1, L=20, e=4.0)[0] != 0
+        ft2 += tvacle(spec_n, 1.0, c_n=cal.c2, L=20, e=4.0)[0] != 0
     noise_ok = fv / 200 <= 0.05 and ft / 200 <= 0.05
     ok &= noise_ok
     msgs.append(f"noise false-det vacle={fv / 200:.3f} tvacle(c1)={ft / 200:.3f}"
@@ -302,7 +298,7 @@ def test_criterion_9_oracle_valley_cliff():
     vals = np.array(images + [law.upper_edge] * 16)
     spec = Spectrum(values=vals, p=20, n=200)
     c_n = 0.1
-    q, trace = vacle(spec, 1.0, EstimatorConfig(c_n=c_n, tau=0.5, L=20))
+    q, trace = vacle(spec, 1.0, c_n=c_n, tau=0.5, L=20)
     cliff_exact = bool(np.all(trace.ratios[4:] == 1.0))
     d_minus_e = images[-1] - law.upper_edge
     valley_exact = trace.ratios[3] == c_n / (d_minus_e + c_n)

@@ -538,6 +538,9 @@ class TestSimulate:
         ("lwy", "l", "-1"),
         ("py", "py_c", "nan"),
         ("tvacle", "k1", "nan"),
+        # an option that the method does not read is checked all the same
+        ("vacle", "d_t", "7"),
+        ("tvacle", "py_c", "nan"),
     ])
     def test_bad_tuning_exit_2(self, runner, tmp_path, method, key, value):
         # rejected before the calibration, not as a partial all-NaN row
@@ -807,7 +810,24 @@ EXIT_2_CASES = {
         ("population", "py", "--py-c", "-1"), ("population", "vacle", "--c-n", "nan"),
         ("population", "vacle", "--c-n", "inf"),
         ("population", "tvacle", "--c-n", "0.15", "--k1", "nan"),
-        ("population", "tvacle", "--c-n", "0.15", "--k2", "inf"))},
+        ("population", "tvacle", "--c-n", "0.15", "--k2", "inf"),
+        # options of another method, which it does not read
+        ("population", "py", "--c-n", "-3", "--k1", "-1"),
+        ("population", "vacle", "--c-n", "0.2", "--py-c", "nan", "--d-t", "7"),
+        ("population", "lwy", "--d-t", "0.3", "--tau", "nan"))},
+    # a negative seed, rejected before any draw
+    "calibrate-negative-seed": lambda tmp, spec: [
+        "calibrate", "--kind", "population", "--p", "20", "--n", "40", "--seed", "-1",
+        "--cache-dir", str(tmp / "cache")],
+    "estimate-negative-cal-seed": lambda tmp, spec: [
+        "estimate", spec, "--method", "vacle", "--family", "population", "--n", "240",
+        "--cal-seed", "-1", "--cache-dir", str(tmp / "cache")],
+    "simulate-negative-calibration-seed": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp, calibration={"seed": "-1"}),
+        "--cache-dir", str(tmp / "cache")],
+    "simulate-negative-harness-seed": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp, harness={"seed": "-4"}),
+        "--cache-dir", str(tmp / "cache")],
     "report-bad-distribution": lambda tmp, spec: ["report", "--in", bad_mirror(tmp)],
     "estimate-unwritable-plot-data": lambda tmp, spec: [
         "estimate", spec, "--method", "tvacle", "--family", "population", "--n", "240",
@@ -900,7 +920,12 @@ class TestExitCodes:
     COUNTS = st.integers(2, 10_000) | st.integers(0, 340).map(lambda k: 10 ** k) | st.integers()
 
     # every estimator option that needs no calibration draw: a ridge, a ratio
-    # tolerance, a py constant, or none for wy
+    # tolerance, a py constant, or none for wy; and each tuning option's range
+    OWN_OPTION = {"vacle": "--c-n", "tvacle": "--c-n", "lwy": "--d-t", "py": "--py-c"}
+    IN_RANGE = {"--c-n": lambda v: 0.0 < v < math.inf, "--py-c": lambda v: 0.0 < v < math.inf,
+                "--d-t": lambda v: 0.0 < v < 1.0, "--tau": lambda v: 0.0 < v < 1.0,
+                "--k1": lambda v: 0.0 <= v < math.inf, "--k2": lambda v: 0.0 <= v < math.inf}
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(family=st.sampled_from(FAMILIES),
            method=st.sampled_from(["vacle", "tvacle", "lwy", "py", "wy"]),
@@ -912,30 +937,32 @@ class TestExitCodes:
            tune=st.floats(0.0, 1.0) | st.floats(),
            bound=st.none() | st.integers(3, 40) | st.integers(),
            tau=st.none() | st.floats(0.0, 1.0) | st.floats(),
-           k1=st.none() | st.floats(), k2=st.none() | st.floats())
+           k1=st.none() | st.floats(), k2=st.none() | st.floats(),
+           other=st.integers(0, 2), other_value=st.none() | st.floats(0.0, 1.0) | st.floats())
     def test_any_input_keeps_exit_contract(self, tmp_path_factory, family, method, values,
-                                           n, t, sigma2, tune, bound, tau, k1, k2):
+                                           n, t, sigma2, tune, bound, tau, k1, k2,
+                                           other, other_value):
         spectrum = tmp_path_factory.getbasetemp() / "estimate-fuzz.txt"
         spectrum.write_text("".join(f"{v!r}\n" for v in values))
-        option = {"vacle": "--c-n", "tvacle": "--c-n", "lwy": "--d-t", "py": "--py-c"}
+        own = self.OWN_OPTION.get(method)
+        others = [o for o in ("--c-n", "--d-t", "--py-c") if o != own]  # another method's
+        options = {own: tune, others[other % len(others)]: other_value,
+                   "--tau": tau, "--k1": k1, "--k2": k2}
+        options = {name: v for name, v in options.items() if name and v is not None}
         args = ["estimate", str(spectrum), "--method", method, "--family", family,
                 f"--n={n}", f"--t={t}", f"--sigma2={sigma2}"]
         args += [f"--bound={bound}"] if bound is not None else []
-        args += [f"{option[method]}={tune!r}"] if method in option else []
-        args += [f"--tau={tau!r}"] if tau is not None else []
-        slopes = [(name, k) for name, k in (("k1", k1), ("k2", k2))
-                  if k is not None and method == "tvacle"]
-        args += [f"--{name}={k!r}" for name, k in slopes]
+        args += [f"{name}={v!r}" for name, v in options.items()]
         res = CliRunner().invoke(main, args)
         assert res.exit_code in (0, 2, 3), res.output
         assert "Traceback" not in res.output
-        if res.exit_code == 0:  # the tuning was in range, and so is the estimate
-            assert method == "wy" or 0.0 < tune < math.inf
-            assert all(0.0 <= k < math.inf for _, k in slopes)
+        if res.exit_code == 0:  # every option was in range, and so is the estimate
+            assert all(self.IN_RANGE[name](v) for name, v in options.items()), options
             assert 0 <= int(res.stdout.split("=")[-1]) <= (20 if bound is None else bound)
 
     @pytest.mark.parametrize("case", ["simulate-unwritable-out",
-                                      "calibrate-uncreatable-cache-dir"])
+                                      "calibrate-uncreatable-cache-dir",
+                                      "simulate-negative-harness-seed"])
     def test_unusable_output_fails_before_any_draw(self, runner, tmp_path, spectrum_file,
                                                     monkeypatch, case):
         calls = []

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from spikeorder import rmt
 from spikeorder.errors import ConfigurationError
 from spikeorder.estimators import (
-    EstimatorConfig,
     fn_transform,
     loglog_rate,
     lwy_estimator,
@@ -24,25 +25,22 @@ def make_spec(values, n=200, scale_power=1):
 class TestRidgeRatios:
     def test_hand_example(self):
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
-        cfg = EstimatorConfig(c_n=0.1, tau=0.5, L=6)
-        trace = vacle(spec, 1.0, cfg)[1]
+        trace = vacle(spec, 1.0, c_n=0.1, tau=0.5, L=6)[1]
         expected = [3.9 / 4.1, 0.2 / 3.9, 0.15 / 0.2, 0.15 / 0.15]
         assert np.allclose(trace.ratios, expected, atol=1e-14)
         assert trace.q_hat == 2
 
     def test_all_equal(self):
         spec = make_spec([2.0] * 10)
-        cfg = EstimatorConfig(c_n=0.3, L=10)
-        trace = vacle(spec, 1.0, cfg)[1]
+        trace = vacle(spec, 1.0, c_n=0.3, L=10)[1]
         assert np.all(trace.ratios == 1.0)
         assert trace.q_hat == 0
 
     def test_scale_cancellation_power_of_two(self):
         # joint scaling by a power of two is exact in IEEE arithmetic
         vals = np.array([9.0, 5.0, 1.2, 1.1, 1.07, 1.01, 0.95, 0.9])
-        cfg = EstimatorConfig(c_n=0.07, L=8)
-        base = vacle(make_spec(vals), 1.0, cfg)[1]
-        scaled = vacle(make_spec(vals * 4.0), 4.0, cfg)[1]
+        base = vacle(make_spec(vals), 1.0, c_n=0.07, L=8)[1]
+        scaled = vacle(make_spec(vals * 4.0), 4.0, c_n=0.07, L=8)[1]
         assert np.array_equal(base.ratios, scaled.ratios)
         assert np.array_equal(base.deltas, scaled.deltas)
         assert base.q_hat == scaled.q_hat
@@ -50,19 +48,17 @@ class TestRidgeRatios:
     def test_length_contract(self):
         spec = make_spec([3.0, 2.0, 1.0])
         with pytest.raises(ConfigurationError, match="exceeds"):
-            vacle(spec, 1.0, EstimatorConfig(c_n=0.1, L=20))
+            vacle(spec, 1.0, c_n=0.1, L=20)
         # p == L is the boundary case that still works (delta_{L-1} exists)
-        trace = vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0,
-                      EstimatorConfig(c_n=0.1, L=4))[1]
+        trace = vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0, c_n=0.1, L=4)[1]
         assert trace.ratios.size == 2
         with pytest.raises(ConfigurationError):
-            vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0,
-                  EstimatorConfig(c_n=0.1, L=5))
+            vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0, c_n=0.1, L=5)
 
     def test_trace_serialization(self):
         import json
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
-        trace = vacle(spec, 1.0, EstimatorConfig(c_n=0.1, L=6))[1]
+        trace = vacle(spec, 1.0, c_n=0.1, L=6)[1]
         d = json.loads(json.dumps(trace.to_dict()))
         assert set(d) == {"deltas", "ratios", "tau", "c_n", "q_hat"}
         assert d["q_hat"] == 2
@@ -70,16 +66,27 @@ class TestRidgeRatios:
 
 class TestConfig:
     def test_validation(self):
+        spec = make_spec([4.0, 3.0, 2.0, 1.0])
         with pytest.raises(ConfigurationError):
-            EstimatorConfig(c_n=0.0)
+            vacle(spec, 1.0, c_n=0.0, L=4)
         with pytest.raises(ConfigurationError):
-            EstimatorConfig(c_n=0.1, tau=1.0)
+            vacle(spec, 1.0, c_n=0.1, tau=1.0, L=4)
         with pytest.raises(ConfigurationError):
-            EstimatorConfig(c_n=0.1, L=2)
+            vacle(spec, 1.0, c_n=0.1, L=2)
         with pytest.raises(ConfigurationError):
-            vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 0.0, EstimatorConfig(c_n=0.1, L=4))
+            vacle(spec, 0.0, c_n=0.1, L=4)
         with pytest.raises(ConfigurationError):
-            EstimatorConfig(c_n=0.1, k1=-1.0)
+            tvacle(spec, 1.0, c_n=0.1, e=4.0, L=4, k1=-1.0)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda spec: vacle(spec, math.nan, c_n=0.1, L=4),
+        lambda spec: tvacle(spec, math.nan, c_n=0.1, e=4.0, L=4),
+        lambda spec: py_estimator(spec, math.nan, C=6.3424),
+    ], ids=["vacle", "tvacle", "py"])
+    def test_nan_sigma2_is_bad_input(self, estimate):
+        # a NaN scale is bad input (exit 2), not a numerical failure (exit 3)
+        with pytest.raises(ConfigurationError, match="sigma2 must be positive"):
+            estimate(make_spec([4.0, 3.0, 2.0, 1.0]))
 
 
 class TestFnTransform:
@@ -158,6 +165,15 @@ class TestFnTransform:
         assert np.array_equal(out_left[xs < self.E + self.KAPPA],
                               xs[xs < self.E + self.KAPPA])
 
+    @pytest.mark.parametrize("kappa, k1, k2", [
+        (math.nan, 5.0, 5.0), (math.inf, 5.0, 5.0), (0.05, math.nan, 5.0),
+        (0.05, math.inf, 5.0), (0.05, 5.0, math.nan), (0.05, 5.0, math.inf),
+    ])
+    def test_rejects_non_finite_radius_and_slopes(self, kappa, k1, k2):
+        # a NaN radius or slope would silently drop a branch of the map
+        with pytest.raises(ConfigurationError):
+            fn_transform(1.0, self.E, kappa, k1, k2)
+
     def test_scalar_round_trip(self):
         assert fn_transform(4.0, self.E, self.KAPPA, self.K1, self.K2) == 4.0
         assert isinstance(fn_transform(1.0, self.E, self.KAPPA, self.K1, self.K2), float)
@@ -166,12 +182,12 @@ class TestFnTransform:
 class TestVacle:
     def test_selection_rule(self):
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
-        q, trace = vacle(spec, 1.0, EstimatorConfig(c_n=0.1, tau=0.5, L=6))
+        q, trace = vacle(spec, 1.0, c_n=0.1, tau=0.5, L=6)
         assert q == 2 and trace.q_hat == 2
 
     def test_empty_set_gives_zero(self):
         spec = make_spec(np.linspace(5.0, 4.0, 10))
-        q, _ = vacle(spec, 1.0, EstimatorConfig(c_n=5.0, tau=0.2, L=10))
+        q, _ = vacle(spec, 1.0, c_n=5.0, tau=0.2, L=10)
         assert q == 0
 
 
@@ -180,16 +196,11 @@ class TestTvacle:
         g = np.random.default_rng(3)
         vals = np.sort(g.uniform(1.0, 9.0, 30))[::-1]
         spec = make_spec(vals)
-        q_v, tr_v = vacle(spec, 1.0, EstimatorConfig(c_n=0.2, L=20))
-        q_t, tr_t = tvacle(spec, 1.0, EstimatorConfig(c_n=0.2, L=20, e=4.0, k1=0.0, k2=0.0))
+        q_v, tr_v = vacle(spec, 1.0, c_n=0.2, L=20)
+        q_t, tr_t = tvacle(spec, 1.0, c_n=0.2, L=20, e=4.0, k1=0.0, k2=0.0)
         assert q_v == q_t
         assert np.array_equal(tr_v.deltas, tr_t.deltas)
         assert np.array_equal(tr_v.ratios, tr_t.ratios)
-
-    def test_requires_edge(self):
-        spec = make_spec(np.linspace(9.0, 1.0, 25))
-        with pytest.raises(ConfigurationError, match="edge"):
-            tvacle(spec, 1.0, EstimatorConfig(c_n=0.2))
 
     def test_sharpens_valley(self):
         # spike above the window, bulk inside the default radius
@@ -198,10 +209,8 @@ class TestTvacle:
         e = 4.0
         vals = np.array([9.0, e + 0.02, e + 0.01, e - 0.002, e - 0.01, e - 0.02])
         spec = make_spec(vals)
-        cfg_plain = EstimatorConfig(c_n=0.05, L=6)
-        cfg_tr = EstimatorConfig(c_n=0.05, L=6, e=e, k1=5.0, k2=5.0)
-        _, tr_plain = vacle(spec, 1.0, cfg_plain)
-        _, tr_tr = tvacle(spec, 1.0, cfg_tr)
+        _, tr_plain = vacle(spec, 1.0, c_n=0.05, L=6)
+        _, tr_tr = tvacle(spec, 1.0, c_n=0.05, L=6, e=e, k1=5.0, k2=5.0)
         assert tr_tr.ratios[0] <= tr_plain.ratios[0]
 
     def test_default_kappa(self):
@@ -219,7 +228,7 @@ class TestOracleValleyCliff:
         vals = np.array(images + [law.upper_edge] * 16)
         spec = make_spec(vals, n=200)
         c_n = 0.1
-        q, trace = vacle(spec, 1.0, EstimatorConfig(c_n=c_n, tau=0.5, L=20))
+        q, trace = vacle(spec, 1.0, c_n=c_n, tau=0.5, L=20)
         assert q == 4
         # the cliff is exactly one
         assert np.all(trace.ratios[4:] == 1.0)
@@ -321,10 +330,9 @@ class TestScaleInvariance:
         spec = make_spec(vals, n=150)
         s = 4.0  # power of two: exact in floating point
         spec_s = make_spec(vals * s, n=150)
-        cfg = EstimatorConfig(c_n=0.15, L=20)
-        assert vacle(spec, 1.0, cfg)[0] == vacle(spec_s, s, cfg)[0]
-        cfg_t = EstimatorConfig(c_n=0.15, L=20, e=4.0)
-        assert tvacle(spec, 1.0, cfg_t)[0] == tvacle(spec_s, s, cfg_t)[0]
+        assert vacle(spec, 1.0, c_n=0.15, L=20)[0] == vacle(spec_s, s, c_n=0.15, L=20)[0]
+        assert (tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0)[0]
+                == tvacle(spec_s, s, c_n=0.15, L=20, e=4.0)[0])
         assert (py_estimator(spec, 1.0, C=6.3).q_hat
                 == py_estimator(spec_s, s, C=6.3).q_hat)
 
@@ -335,8 +343,7 @@ class TestScaleInvariance:
         s = 2.0
         spec = make_spec(vals, n=100, scale_power=2)
         spec_s = make_spec(vals * s ** 2, n=100, scale_power=2)
-        cfg = EstimatorConfig(c_n=0.1, L=20)
-        a, tr_a = vacle(spec, 1.0, cfg)
-        b, tr_b = vacle(spec_s, s, cfg)
+        a, tr_a = vacle(spec, 1.0, c_n=0.1, L=20)
+        b, tr_b = vacle(spec_s, s, c_n=0.1, L=20)
         assert a == b
         assert np.array_equal(tr_a.ratios, tr_b.ratios)

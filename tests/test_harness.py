@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import population_reference
@@ -225,21 +226,28 @@ class TestFamilies:
         with pytest.raises(ConfigurationError, match=r"L = 20 .* p = 10"):
             run_experiment(cfg)
 
+    # EstimatorSetting keywords; the last cases set an option the method does not read
     @pytest.mark.parametrize("setting, message", [
-        (EstimatorSetting("lwy", d_t=1.5), r"d_t .* \(0, 1\)"),
-        (EstimatorSetting("lwy", d_t=0.0), r"d_t .* \(0, 1\)"),
-        (EstimatorSetting("py", py_start_index=4), "py_start_index .* 0 or 1"),
+        ({"name": "lwy", "d_t": 1.5}, r"d_t .* \(0, 1\)"),
+        ({"name": "lwy", "d_t": 0.0}, r"d_t .* \(0, 1\)"),
+        ({"name": "py", "py_start_index": 4}, "py_start_index .* 0 or 1"),
+        ({"name": "py", "c_n": -3.0}, r"c_n .* \(0, inf\)"),
+        ({"name": "py", "k1": -1.0}, "k1 and k2 .* nonnegative"),
+        ({"name": "vacle", "py_C": math.nan}, r"py_c .* \(0, inf\)"),
+        ({"name": "vacle", "d_t": 7.0}, r"d_t .* \(0, 1\)"),
+        ({"name": "lwy", "tau": math.nan}, r"tau .* \(0, 1\)"),
+        ({"name": "wy", "k2": math.inf}, "k1 and k2 .* finite"),
     ])
     def test_bad_tuning_checked_before_any_draw(self, monkeypatch, setting, message):
-        # the estimator would reject these on every spectrum; the build
-        # rejects them before the calibration or replication 0 runs
+        # the estimator would reject these on every spectrum, or never read
+        # them; they are rejected before the calibration or replication 0 runs
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before the configuration was checked")
 
         monkeypatch.setattr(harness_mod, "calibrate_ridge", no_draw)
         monkeypatch.setattr(harness_mod, "simulate", no_draw)
         with pytest.raises(ConfigurationError, match=message):
-            run_experiment(small_config(estimators=(setting,)))
+            run_experiment(small_config(estimators=(EstimatorSetting(**setting),)))
 
     def test_later_grid_point_checked_before_any_draw(self, monkeypatch, tmp_path):
         # the bad setting sits at the second point; the first point's
