@@ -19,9 +19,9 @@ consecutive-ratio baseline: the largest observed value of
 max(1 - l2/l1, 1 - l3/l2) over the noise runs, i.e. the smallest tolerance
 whose stopping rule fires at i = 1 in every pure-noise run.
 
-The population and Fisher families draw those tops from their O(p)
-bidiagonal models (``noise_top``); the auto-covariance family has none and
-draws dense spectra through ``simulate``.
+Every family draws those tops through its model's ``noise_top``: the
+population and Fisher families from their O(p) bidiagonal models, the
+auto-covariance family from its dense spectra.
 """
 
 import json
@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .rmt import mp_quantile
-from .spectra import at_size, replicate, simulate
+# simulate is unused here; perfbench/tracing.py wraps it by this module's name
+from .spectra import at_size, replicate, simulate  # noqa: F401
 
 __all__ = [
     "DEFAULT_REPS",
@@ -44,6 +45,7 @@ __all__ = [
     "CalibrationResult",
     "aggregate_gaps",
     "calibrate_ridge",
+    "check_noise_run",
     "estimate_sigma2",
     "load_cached",
     "loglog",
@@ -199,6 +201,14 @@ def _store(cache_dir, result: CalibrationResult):
     return path
 
 
+def check_noise_run(reps: int, seed: int) -> None:
+    """Reject a noise run ``calibrate_ridge`` cannot draw: R < 2 or a negative seed."""
+    if reps < 2:
+        raise ConfigurationError(f"calibration needs R >= 2, got {reps}")
+    if seed < 0:
+        raise ConfigurationError(f"calibration seed must be nonnegative, got {seed}")
+
+
 def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
                     seed: int = DEFAULT_SEED, workers: int = 1, cache_dir=None,
                     force: bool = False) -> CalibrationResult:
@@ -206,15 +216,12 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
 
     The noise runs go through ``spectra.replicate``, so the result does not
     depend on the worker count; each reads the top three eigenvalues from the
-    model's ``noise_top`` where the family has one, else from ``simulate``.
+    model's ``noise_top``.
     With ``cache_dir`` set, results are reused across runs keyed by
     (kind, p, n, T, reps, seed), where a size the family does not use is keyed
     as absent; the directory is created before the first draw.
     """
-    if reps < 2:
-        raise ConfigurationError(f"calibration needs R >= 2, got {reps}")
-    if seed < 0:
-        raise ConfigurationError(f"calibration seed must be nonnegative, got {seed}")
+    check_noise_run(reps, seed)
     if p < 3:
         # the noise statistics read the top three eigenvalues
         raise ConfigurationError(f"calibration needs p >= 3, got p = {p}")
@@ -227,7 +234,7 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
             return cached
 
     def one(rng):
-        v = model.noise_top(rng) if hasattr(model, "noise_top") else simulate(model, rng).values
+        v = model.noise_top(rng)
         gap = float(v[0] - v[1])
         # same 0/0 -> 1 ratio convention as the consecutive-ratio estimator
         r1 = v[1] / v[0] if v[0] > 0 else 1.0

@@ -19,7 +19,7 @@ import sys
 import click
 
 from . import rmt, spectra
-from .calibration import DEFAULT_REPS, DEFAULT_SEED, calibrate_ridge
+from .calibration import DEFAULT_REPS, DEFAULT_SEED, calibrate_ridge, check_noise_run
 from .errors import ConfigurationError, NumericalError, SpikeOrderError
 from .harness import (
     ESTIMATOR_NAMES,
@@ -127,6 +127,7 @@ def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
 def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed,
              cache_dir, trace_path, plot_data, as_json, **tuning):
     """Estimate the order of an ingested spectrum file."""
+    check_noise_run(cal_reps, cal_seed)  # before any work, whether or not a calibration runs
     raw = ingest_spectrum(spectrum, column=column)
     model = at_size(family, raw.p, n, t_)
     spec = dataclasses.replace(raw, n=model.count, scale_power=model.scale_power)

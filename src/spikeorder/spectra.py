@@ -13,17 +13,18 @@ descending sample eigenvalues:
 Each model class describes its family (limiting law, sizes it needs,
 primary sample count, estimator defaults, oracle order and bulk edge) and
 draws its spiked eigenvalues (``draw``), which ``simulate`` wraps in a
-``Spectrum``; ``FAMILIES`` maps each ``kind`` to its class.  Population and
-Fisher models also draw the top of a pure-noise spectrum from an O(p)
-bidiagonal model (``noise_top``), which the calibration uses, by LAPACK
-``dstebz`` bisection.  ``PopulationModel.draw`` uses the exact banded model,
-eigensolved by LAPACK ``dsbevd``; ``FisherModel.draw`` uses the whitened
-Bartlett model; auto-covariance draws are dense.  Fisher and auto-covariance
-eigensolve by LAPACK ``dsyevd``.  Every LAPACK call goes through ctypes with
-the GIL released, to the function pointers of scipy's Cython LAPACK API.
-That extension is loaded from its file: importing it from ``scipy.linalg``
-would first import numpy.f2py, numpy.testing and numpy.ma, the larger part of
-the package's import time.
+``Spectrum``; ``FAMILIES`` maps each ``kind`` to its class.  Each model also
+draws the top three eigenvalues the calibration reads (``noise_top``):
+population and Fisher models from an O(p) bidiagonal pure-noise model, by
+LAPACK ``dstebz`` bisection, auto-covariance models from their dense ``draw``.
+``PopulationModel.draw`` uses the exact banded model, eigensolved by LAPACK
+``dsbevd``; ``FisherModel.draw`` the whitened Bartlett model.  Fisher and
+auto-covariance eigensolve by LAPACK ``dsyevd``.  Every LAPACK call goes
+through ctypes with the GIL released, to the function pointers of scipy's
+Cython LAPACK API; auto-covariance factors go through scipy.signal's C filter.
+Both extensions are loaded from their files: importing ``scipy.linalg`` and
+``scipy.signal`` would first import numpy.f2py, numpy.testing, numpy.ma and
+scipy.stats, none of which the draws read.
 
 Every ``draw`` is a deterministic function of (model, rng) and shares no
 state, so ``replicate`` can run replications concurrently, one stream each.
@@ -317,11 +318,6 @@ class AutocovModel:
             raise ConfigurationError("sigma2 must be positive")
         if self.burn_in < 0:
             raise ConfigurationError("burn_in must be nonnegative")
-        if theta:
-            # scipy.signal (the VAR(1) filter; it loads scipy.stats) is imported
-            # only for factor models, and by the thread that builds the model: a
-            # first import on a replication thread slowed the later draws
-            import scipy.signal  # noqa: F401
 
     @property
     def count(self) -> int:
@@ -349,6 +345,15 @@ class AutocovModel:
     def bulk_edge(self) -> float:
         return self.law(y=self.p / self.T).b1
 
+    def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
+        """Top k values of ``draw``, zero-padded to length k when p < k.
+
+        No O(p) model of the lag-1 product is known, so this is the dense draw,
+        and factors enter: a pure-noise top needs a model with no theta.
+        """
+        top = self.draw(rng)[:k]
+        return np.concatenate([top, np.zeros(k - top.size)])
+
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Eigenvalues of M = Sigma Sigma' with Sigma = sum_t y_t y_{t-1}' / T.
 
@@ -362,7 +367,8 @@ class AutocovModel:
             e *= np.sqrt(np.asarray(self.gamma_diag))[:, None]
             x = np.empty_like(e)
             for i, th in enumerate(self.theta):
-                x[i] = scipy.signal.lfilter([1.0], [1.0, -th], e[i])
+                # scipy.signal.lfilter([1], [1, -th], e[i]): its call for 1-D input, no state
+                x[i] = _sigtools._linear_filter(np.ones(1), np.array([1.0, -th]), e[i], -1)
             x = x[:, -keep:]
         Y = rng.standard_normal((p, keep))
         Y *= math.sqrt(self.sigma2)
@@ -443,20 +449,24 @@ def _finish(w: np.ndarray, p: int, info: int = 0) -> np.ndarray:
     return np.maximum(np.sort(np.concatenate([np.zeros(p - w.size), w]))[::-1], 0.0)
 
 
-def _load_cython_lapack():
-    """scipy's Cython LAPACK API from its extension file, without ``scipy/linalg/__init__``;
-    the extension hands back the module object ``scipy.linalg`` gets, whichever loads first."""
-    folder = Path(scipy.__file__).parent / "linalg"
-    # the suffix, not a glob: cython_lapack.pxd sits next to the extension
-    path = next(path for suffix in importlib.machinery.EXTENSION_SUFFIXES
-                if (path := folder / f"cython_lapack{suffix}").is_file())
-    spec = importlib.util.spec_from_file_location("scipy.linalg.cython_lapack", path)
+def _load_extension(package: str, name: str):
+    """scipy's ``scipy.<package>.<name>`` extension from its file, without the package's
+    ``__init__``; it hands back the module object the package's import gets, whichever
+    loads first."""
+    folder = Path(scipy.__file__).parent / package
+    # the suffix, not a glob: cython_lapack.pxd sits next to its extension
+    path = next((path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if (path := folder / f"{name}{suffix}").is_file()), None)
+    if path is None:
+        raise ImportError(f"no extension file for scipy/{package}/{name}")
+    spec = importlib.util.spec_from_file_location(f"scipy.{package}.{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-cython_lapack = _load_cython_lapack()
+cython_lapack = _load_extension("linalg", "cython_lapack")
+_sigtools = _load_extension("signal", "_sigtools")
 
 
 def _lapack(name: str, *argtypes):

@@ -17,7 +17,7 @@ from spikeorder.calibration import (
 )
 from spikeorder.errors import ConfigurationError
 from spikeorder.rmt import mp_quantile
-from spikeorder.spectra import PopulationModel, Spectrum, simulate
+from spikeorder.spectra import FAMILIES, PopulationModel, Spectrum, simulate
 
 
 def make_spec(values, n=200):
@@ -183,11 +183,11 @@ class TestCalibrateRidge:
         ("autocov", dict(T=50), True),
     ])
     def test_noise_draws(self, monkeypatch, kind, sizes, dense):
-        # population and Fisher read their bidiagonal models; autocov has none
+        # every family calibrates through noise_top: population and Fisher read
+        # their bidiagonal models, autocov its dense draw
         calls = []
-        simulate = calibration_mod.simulate
-        monkeypatch.setattr(calibration_mod, "simulate",
-                            lambda *a: calls.append(1) or simulate(*a))
+        draw = FAMILIES[kind].draw
+        monkeypatch.setattr(FAMILIES[kind], "draw", lambda *a: calls.append(1) or draw(*a))
         calibrate_ridge(kind, p=30, reps=20, seed=1, **sizes)
         assert len(calls) == (20 if dense else 0)
 
@@ -215,7 +215,8 @@ class TestCalibrateRidge:
 
     # SHA-256 of the cache files, taken when every noise_top bisection went
     # through scipy.linalg.eigvalsh_tridiagonal: a solver change that keeps
-    # them keeps schema-2 entries valid
+    # them keeps schema-2 entries valid; the autocov file's, when its noise
+    # runs were dense spectra from simulate, filtered by scipy.signal.lfilter
     @pytest.mark.parametrize("kind, sizes, digest", [
         ("fisher", dict(p=40, n=100, T=80),
          "2e56dc038fb16daa222281647c06148f965307f9abb470a3835495f51a302e8b"),
@@ -223,7 +224,9 @@ class TestCalibrateRidge:
          "6f5f6df247deb3ad4d6f8880dd8a5584303e7f22f4c4a8e53c2d77cb0c627adf"),
         ("population", dict(p=60, n=40),
          "b60a6aa6ad59525c047867fee1e4cd1b3906a83d33be6243675d1fffe766df36"),
-    ], ids=["fisher", "population-p<n", "population-p>n"])
+        ("autocov", dict(p=30, T=60),
+         "cff5cae1ed30de48df110352e70179a3c0968d5efc3951ad01c4a5b1ed1b2e8e"),
+    ], ids=["fisher", "population-p<n", "population-p>n", "autocov"])
     def test_cache_bytes_pinned(self, tmp_path, kind, sizes, digest):
         calibrate_ridge(kind, reps=100, seed=7, workers=2, cache_dir=str(tmp_path), **sizes)
         (path,) = tmp_path.glob("calib_*.json")

@@ -814,7 +814,11 @@ EXIT_2_CASES = {
         # options of another method, which it does not read
         ("population", "py", "--c-n", "-3", "--k1", "-1"),
         ("population", "vacle", "--c-n", "0.2", "--py-c", "nan", "--d-t", "7"),
-        ("population", "lwy", "--d-t", "0.3", "--tau", "nan"))},
+        ("population", "lwy", "--d-t", "0.3", "--tau", "nan"),
+        # calibration options, checked though no calibration runs
+        ("population", "vacle", "--c-n", "0.2", "--bound", "3", "--cal-seed", "-1",
+         "--cal-reps", "1"),
+        ("population", "lwy", "--d-t", "0.3", "--bound", "3", "--cal-reps", "1"))},
     # a negative seed, rejected before any draw
     "calibrate-negative-seed": lambda tmp, spec: [
         "calibrate", "--kind", "population", "--p", "20", "--n", "40", "--seed", "-1",
@@ -992,19 +996,22 @@ class TestExitCodes:
         assert "--py-start-index INTEGER RANGE [default: 0; 0<=x<=1]" in text
 
 
-# scipy.signal pulls in scipy.stats, about half the CLI's import time, and
-# only autocov factor models need it; the oracles are closed form and need no
-# scipy.integrate; LAPACK is bound without the scipy.linalg package, which
-# imports numpy.f2py, and the MP quantile bisects without scipy.optimize, which
-# imports scipy.special and scipy.fft
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy.linalg",
-                                    "scipy.optimize", "scipy.special", "scipy.fft",
-                                    "numpy.f2py"])
+# even after an autocov factor draw: its filter is scipy.signal's C extension,
+# loaded from its file, as scipy.signal pulls in scipy.stats, about half the
+# CLI's import time; the oracles are closed form and need no scipy.integrate;
+# LAPACK is bound without the scipy.linalg package, which imports numpy.f2py,
+# and the MP quantile bisects without scipy.optimize, which imports
+# scipy.special and scipy.fft
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.stats", "scipy.integrate",
+                                    "scipy.linalg", "scipy.optimize", "scipy.special",
+                                    "scipy.fft", "numpy.f2py"])
 def test_import_leaves_out(module):
     src = str(Path(spikeorder.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = ("import sys, spikeorder.cli, spikeorder.harness; "
+    code = ("import sys, numpy, spikeorder.cli, spikeorder.harness; "
+            "from spikeorder.spectra import AutocovModel; "
+            "AutocovModel(p=20, T=40, theta=(0.6,)).draw(numpy.random.default_rng(0)); "
             f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

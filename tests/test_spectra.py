@@ -356,6 +356,27 @@ class TestAutocov:
         w_svd = np.sort(np.linalg.svd(Sig, compute_uv=False) ** 2)[::-1]
         assert np.allclose(w_eig, w_svd, atol=1e-10)
 
+    # the factors go through scipy.signal's private C filter: a scipy that
+    # changes it must fail here, not silently re-realize every autocov draw
+    @pytest.mark.parametrize("size", [1, 2, 1601])
+    def test_filter_is_lfilter(self, size):
+        from scipy import signal
+        e = rng(size).standard_normal(size) * np.sqrt(2.0)
+        for th in (0.999, -0.999, -0.95, -0.5, 0.0, 0.3, 0.6, 0.9):
+            x = spectra_module._sigtools._linear_filter(np.ones(1), np.array([1.0, -th]), e, -1)
+            assert np.array_equal(x, signal.lfilter([1.0], [1.0, -th], e)), th
+
+    def test_draw_matches_lfilter_reference(self):
+        from scipy import signal
+        theta = (0.999, -0.999, 0.0, 0.6)
+        model = AutocovModel(p=12, T=30, theta=theta, gamma_diag=2.0, burn_in=0)
+        g = rng(5)
+        e = g.standard_normal((4, 31)) * np.sqrt(2.0)
+        Y = g.standard_normal((12, 31))
+        Y[:4] += [signal.lfilter([1.0], [1.0, -th], row) for th, row in zip(theta, e)]
+        Sig = Y[:, 1:] @ Y[:, :-1].T / 30
+        assert np.array_equal(model.draw(rng(5)), spectra_module._eigvals(Sig @ Sig.T, 12))
+
     def test_tall_ratio_edge_and_rank(self):
         # y = 2: rank T leaves p - T eigenvalues at solver-noise level and
         # the top sits near b1
@@ -529,15 +550,17 @@ def test_lapack_only_through_cython_api():
     # scipy.linalg's f2py wrappers hold the GIL while LAPACK runs, so every
     # solver goes through spectra._lapack and the Cython API's function
     # pointers, whose extension is loaded from its file: spectra.py imports
-    # nothing of scipy.linalg by name
+    # nothing of scipy.linalg by name, and nothing of scipy.signal (which
+    # loads scipy.stats), whose C filter is loaded the same way
     nodes = list(ast.walk(ast.parse(Path(spectra_module.__file__).read_text())))
     imported = [f"{node.module}.{alias.name}" for node in nodes
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     imported += [alias.name for node in nodes if isinstance(node, ast.Import)
                  for alias in node.names]
     attributes = {ast.unparse(node) for node in nodes if isinstance(node, ast.Attribute)}
-    assert not [name for name in imported if name.startswith("scipy.linalg")]
-    assert "scipy.linalg" not in attributes
+    for package in ("scipy.linalg", "scipy.signal"):
+        assert not [name for name in imported if name.startswith(package)]
+        assert not [name for name in attributes if name.startswith(package)]
     for name in ("dsyevd", "dsbevd", "dstebz", "dsygst"):
         assert ctypes.cast(spectra_module._lapack(name), ctypes.c_void_p).value
 
@@ -560,14 +583,40 @@ print(linalg_loaded, spectra.cython_lapack is cython_lapack,
 """
 
 
-@pytest.mark.parametrize("first", ["spikeorder.spectra", "scipy.linalg"])
-def test_cython_lapack_load_order(first):
+def run_fresh(code, *args):
+    """stdout of ``code`` in a fresh interpreter that imports this checkout's spikeorder."""
     src = str(Path(spectra_module.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", CAPSULE_POINTERS, first],
-                         env={**os.environ, "PYTHONPATH": path}, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == [str(first == "scipy.linalg"), "True", "True"]
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": path}, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+@pytest.mark.parametrize("first", ["spikeorder.spectra", "scipy.linalg"])
+def test_cython_lapack_load_order(first):
+    out = run_fresh(CAPSULE_POINTERS, first)
+    assert out.split() == [str(first == "scipy.linalg"), "True", "True"]
+
+
+# the same filter module whichever of the two loads the extension first
+SIGTOOLS = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+signal_loaded = "scipy.signal" in sys.modules
+from scipy.signal import _sigtools
+from spikeorder import spectra
+print(signal_loaded, spectra._sigtools is _sigtools)
+"""
+
+
+@pytest.mark.parametrize("first", ["spikeorder.spectra", "scipy.signal"])
+def test_sigtools_load_order(first):
+    assert run_fresh(SIGTOOLS, first).split() == [str(first == "scipy.signal"), "True"]
+
+
+def test_missing_extension_is_import_error():
+    with pytest.raises(ImportError, match="scipy/signal/_nosuch"):
+        spectra_module._load_extension("signal", "_nosuch")
 
 
 NAN, INF = math.nan, math.inf
@@ -634,10 +683,9 @@ class TestModelFields:
         values = simulate(model, rng(0)).values
         assert values.shape == (p,) and np.all(np.isfinite(values))
         assert np.all(np.diff(values) <= 0) and values[-1] >= 0
-        if hasattr(model, "noise_top"):  # the bisection, down to min(p, n) < 3
-            top = model.noise_top(rng(0))
-            assert top.shape == (3,) and np.all(np.isfinite(top))
-            assert np.all(np.diff(top) <= 0) and top[-1] >= 0
+        top = model.noise_top(rng(0))  # down to p or min(p, n) < 3
+        assert top.shape == (3,) and np.all(np.isfinite(top))
+        assert np.all(np.diff(top) <= 0) and top[-1] >= 0
 
 
 class TestNoiseTop:
@@ -678,12 +726,19 @@ class TestNoiseTop:
         (PopulationModel(p=8, n=20), 5),
         (FisherModel(p=6, n=2, T=12), 2),
         (FisherModel(p=6, n=10, T=12), 5),
+        (AutocovModel(p=2, T=5), 2),
+        (AutocovModel(p=8, T=20), 5),
     ])
     def test_descending_and_zero_padded(self, model, nonzero):
         top = model.noise_top(rng(0), k=5)
         assert top.shape == (5,)
         assert np.all(np.diff(top) <= 0)
         assert np.all(top[:nonzero] > 0) and np.all(top[nonzero:] == 0)
+
+    def test_autocov_is_the_dense_draw(self):
+        # simulate's floats, so autocov calibration cache files keep their bytes
+        model = AutocovModel(p=30, T=60)
+        assert np.array_equal(model.noise_top(rng(3)), simulate(model, rng(3)).values[:3])
 
     def test_spikes_do_not_enter(self):
         spiked = PopulationModel(p=8, n=20, spikes=(9.0,))
