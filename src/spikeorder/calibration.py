@@ -42,10 +42,12 @@ from .spectra import at_size, replicate, simulate  # noqa: F401
 __all__ = [
     "DEFAULT_REPS",
     "DEFAULT_SEED",
+    "RIDGES",
     "CalibrationResult",
     "aggregate_gaps",
     "calibrate_ridge",
     "check_noise_run",
+    "check_ridge",
     "estimate_sigma2",
     "load_cached",
     "loglog",
@@ -53,6 +55,7 @@ __all__ = [
 ]
 
 QUANTILE_ALPHAS = (0.01, 0.05, 0.8, 0.95, 0.99)
+RIDGES = ("c1", "c2", "c3a", "c3b")
 RIDGE_FLOOR = 1e-8
 # 2: population and Fisher noise runs drawn from the bidiagonal models
 SCHEMA_VERSION = 2
@@ -131,10 +134,7 @@ class CalibrationResult:
             raise ConfigurationError("quantiles must be nondecreasing in alpha")
 
     def ridge(self, name: str) -> float:
-        try:
-            return {"c1": self.c1, "c2": self.c2, "c3a": self.c3a, "c3b": self.c3b}[name]
-        except KeyError:
-            raise ConfigurationError(f"unknown ridge {name!r} (expected c1/c2/c3a/c3b)") from None
+        return getattr(self, check_ridge(name))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -199,6 +199,13 @@ def _store(cache_dir, result: CalibrationResult):
             os.unlink(tmp)
         raise
     return path
+
+
+def check_ridge(name: str) -> str:
+    """Return ``name`` if it is one of ``RIDGES``; raise ConfigurationError otherwise."""
+    if name not in RIDGES:
+        raise ConfigurationError(f"unknown ridge {name!r}; expected one of {'/'.join(RIDGES)}")
+    return name
 
 
 def check_noise_run(reps: int, seed: int) -> None:

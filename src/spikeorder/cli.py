@@ -19,7 +19,7 @@ import sys
 import click
 
 from . import rmt, spectra
-from .calibration import DEFAULT_REPS, DEFAULT_SEED, calibrate_ridge, check_noise_run
+from .calibration import DEFAULT_REPS, DEFAULT_SEED, RIDGES, calibrate_ridge, check_noise_run
 from .errors import ConfigurationError, NumericalError, SpikeOrderError
 from .harness import (
     ESTIMATOR_NAMES,
@@ -103,10 +103,12 @@ def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
 @click.option("--t", "t_", type=int, default=None, help="secondary sample size (T)")
 @click.option("--sigma2", default="1.0",
               help="noise scale: a positive float or 'estimated' (population only)")
-# tuning options, each named after the EstimatorSetting field it sets
+# tuning options, each named after the EstimatorSetting field it sets: the [estimator] keys
 @click.option("--tau", type=float, default=None, help="default 0.5 (0.8 for fisher)")
 @click.option("--bound", "L", type=int, default=EstimatorSetting.L, show_default=True,
               help="search bound L")
+@click.option("--ridge", default=None, help=f"calibrated ridge, {'/'.join(RIDGES)}; default "
+              "c1, or the family's transformed ridge for tvacle")
 @click.option("--c-n", type=float, default=None,
               help="ridge; calibrated from pure noise when omitted")
 @click.option("--k1", type=float, default=EstimatorSetting.k1, show_default=True)
@@ -196,11 +198,10 @@ _MODEL_KEYS = {
     "burn_in": ("burn_in", int),
 }
 
-# [estimator] key -> (EstimatorSetting field, parser); applied to every estimator
-_ESTIMATOR_KEYS = {
-    "tau": ("tau", float), "l": ("L", int), "k1": ("k1", float), "k2": ("k2", float),
-    "d_t": ("d_t", float), "py_c": ("py_C", float), "py_start_index": ("py_start_index", int),
-}
+# [estimator] key -> (EstimatorSetting field, parser), applied to every estimator: each
+# tuning option of estimate, keyed by its name in lower case and parsed by its click type
+_ESTIMATOR_KEYS = {o.name.lower(): (o.name, o.type) for o in estimate.params
+                   if o.name in {f.name for f in dataclasses.fields(EstimatorSetting)}}
 
 # [harness] and [calibration] keys -> (ExperimentConfig field, parser)
 _HARNESS_KEYS = {"grid": ("grid", _parse_grid), "reps": ("reps", int), "seed": ("seed", int),
@@ -224,22 +225,21 @@ def _values(parser, section, table):
         if parser.has_option(section, key):
             try:
                 out[field] = parse(parser.get(section, key))
-            except (ValueError, ConfigurationError) as exc:
+            except (ValueError, ConfigurationError, click.BadParameter) as exc:
                 raise ConfigurationError(f"bad value for {section}.{key}: {exc}") from None
     return out
 
 
 def _parse_estimators(text, overrides):
-    settings = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, ridge = chunk.partition(":")
-        settings.append(EstimatorSetting(name, ridge or None, **overrides))
-    if not settings:
+    """One setting per ``name[:ridge]`` entry; a repeated name labels each entry as written."""
+    entries = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
+    if not entries:
         raise ConfigurationError("estimator list is empty")
-    return tuple(settings)
+    names = [entry.partition(":")[0] for entry in entries]
+    return tuple(EstimatorSetting(**{**overrides, "name": name,
+                                     "ridge": entry.partition(":")[2] or overrides.get("ridge"),
+                                     "label": entry if names.count(name) > 1 else None})
+                 for entry, name in zip(entries, names))
 
 
 def load_experiment_config(path, seed=None, reps=None, out=None):

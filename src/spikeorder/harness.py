@@ -1,11 +1,12 @@
 """Seeded Monte-Carlo experiment runner with paired estimator comparison.
 
-For each grid point: calibrate the ridges once on pure noise, then run R
-replications in which a single simulated spectrum is fed to every estimator
-(paired comparison).  The true order used for the error metrics is the
-*identifiable* order from the random-matrix oracle, not the nominal spike
-count.  Replications run through ``spectra.replicate``, so every metric is
-independent of the worker count.
+For each grid point: calibrate the ridges once on pure noise (only when
+some estimator reads them), then run R replications in which a single
+simulated spectrum is fed to every estimator (paired comparison).  The true
+order used for the error metrics is the *identifiable* order from the
+random-matrix oracle, not the nominal spike count.  Replications run
+through ``spectra.replicate``, so every metric is independent of the worker
+count.
 """
 
 import functools
@@ -71,8 +72,8 @@ class EstimatorSetting:
             raise ConfigurationError(
                 f"unknown estimator {self.name!r}; expected one of {ESTIMATOR_NAMES}"
             )
-        if self.ridge is not None and self.ridge not in ("c1", "c2", "c3a", "c3b"):
-            raise ConfigurationError(f"unknown ridge {self.ridge!r}")
+        if self.ridge is not None:
+            calibration.check_ridge(self.ridge)
         least = 3 if self.name in ("vacle", "tvacle") else 0
         if self.L < least:
             raise ConfigurationError(f"search bound L must be at least {least}, got {self.L}")
@@ -89,6 +90,13 @@ class EstimatorSetting:
     @property
     def column(self) -> str:
         return self.label or self.name
+
+    @property
+    def reads_calibration(self) -> bool:
+        """Whether the estimator reads a pure-noise calibration: it lacks its own c_n or d_t."""
+        if self.name in ("vacle", "tvacle"):
+            return self.c_n is None
+        return self.name == "lwy" and self.d_t is None
 
 
 @dataclass(frozen=True)
@@ -189,10 +197,10 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
     """Return a callable spectrum -> (q_hat, trace-or-None) for ``model``'s family.
 
     ``calibrate()`` returns the pure-noise CalibrationResult at the model's
-    size; the callable calls it on its first spectrum, and only when the
-    setting lacks a ridge value or ``d_t`` that the estimator needs, so
-    building draws nothing.  ``sigma2_mode`` is "known" (``model.sigma2``) or
-    "estimated" (``estimate_sigma2`` of each spectrum; population only).
+    size; the callable calls it on its first spectrum, and only when
+    ``setting.reads_calibration``, so building draws nothing.
+    ``sigma2_mode`` is "known" (``model.sigma2``) or "estimated"
+    (``estimate_sigma2`` of each spectrum; population only).
     """
     estimated = sigma2_mode == "estimated"
     if estimated and not model.sigma2_estimable:
@@ -282,7 +290,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
     reports, details, failures = [], [], []
     for model, calibrate, runners in points:
         t0 = time.perf_counter()
-        calib = calibrate()
+        # before the pool: functools.cache does not stop two threads computing one entry
+        calib = calibrate() if any(s.reads_calibration for s in cfg.estimators) else None
         q_true = model.true_order()
 
         def one(rng):
@@ -307,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
         point_detail = {
             "model_id": cfg.model_id, "p": model.p,
             "n": getattr(model, "n", None), "T": getattr(model, "T", None),
-            "q_true": q_true, "calibration": calib.to_dict(),
+            "q_true": q_true, "calibration": calib.to_dict() if calib else None,
             "reps": [],
         }
         for setting, _ in runners:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import spikeorder.calibration as calibration_mod
 import spikeorder.cli as cli_mod
 import spikeorder.harness as harness_mod
 from spikeorder.cli import FAMILIES, main
-from spikeorder.calibration import calibrate_ridge
+from spikeorder.calibration import RIDGES, calibrate_ridge
 from spikeorder.errors import NumericalError
 from spikeorder.harness import (
     EstimatorSetting,
@@ -387,6 +388,25 @@ class TestEstimateFamilyRules:
         assert res.exit_code == 2
         assert "population" in res.output
 
+    @pytest.mark.parametrize("ridge", RIDGES)
+    def test_ridge_traces_calibrated_value(self, runner, tmp_path, ridge):
+        # each ridge is the value calibrate reports under its name, whichever the family's default
+        sizes = ["--n", "150", "--t", "60"]
+        res = runner.invoke(main, ["calibrate", "--kind", "fisher", "--p", "30", *sizes,
+                                   "--reps", "20", "--seed", "7", "--json",
+                                   "--cache-dir", str(tmp_path / "calibrate-cache")])
+        assert res.exit_code == 0, res.output
+        spec = simulate(FisherModel(p=30, n=150, T=60, alpha=(10.0, 5.0, 5.0)),
+                        np.random.default_rng(0))
+        f = write_spectrum(tmp_path / "eigs.txt", spec)
+        trace = tmp_path / "trace.json"
+        res2 = runner.invoke(main, ["estimate", f, "--method", "tvacle", "--family", "fisher",
+                                    *sizes, "--ridge", ridge, "--cal-reps", "20",
+                                    "--cal-seed", "7", "--trace", str(trace),
+                                    "--cache-dir", str(tmp_path / "estimate-cache")])
+        assert res2.exit_code == 0, res2.output
+        assert json.loads(trace.read_text())["c_n"] == json.loads(res.output)[ridge]
+
     def test_autocov_calibration_key_ignores_n(self, runner, tmp_path):
         cache = tmp_path / "cache"
         cfg = ExperimentConfig(
@@ -541,6 +561,8 @@ class TestSimulate:
         # an option that the method does not read is checked all the same
         ("vacle", "d_t", "7"),
         ("tvacle", "py_c", "nan"),
+        ("tvacle", "ridge", "c9"),
+        ("vacle", "c_n", "nan"),
     ])
     def test_bad_tuning_exit_2(self, runner, tmp_path, method, key, value):
         # rejected before the calibration, not as a partial all-NaN row
@@ -549,7 +571,7 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", "--config", cfg,
                                    "--cache-dir", str(tmp_path / "cache")])
         assert res.exit_code == 2, res.output
-        assert key in res.stderr
+        assert key in res.stderr and "unknown config key" not in res.stderr
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "cache").exists()
 
@@ -647,12 +669,34 @@ class TestSimulate:
         assert "RuntimeWarning" not in out.stderr
 
     def test_duplicate_column_exit_2(self, runner, tmp_path):
-        cfg = write_config(tmp_path, harness={"estimators": "tvacle:c3a, tvacle:c3b, vacle"})
+        cfg = write_config(tmp_path, harness={"estimators": "tvacle, vacle, vacle"})
         res = runner.invoke(main, ["simulate", "--config", cfg,
                                    "--cache-dir", str(tmp_path / "cache")])
         assert res.exit_code == 2, res.output
-        assert "'tvacle'" in res.stderr
+        assert "'vacle'" in res.stderr
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("harness, estimator, calibrates", [
+        ({"estimators": "py", "grid": "p:200 n:200; p:100 n:200"}, {}, False),
+        ({"estimators": "vacle"}, {"c_n": "0.3"}, False),
+        ({"estimators": "lwy, tvacle, py"}, {"c_n": "0.3", "d_t": "0.3"}, False),
+        ({"estimators": "py, lwy"}, {}, True),
+    ], ids=["py", "vacle-c_n", "own-c_n-and-d_t", "lwy"])
+    def test_calibrates_only_when_read(self, runner, tmp_path, monkeypatch, harness,
+                                       estimator, calibrates):
+        calls = []
+        real = PopulationModel.noise_top
+        monkeypatch.setattr(PopulationModel, "noise_top",
+                            lambda *a: calls.append(None) or real(*a))
+        cfg = write_config(tmp_path, harness=harness, estimator=estimator,
+                           io={"trace": "true"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 0, res.output
+        assert bool(calls) == calibrates
+        assert (tmp_path / "cache").exists() == calibrates
+        details = json.loads((tmp_path / "out.json").read_text())["details"]
+        assert [d["calibration"] is not None for d in details] == [calibrates] * len(details)
 
     def test_partial_with_completed_replications_exit_0(self, runner, tmp_path,
                                                          monkeypatch):
@@ -697,6 +741,28 @@ class TestSimulateFamilies:
         assert res.exit_code == 0, res.output
         rows = (tmp_path / "auto.csv").read_text().strip().split("\n")
         assert len(rows) == 3
+
+    def test_two_ridges_of_one_estimator(self, runner, tmp_path):
+        # a name given twice gets one column per entry, labelled as written, and each
+        # column holds what its entry gives alone
+        def run(estimators, ridge=""):
+            path = write_config(tmp_path, model={"kind": "fisher", "spikes": "",
+                                                 "alpha": "10, 5, 5"},
+                                harness={"grid": "p:30 n:150 T:60", "estimators": estimators},
+                                calibration={"reps": "20"},
+                                estimator={"ridge": ridge} if ridge else {})
+            res = runner.invoke(main, ["simulate", "--config", path,
+                                       "--cache-dir", str(tmp_path / "cache")])
+            assert res.exit_code == 0, res.output
+            rows = (tmp_path / "out.csv").read_text().strip().split("\n")[1:]
+            return {row.split(",")[4]: row.split(",")[5:-1] for row in rows}
+
+        both = run("wy, tvacle:c3a, tvacle:c3b")
+        assert list(both) == ["wy", "tvacle:c3a", "tvacle:c3b"]
+        assert both["tvacle:c3a"] == run("tvacle:c3a")["tvacle"]
+        # the entry's ridge overrides the [estimator] ridge
+        assert both["tvacle:c3b"] == run("tvacle:c3b", ridge="c1")["tvacle"]
+        assert both["tvacle:c3b"] == run("tvacle", ridge="c3b")["tvacle"]
 
     def test_fisher_config_with_ridge_override(self, runner, tmp_path):
         path = tmp_path / "fish.cfg"
@@ -942,10 +1008,11 @@ class TestExitCodes:
            bound=st.none() | st.integers(3, 40) | st.integers(),
            tau=st.none() | st.floats(0.0, 1.0) | st.floats(),
            k1=st.none() | st.floats(), k2=st.none() | st.floats(),
-           other=st.integers(0, 2), other_value=st.none() | st.floats(0.0, 1.0) | st.floats())
+           other=st.integers(0, 2), other_value=st.none() | st.floats(0.0, 1.0) | st.floats(),
+           ridge=st.none() | st.sampled_from(RIDGES) | st.text())
     def test_any_input_keeps_exit_contract(self, tmp_path_factory, family, method, values,
                                            n, t, sigma2, tune, bound, tau, k1, k2,
-                                           other, other_value):
+                                           other, other_value, ridge):
         spectrum = tmp_path_factory.getbasetemp() / "estimate-fuzz.txt"
         spectrum.write_text("".join(f"{v!r}\n" for v in values))
         own = self.OWN_OPTION.get(method)
@@ -956,12 +1023,15 @@ class TestExitCodes:
         args = ["estimate", str(spectrum), "--method", method, "--family", family,
                 f"--n={n}", f"--t={t}", f"--sigma2={sigma2}"]
         args += [f"--bound={bound}"] if bound is not None else []
+        args += [f"--ridge={ridge}"] if ridge is not None else []
         args += [f"{name}={v!r}" for name, v in options.items()]
         res = CliRunner().invoke(main, args)
         assert res.exit_code in (0, 2, 3), res.output
         assert "Traceback" not in res.output
+        assert "No such option" not in res.stderr  # every option drawn is one of estimate's
         if res.exit_code == 0:  # every option was in range, and so is the estimate
             assert all(self.IN_RANGE[name](v) for name, v in options.items()), options
+            assert ridge is None or ridge in RIDGES, ridge
             assert 0 <= int(res.stdout.split("=")[-1]) <= (20 if bound is None else bound)
 
     @pytest.mark.parametrize("case", ["simulate-unwritable-out",
@@ -994,6 +1064,13 @@ class TestExitCodes:
         assert "--k1 FLOAT [default: 5.0]" in text
         assert "--k2 FLOAT [default: 5.0]" in text
         assert "--py-start-index INTEGER RANGE [default: 0; 0<=x<=1]" in text
+
+
+def test_every_tuning_field_is_an_option_and_a_config_key():
+    fields = {f.name for f in dataclasses.fields(EstimatorSetting)} - {"name", "label"}
+    assert fields <= {param.name for param in cli_mod.estimate.params}
+    assert {field for field, _ in cli_mod._ESTIMATOR_KEYS.values()} == fields
+    assert set(cli_mod._CONFIG_KEYS["estimator"]) == {field.lower() for field in fields}
 
 
 # even after an autocov factor draw: its filter is scipy.signal's C extension,
