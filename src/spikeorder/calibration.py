@@ -48,6 +48,7 @@ __all__ = [
     "calibrate_ridge",
     "check_noise_run",
     "check_ridge",
+    "check_sigma2_size",
     "estimate_sigma2",
     "load_cached",
     "loglog",
@@ -86,6 +87,12 @@ def _mp_quantile_cached(alpha: float, c: float) -> float:
     return mp_quantile(alpha, c)
 
 
+def check_sigma2_size(p: int) -> None:
+    """Reject a spectrum length ``estimate_sigma2`` cannot read: p < 4."""
+    if p < 4:
+        raise ConfigurationError(f"need p >= 4 to estimate sigma2, got p = {p}")
+
+
 def estimate_sigma2(spec) -> float:
     """One-step scale estimate from a bulk quantile of the spectrum.
 
@@ -94,8 +101,7 @@ def estimate_sigma2(spec) -> float:
     alpha = 1 - (2 max(1, c))^{-1} so the matching point sits at the median
     of the positive eigenvalues.  Exactly scale-equivariant.
     """
-    if spec.p < 4:
-        raise ConfigurationError(f"need p >= 4 to estimate sigma2, got p = {spec.p}")
+    check_sigma2_size(spec.p)
     if spec.n is None:
         raise ConfigurationError("spectrum lacks n; cannot estimate sigma2")
     c = spec.p / spec.n
@@ -234,6 +240,7 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
         raise ConfigurationError(f"calibration needs p >= 3, got p = {p}")
     model = at_size(kind, p, n, T)
     n, T = getattr(model, "n", None), getattr(model, "T", None)
+    loglog(model.count)  # c1's and c2's rate: a count it cannot take fails before any draw
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)  # an unusable path fails before any draw
         cached = None if force else load_cached(cache_dir, kind, p, n, T, reps, seed)

@@ -140,12 +140,10 @@ def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed
         except ValueError:
             raise ConfigurationError(f"--sigma2 {sigma2!r} is not a float or 'estimated'") from None
     setting = EstimatorSetting(method, **tuning)
-
-    def calibrate():
-        return calibrate_ridge(family, p=spec.p, n=n, T=t_, reps=cal_reps,
-                               seed=cal_seed, cache_dir=_cache_dir(cache_dir))
-
-    q_hat, trace = build_estimator(setting, model, calibrate, sigma2_mode)(spec)
+    run = build_estimator(setting, model, sigma2_mode)
+    calib = calibrate_ridge(family, p=spec.p, n=n, T=t_, reps=cal_reps, seed=cal_seed,
+                            cache_dir=_cache_dir(cache_dir)) if setting.reads_calibration else None
+    q_hat, trace = run(spec, calib)
 
     if trace_path and trace is not None:
         with open(trace_path, "w") as fh:
@@ -181,7 +179,10 @@ def _parse_grid(text):
             key, _, val = tok.partition(":")
             if key not in ("p", "n", "T", "t") or not val:
                 raise ConfigurationError(f"bad grid token {tok!r} (use p:.. n:.. T:..)")
-            kv["T" if key in ("T", "t") else key] = int(val)
+            key = "T" if key == "t" else key
+            if key in kv:
+                raise ConfigurationError(f"grid entry {chunk!r} gives {key} twice")
+            kv[key] = int(val)
         if "p" not in kv:
             raise ConfigurationError(f"grid entry {chunk!r} lacks p")
         points.append(GridPoint(p=kv["p"], n=kv.get("n"), T=kv.get("T")))
@@ -190,7 +191,7 @@ def _parse_grid(text):
     return tuple(points)
 
 
-# [model] key -> (model field, parser); keys of another family's model are ignored
+# [model] key -> (model field, parser); a key of another family's model is rejected
 _MODEL_KEYS = {
     "spikes": ("spikes", _floats), "alpha": ("alpha", _floats),
     "noise_diag": ("noise_diag", _floats), "theta": ("theta", _floats),
@@ -265,6 +266,9 @@ def load_experiment_config(path, seed=None, reps=None, out=None):
         kind = parser.get("model", "kind", fallback="")
         family = spectra.FAMILIES.get(kind)
         fields = {f.name for f in dataclasses.fields(family)} if family else set()
+        for key, (field, _) in _MODEL_KEYS.items():  # an unknown kind is at_size's error
+            if family and field not in fields and parser.has_option("model", key):
+                raise ConfigurationError(f"config key model.{key} does not apply to {kind} models")
         model = at_size(kind, first.p, first.n, first.T, **_values(parser, "model", {
             key: entry for key, entry in _MODEL_KEYS.items() if entry[0] in fields
         }))

@@ -9,7 +9,6 @@ through ``spectra.replicate``, so every metric is independent of the worker
 count.
 """
 
-import functools
 import hashlib
 import json
 import math
@@ -123,9 +122,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ConfigurationError("reps must be at least 1")
-        for key, seed in (("seed", self.seed), ("calibration seed", self.calibration_seed)):
-            if seed < 0:
-                raise ConfigurationError(f"{key} must be nonnegative, got {seed}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        calibration.check_noise_run(self.calibration_reps, self.calibration_seed)
         if not self.grid:
             raise ConfigurationError("grid must be nonempty")
         if not self.estimators:
@@ -193,12 +192,11 @@ class ExperimentResult:
         })
 
 
-def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: str):
-    """Return a callable spectrum -> (q_hat, trace-or-None) for ``model``'s family.
+def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
+    """Return a callable (spectrum, calibration) -> (q_hat, trace-or-None) for ``model``'s family.
 
-    ``calibrate()`` returns the pure-noise CalibrationResult at the model's
-    size; the callable calls it on its first spectrum, and only when
-    ``setting.reads_calibration``, so building draws nothing.
+    ``calibration`` is the pure-noise CalibrationResult at the model's size
+    when ``setting.reads_calibration``, and None otherwise.
     ``sigma2_mode`` is "known" (``model.sigma2``) or "estimated"
     (``estimate_sigma2`` of each spectrum; population only).
     """
@@ -207,6 +205,8 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
         raise ConfigurationError(
             "sigma2 estimation is only supported for population covariance spectra"
         )
+    if estimated and setting.name != "lwy":  # lwy reads no scale
+        calibration.check_sigma2_size(model.p)
     def scale(spec):  # looked up at call time, so a wrapped estimate_sigma2 sees every call
         return calibration.estimate_sigma2(spec) if estimated else model.sigma2
     tau = setting.tau if setting.tau is not None else model.default_tau
@@ -218,30 +218,30 @@ def build_estimator(setting: EstimatorSetting, model, calibrate, sigma2_mode: st
                 f"search bound L = {setting.L} exceeds the spectrum length p = {model.p}"
             )
         ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
-        c_n = functools.cache(
-            lambda: setting.c_n if setting.c_n is not None else calibrate().ridge(ridge))
+        def c_n(calib):
+            return setting.c_n if setting.c_n is not None else calib.ridge(ridge)
         if name == "vacle":
-            return lambda spec: vacle(spec, scale(spec), c_n(), tau, setting.L)
+            return lambda spec, calib: vacle(spec, scale(spec), c_n(calib), tau, setting.L)
         e = model.bulk_edge()
-        return lambda spec: tvacle(spec, scale(spec), c_n(), e, tau, setting.L,
-                                   setting.k1, setting.k2)
+        return lambda spec, calib: tvacle(spec, scale(spec), c_n(calib), e, tau, setting.L,
+                                          setting.k1, setting.k2)
 
     if name == "py":
         C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count)
-        return lambda spec: (py_estimator(spec, scale(spec), C, L=setting.L,
-                                          start_index=setting.py_start_index).q_hat, None)
+        return lambda spec, calib: (py_estimator(spec, scale(spec), C, L=setting.L,
+                                                 start_index=setting.py_start_index).q_hat, None)
 
     if name == "lwy":
-        d_t = functools.cache(
-            lambda: setting.d_t if setting.d_t is not None else calibrate().d_t_lwy)
-        return lambda spec: (lwy_estimator(spec, d_t(), L=setting.L).q_hat, None)
+        def d_t(calib):
+            return setting.d_t if setting.d_t is not None else calib.d_t_lwy
+        return lambda spec, calib: (lwy_estimator(spec, d_t(calib), L=setting.L).q_hat, None)
 
     # wy: bulk-edge exceedance count, Fisher family only
     if model.kind != "fisher":
         raise ConfigurationError("the wy estimator applies to Fisher spectra only")
     edge = model.sigma2 * model.bulk_edge()
     d_n = loglog_rate(model.p)
-    return lambda spec: (min(wy_estimator(spec, edge, d_n), setting.L), None)
+    return lambda spec, calib: (min(wy_estimator(spec, edge, d_n), setting.L), None)
 
 
 def _aggregate(model_id, model, setting, q_true, qs, seed, runtime_s,
@@ -278,20 +278,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
     points = []
     for point in cfg.grid:
         model = at_size(cfg.model, point.p, point.n, point.T)
-        calibrate = functools.cache(functools.partial(
-            calibrate_ridge, model.kind, p=model.p, n=point.n, T=point.T,
-            reps=cfg.calibration_reps, seed=cfg.calibration_seed,
-            workers=workers, cache_dir=cache_dir,
-        ))
-        runners = [(s, build_estimator(s, model, calibrate, cfg.sigma2_mode))
-                   for s in cfg.estimators]
-        points.append((model, calibrate, runners))
+        runners = [(s, build_estimator(s, model, cfg.sigma2_mode)) for s in cfg.estimators]
+        points.append((point, model, runners))
+    reads_calibration = any(s.reads_calibration for s in cfg.estimators)
 
     reports, details, failures = [], [], []
-    for model, calibrate, runners in points:
+    for point, model, runners in points:
         t0 = time.perf_counter()
-        # before the pool: functools.cache does not stop two threads computing one entry
-        calib = calibrate() if any(s.reads_calibration for s in cfg.estimators) else None
+        calib = calibrate_ridge(
+            model.kind, p=model.p, n=point.n, T=point.T, reps=cfg.calibration_reps,
+            seed=cfg.calibration_seed, workers=workers, cache_dir=cache_dir,
+        ) if reads_calibration else None
         q_true = model.true_order()
 
         def one(rng):
@@ -299,7 +296,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
             out = {}
             traces = {}
             for setting, fn in runners:
-                q, trace = fn(spec)
+                q, trace = fn(spec, calib)
                 out[setting.column] = q
                 if keep_traces and trace is not None:
                     traces[setting.column] = trace.to_dict()

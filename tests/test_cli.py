@@ -50,11 +50,20 @@ def spectrum_file(tmp_path):
     return str(f)
 
 
+def count_noise_draws(monkeypatch):
+    """Record every population noise draw, as the calibration makes them."""
+    calls = []
+    real = PopulationModel.noise_top
+    monkeypatch.setattr(PopulationModel, "noise_top", lambda *a: calls.append(None) or real(*a))
+    return calls
+
+
 def reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
 def write_config(tmp_path, **over):
+    """Write the default config with ``over``'s keys set, or dropped where None."""
     cfg = {
         "model": {"kind": "population", "spikes": "7, 6, 5, 4", "sigma2": "1.0"},
         "harness": {"grid": "p:50 n:200", "reps": "6", "seed": "3",
@@ -67,7 +76,7 @@ def write_config(tmp_path, **over):
     lines = []
     for sec, kv in cfg.items():
         lines.append(f"[{sec}]")
-        lines.extend(f"{k} = {v}" for k, v in kv.items())
+        lines.extend(f"{k} = {v}" for k, v in kv.items() if v is not None)
         lines.append("")
     path = tmp_path / "exp.cfg"
     path.write_text("\n".join(lines))
@@ -257,6 +266,18 @@ class TestCalibrate:
         (path,) = tmp_path.glob("calib_*.json")
         cached = json.loads(path.read_text())
         assert (payload["n"], payload["T"]) == (30, None) == (cached["n"], cached["T"])
+
+    def test_count_below_rate_domain_exit_2_before_any_draw(self, runner, tmp_path,
+                                                            monkeypatch):
+        # c1's loglog(n) rate is undefined at n = 2; that is known before the noise runs
+        calls = count_noise_draws(monkeypatch)
+        res = runner.invoke(main, ["calibrate", "--kind", "population", "--p", "5",
+                                   "--n", "2", "--reps", "200",
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "log log undefined or nonpositive at 2" in res.stderr
+        assert calls == []
+        assert not (tmp_path / "cache").exists()
 
     def test_reps_floor_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["calibrate", "--kind", "population", "--p", "40",
@@ -449,8 +470,8 @@ class TestCliHarnessAgreement:
         calib = calibrate_ridge(family, p=model.p, n=getattr(model, "n", None),
                                 T=getattr(model, "T", None), reps=20, seed=7,
                                 cache_dir=cache)
-        run = build_estimator(EstimatorSetting(method), model, lambda: calib, sigma2_mode)
-        q_harness, _ = run(spec)
+        run = build_estimator(EstimatorSetting(method), model, sigma2_mode)
+        q_harness, _ = run(spec, calib)
         sigma2 = "estimated" if sigma2_mode == "estimated" else "1.0"
         res = runner.invoke(main, ["estimate", f, "--method", method, "--family",
                                    family, *sizes, "--sigma2", sigma2,
@@ -595,7 +616,7 @@ class TestSimulate:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("model, grid, code, reps", [
-        ({"kind": "autocov", "spikes": "", "sigma2": "1e200"}, "p:30 T:60", 3, "0"),
+        ({"kind": "autocov", "spikes": None, "sigma2": "1e200"}, "p:30 T:60", 3, "0"),
         ({"spikes": "", "sigma2": "1e300"}, "p:30 n:60", 0, "6"),
     ], ids=["autocov", "population"])
     def test_huge_sigma2(self, runner, tmp_path, model, grid, code, reps):
@@ -619,7 +640,7 @@ class TestSimulate:
     def test_overflowing_draw_exit_3(self, runner, tmp_path, alpha, sigma2):
         # both overflow the pencil: its solve returns an infinite eigenvalue
         # with LAPACK info 0, or fails to converge; each is a numerical failure
-        cfg = write_config(tmp_path, model={"kind": "fisher", "spikes": "", "alpha": alpha,
+        cfg = write_config(tmp_path, model={"kind": "fisher", "spikes": None, "alpha": alpha,
                                             "sigma2": sigma2},
                            harness={"grid": "p:10 n:20 T:40", "reps": "2", "seed": "0",
                                     "estimators": "wy"},
@@ -633,7 +654,7 @@ class TestSimulate:
         # a burn-in beyond numpy's dimension limit fails every replication with
         # a ValueError (nothing is allocated); the CSV and the warning come
         # out, then exit 2, not a partial grid point with exit 0
-        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": "", "theta": "0.5",
+        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": None, "theta": "0.5",
                                             "burn_in": str(10 ** 20)},
                            harness={"grid": "p:10 T:20", "estimators": "lwy"},
                            calibration={"reps": "20"})
@@ -645,7 +666,7 @@ class TestSimulate:
         assert (tmp_path / "out.csv").exists()
 
     def test_partial_warning_once_per_grid_point(self, runner, tmp_path):
-        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": "", "sigma2": "1e200"},
+        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": None, "sigma2": "1e200"},
                            harness={"grid": "p:30 T:60", "estimators": "lwy, tvacle"})
         res = runner.invoke(main, ["simulate", "--config", cfg,
                                    "--cache-dir", str(tmp_path / "cache")])
@@ -656,7 +677,7 @@ class TestSimulate:
         # the overflow is reported by NumericalError and the partial-grid-point
         # warning; numpy's RuntimeWarnings from the replication threads are noise.
         # A subprocess, as pytest would record warnings instead of printing them
-        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": "", "sigma2": "1e200"},
+        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": None, "sigma2": "1e200"},
                            harness={"grid": "p:30 T:60", "estimators": "lwy, tvacle"})
         src = str(Path(spikeorder.__file__).parents[1])
         env = {**os.environ,
@@ -684,10 +705,7 @@ class TestSimulate:
     ], ids=["py", "vacle-c_n", "own-c_n-and-d_t", "lwy"])
     def test_calibrates_only_when_read(self, runner, tmp_path, monkeypatch, harness,
                                        estimator, calibrates):
-        calls = []
-        real = PopulationModel.noise_top
-        monkeypatch.setattr(PopulationModel, "noise_top",
-                            lambda *a: calls.append(None) or real(*a))
+        calls = count_noise_draws(monkeypatch)
         cfg = write_config(tmp_path, harness=harness, estimator=estimator,
                            io={"trace": "true"})
         res = runner.invoke(main, ["simulate", "--config", cfg,
@@ -697,6 +715,81 @@ class TestSimulate:
         assert (tmp_path / "cache").exists() == calibrates
         details = json.loads((tmp_path / "out.json").read_text())["details"]
         assert [d["calibration"] is not None for d in details] == [calibrates] * len(details)
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_sigma2_size_checked_before_calibration(self, runner, tmp_path, monkeypatch,
+                                                     command):
+        # estimate_sigma2 needs p >= 4: a 3-eigenvalue spectrum fails every
+        # replication, so it is rejected before the noise runs
+        calls = count_noise_draws(monkeypatch)
+        cache = str(tmp_path / "cache")
+        spectrum = tmp_path / "eigs.txt"
+        spectrum.write_text("5\n2\n1\n")
+        args = {"simulate": ["simulate", "--config", write_config(
+                    tmp_path, model={"spikes": "7"}, estimator={"l": "3"},
+                    harness={"grid": "p:3 n:10", "estimators": "vacle",
+                             "sigma2_mode": "estimated"})],
+                "estimate": ["estimate", str(spectrum), "--method", "vacle", "--family",
+                             "population", "--n", "10", "--sigma2", "estimated",
+                             "--bound", "3", "--cal-reps", "20"]}[command]
+        res = runner.invoke(main, [*args, "--cache-dir", cache])
+        assert res.exit_code == 2, res.output
+        assert "error: need p >= 4 to estimate sigma2, got p = 3" in res.stderr
+        assert calls == []
+        assert not (tmp_path / "cache").exists()
+
+    def test_lwy_reads_no_scale(self, runner, tmp_path):
+        # lwy ignores sigma2, so an estimated scale does not bind it to p >= 4
+        spectrum = tmp_path / "eigs.txt"
+        spectrum.write_text("5\n2\n1\n")
+        res = runner.invoke(main, ["estimate", str(spectrum), "--method", "lwy", "--family",
+                                   "population", "--n", "10", "--sigma2", "estimated",
+                                   "--cal-reps", "20", "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_calibration_reps_checked_without_calibration(self, runner, tmp_path,
+                                                          spectrum_file, command):
+        # py reads no calibration; a noise run of R = 1 is still bad input
+        args = {"simulate": ["simulate", "--config", write_config(
+                    tmp_path, harness={"estimators": "py"}, calibration={"reps": "1"})],
+                "estimate": ["estimate", spectrum_file, "--method", "py", "--family",
+                             "population", "--n", "240", "--cal-reps", "1"]}[command]
+        res = runner.invoke(main, [*args, "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "error: calibration needs R >= 2, got 1" in res.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("model, key", [
+        ({"burn_in": "-5"}, "burn_in"),
+        ({"alpha": "1, 2, 3"}, "alpha"),
+        ({"kind": "fisher", "spikes": None, "alpha": "10, 5", "theta": "0.5"}, "theta"),
+        ({"kind": "autocov", "theta": "0.5"}, "spikes"),
+        ({"kind": "autocov", "spikes": None, "theta": "0.5", "noise_diag": "1"}, "noise_diag"),
+    ], ids=["population-burn_in", "population-alpha", "fisher-theta", "autocov-spikes",
+            "autocov-noise_diag"])
+    def test_other_family_model_key_named(self, runner, tmp_path, model, key):
+        # a key the model's family has no field for would be dropped unread
+        cfg = write_config(tmp_path, model=model,
+                           harness={"grid": "p:30 n:60 T:60", "estimators": "py"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert f"error: config key model.{key} does not apply to " in res.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("grid, size", [
+        ("p:30 n:60 p:40", "p"),
+        ("p:30; p:30 n:60 n:70", "n"),
+        ("p:30 n:60 T:5 t:6", "T"),
+    ])
+    def test_size_given_twice_named(self, runner, tmp_path, grid, size):
+        # the last value would win silently
+        cfg = write_config(tmp_path, harness={"grid": grid, "estimators": "py"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "harness.grid" in res.stderr and f"gives {size} twice" in res.stderr
 
     def test_partial_with_completed_replications_exit_0(self, runner, tmp_path,
                                                          monkeypatch):
@@ -746,7 +839,7 @@ class TestSimulateFamilies:
         # a name given twice gets one column per entry, labelled as written, and each
         # column holds what its entry gives alone
         def run(estimators, ridge=""):
-            path = write_config(tmp_path, model={"kind": "fisher", "spikes": "",
+            path = write_config(tmp_path, model={"kind": "fisher", "spikes": None,
                                                  "alpha": "10, 5, 5"},
                                 harness={"grid": "p:30 n:150 T:60", "estimators": estimators},
                                 calibration={"reps": "20"},

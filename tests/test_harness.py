@@ -80,6 +80,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             small_config(sigma2_mode="maybe")
 
+    @pytest.mark.parametrize("run, message", [
+        ({"calibration_reps": 1}, "calibration needs R >= 2, got 1"),
+        ({"calibration_seed": -1}, "calibration seed must be nonnegative, got -1"),
+    ])
+    def test_bad_noise_run_rejected(self, run, message):
+        # checked whether or not an estimator reads the calibration
+        with pytest.raises(ConfigurationError, match=message):
+            small_config(estimators=(EstimatorSetting("py"),), **run)
+
     def test_duplicate_column_rejected(self):
         # results are keyed by column, so two settings with one column would
         # silently report one of them twice
@@ -268,6 +277,18 @@ class TestFamilies:
         with pytest.raises(ConfigurationError, match=r"L = 20 .* p = 10"):
             run_experiment(cfg, cache_dir=tmp_path)
         assert calls == []
+
+    def test_calibrates_each_point_once_before_its_draws(self, monkeypatch, tmp_path):
+        events = []
+        for module, name in ((harness_mod, "calibrate_ridge"), (harness_mod, "simulate")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **k:
+                                events.append(_name) or _real(*a, **k))
+        names = ("vacle", "tvacle", "lwy")
+        cfg = small_config(grid=(GridPoint(p=50, n=200), GridPoint(p=40, n=100)),
+                           estimators=tuple(EstimatorSetting(n) for n in names), reps=3)
+        run_experiment(cfg, workers=2, cache_dir=tmp_path)
+        assert events == (["calibrate_ridge"] + ["simulate"] * 3) * 2
 
     @pytest.mark.parametrize("method", ["py", "lwy"])
     def test_baselines_run_below_search_bound(self, cache_dir, method):

@@ -1,21 +1,28 @@
-"""The benchmark's span targets still name attributes of the program.
+"""The benchmark's span targets and workloads still fit the program.
 
 ``perfbench/tracing.py`` wraps program functions by module attribute name
 and raises when a pattern matches nothing, so renaming or dropping one of
 those names breaks every traced benchmark run.  The benchmark's own smoke
-test is outside this suite's ``testpaths``; these checks only read the file.
+test is outside this suite's ``testpaths``; these checks only read its files.
 The oracle counts must also be called through the attributes the tracer
-wraps, or the benchmark's per-layer oracle metrics read 0 calls.
+wraps, or the benchmark's per-layer oracle metrics read 0 calls.  Each
+workload also runs once at its toy size, in this process, so a change to the
+API it calls (``ExperimentConfig``, ``GridPoint``, ``calibrate_ridge``,
+``run_experiment``, the ``simulate`` command) fails here.
 """
 
 import fnmatch
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def span_targets():
@@ -54,3 +61,13 @@ def test_true_order_count_is_traced(monkeypatch, kind, count):
              "autocov": AutocovModel(p=20, T=40, theta=(0.6,))}[kind]
     assert model.true_order() >= 1
     assert seen == [count]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_runs_at_tiny_size(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports tracing by that name
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]("tiny", 0, 1, str(tmp_path))
+    workload.fill_cache()
+    unit = workload.run_unit()
+    assert unit.checks and all(unit.checks.values()), unit.checks
