@@ -245,7 +245,8 @@ def _parse_estimators(text, overrides):
 
 def load_experiment_config(path, seed=None, reps=None, out=None):
     """Parse the sectioned key=value experiment file, applying overrides."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no header can name the empty section, so [DEFAULT] is an ordinary (unknown) section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     try:
         if not parser.read(path):
             raise ConfigurationError(f"cannot read config file {path}")

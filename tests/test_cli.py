@@ -778,6 +778,15 @@ class TestSimulate:
         assert f"error: config key model.{key} does not apply to " in res.stderr
         assert not (tmp_path / "out.csv").exists()
 
+    def test_default_section_named(self, runner, tmp_path):
+        # its keys would otherwise be reported under every section the file wrote
+        cfg = write_config(tmp_path, DEFAULT={"seed": "3"})
+        res = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "error: unknown config section [DEFAULT]" in res.stderr
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("grid, size", [
         ("p:30 n:60 p:40", "p"),
         ("p:30; p:30 n:60 n:70", "n"),

@@ -8,7 +8,9 @@ The oracle counts must also be called through the attributes the tracer
 wraps, or the benchmark's per-layer oracle metrics read 0 calls.  Each
 workload also runs once at its toy size, in this process, so a change to the
 API it calls (``ExperimentConfig``, ``GridPoint``, ``calibrate_ridge``,
-``run_experiment``, the ``simulate`` command) fails here.
+``run_experiment``, the ``simulate`` command) fails here.  Until the benchmark
+loads ``acceptance_table.py`` itself, its copies of criteria 6 and 7 must
+match the table's.
 """
 
 import fnmatch
@@ -22,14 +24,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+TABLE = ROOT / "tests" / "acceptance_table.py"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def span_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPAN_TARGETS
+    return module
+
+
+def span_targets():
+    return load(TRACING, "perfbench_tracing").SPAN_TARGETS
 
 
 @pytest.mark.parametrize("module_name, pattern, span", span_targets())
@@ -71,3 +78,18 @@ def test_workload_runs_at_tiny_size(monkeypatch, tmp_path, name):
     workload.fill_cache()
     unit = workload.run_unit()
     assert unit.checks and all(unit.checks.values()), unit.checks
+
+
+@pytest.mark.parametrize("name, criterion", [("FisherCold", 7), ("AutocovWarm", 6)])
+def test_workload_matches_acceptance_table(monkeypatch, tmp_path, name, criterion):
+    # at full size and seed 0 a workload reruns its criterion's experiments
+    # and gates them on the same accuracy bounds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload_class = getattr(importlib.import_module("workloads"), name)
+    entries = load(TABLE, "acceptance_table").TABLE[criterion].values()
+    assert workload_class("full", 0, 1, str(tmp_path)).cfgs == [cfg for cfg, _ in entries]
+    table_bounds = {(cfg.model_id, e, b.statistic, limit, at_least)
+                    for cfg, bounds in entries for b in bounds for e in b.estimators
+                    for limit, at_least in ((b.lo, True), (b.hi, False)) if limit is not None}
+    assert table_bounds == {(b.model_id, b.estimator, "accuracy", b.limit, b.at_least)
+                            for b in workload_class.bounds}
