@@ -196,7 +196,6 @@ _MODEL_KEYS = {
     "spikes": ("spikes", _floats), "alpha": ("alpha", _floats),
     "noise_diag": ("noise_diag", _floats), "theta": ("theta", _floats),
     "gamma": ("gamma_diag", _floats), "sigma2": ("sigma2", float),
-    "burn_in": ("burn_in", int),
 }
 
 # [estimator] key -> (EstimatorSetting field, parser), applied to every estimator: each

@@ -227,11 +227,15 @@ def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
                                           setting.k1, setting.k2)
 
     if name == "py":
+        if model.count < 3:
+            raise ConfigurationError(f"py needs n >= 3, got n = {model.count}")
         C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count)
         return lambda spec, calib: (py_estimator(spec, scale(spec), C, L=setting.L,
                                                  start_index=setting.py_start_index).q_hat, None)
 
     if name == "lwy":
+        if model.p < 3:
+            raise ConfigurationError(f"lwy needs at least 3 eigenvalues, got p = {model.p}")
         def d_t(calib):
             return setting.d_t if setting.d_t is not None else calib.d_t_lwy
         return lambda spec, calib: (lwy_estimator(spec, d_t(calib), L=setting.L).q_hat, None)

@@ -274,7 +274,8 @@ class AutocovModel:
 
     x_t = Theta x_{t-1} + e_t, e_t ~ N(0, Gamma), loading A = (I_q, O)',
     eps_t ~ N(0, sigma2 I_p).  theta holds the diagonal of Theta and
-    gamma_diag the diagonal of Gamma (a scalar is broadcast).
+    gamma_diag the diagonal of Gamma (a scalar is broadcast).  The factors
+    start stationary: x_1 ~ N(0, Gamma (I - Theta^2)^{-1}).
     """
 
     p: int
@@ -282,7 +283,6 @@ class AutocovModel:
     theta: tuple = ()
     gamma_diag: tuple = ()
     sigma2: float = 1.0
-    burn_in: int = 1000
 
     kind = "autocov"
     law = rmt.AutocovLaw
@@ -316,8 +316,6 @@ class AutocovModel:
             raise ConfigurationError("p too small for the factor count")
         if self.sigma2 <= 0:
             raise ConfigurationError("sigma2 must be positive")
-        if self.burn_in < 0:
-            raise ConfigurationError("burn_in must be nonnegative")
 
     @property
     def count(self) -> int:
@@ -357,20 +355,21 @@ class AutocovModel:
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Eigenvalues of M = Sigma Sigma' with Sigma = sum_t y_t y_{t-1}' / T.
 
-        T + 1 observations are kept after burn-in so that exactly T lag-1
-        products enter Sigma.  Draw order: factor innovations, then noise.
+        T + 1 observations, so that exactly T lag-1 products enter Sigma.  Each
+        factor's first innovation is divided by sqrt(1 - theta^2), so its path,
+        filtered from zero state, is stationary.  Draw order: factor
+        innovations, then noise.
         """
         p, T, q = self.p, self.T, self.q
-        keep = T + 1
         if q:
-            e = rng.standard_normal((q, self.burn_in + keep))
+            e = rng.standard_normal((q, T + 1))
             e *= np.sqrt(np.asarray(self.gamma_diag))[:, None]
+            e[:, 0] /= np.sqrt(1.0 - np.asarray(self.theta) ** 2)
             x = np.empty_like(e)
             for i, th in enumerate(self.theta):
                 # scipy.signal.lfilter([1], [1, -th], e[i]): its call for 1-D input, no state
                 x[i] = _sigtools._linear_filter(np.ones(1), np.array([1.0, -th]), e[i], -1)
-            x = x[:, -keep:]
-        Y = rng.standard_normal((p, keep))
+        Y = rng.standard_normal((p, T + 1))
         Y *= math.sqrt(self.sigma2)
         if q:
             Y[:q] += x

@@ -19,6 +19,7 @@ import spikeorder.harness as harness_mod
 from spikeorder.cli import FAMILIES, main
 from spikeorder.calibration import RIDGES, calibrate_ridge
 from spikeorder.errors import NumericalError
+from spikeorder.estimators import lwy_estimator, tvacle
 from spikeorder.harness import (
     EstimatorSetting,
     ExperimentConfig,
@@ -32,6 +33,7 @@ from spikeorder.spectra import (
     AutocovModel,
     FisherModel,
     PopulationModel,
+    ingest_spectrum,
     simulate,
 )
 
@@ -367,22 +369,21 @@ class TestEstimate:
 
     def test_autocov_workflow(self, runner, tmp_path):
         # factor-count estimation from an ingested squared-auto-covariance
-        # spectrum, the intended real-data workflow
-        from spikeorder.spectra import AutocovModel, simulate
+        # spectrum, the intended real-data workflow: the CLI reads the file
+        # and gives the library estimators' answer on that spectrum. How
+        # often that answer is right is acceptance criterion 6's question
         model = AutocovModel(p=60, T=120, theta=(0.6, -0.5), gamma_diag=(2.0, 2.0))
         spec = simulate(model, np.random.default_rng(8))
         f = tmp_path / "auto_eigs.txt"
         f.write_text("\n".join(repr(float(v)) for v in spec.values) + "\n")
-        res = runner.invoke(main, ["estimate", str(f), "--method", "tvacle",
-                                   "--family", "autocov", "--t", "120",
-                                   "--c-n", "0.2", "--json"])
-        assert res.exit_code == 0
-        assert json.loads(res.output)["q_hat"] == 2
-        res = runner.invoke(main, ["estimate", str(f), "--method", "lwy",
-                                   "--family", "autocov", "--t", "120",
-                                   "--d-t", "0.15", "--json"])
-        assert res.exit_code == 0
-        assert json.loads(res.output)["q_hat"] == 2
+        assert np.array_equal(ingest_spectrum(str(f)).values, spec.values)
+        expected = {"tvacle": tvacle(spec, 1.0, 0.2, model.bulk_edge())[0],
+                    "lwy": lwy_estimator(spec, 0.15).q_hat}
+        for method, option in (("tvacle", ["--c-n", "0.2"]), ("lwy", ["--d-t", "0.15"])):
+            res = runner.invoke(main, ["estimate", str(f), "--method", method,
+                                       "--family", "autocov", "--t", "120", *option, "--json"])
+            assert res.exit_code == 0, res.output
+            assert json.loads(res.output)["q_hat"] == expected[method]
 
 
 def write_spectrum(path, spec):
@@ -523,11 +524,17 @@ class TestSimulate:
                              "--cache-dir", str(tmp_path / "cache")])
         assert out.read_text() != base
 
-    def test_unknown_key_named(self, runner, tmp_path):
-        cfg = write_config(tmp_path, harness={"wormhole": "1"})
+    @pytest.mark.parametrize("section, keys, name", [
+        ("harness", {"wormhole": "1"}, "harness.wormhole"),
+        # no model's field since the factors start stationary
+        ("model", {"kind": "autocov", "spikes": None, "theta": "0.5", "burn_in": "1000"},
+         "model.burn_in"),
+    ], ids=["harness-wormhole", "autocov-burn_in"])
+    def test_unknown_key_named(self, runner, tmp_path, section, keys, name):
+        cfg = write_config(tmp_path, **{section: keys})
         res = runner.invoke(main, ["simulate", "--config", cfg])
         assert res.exit_code == 2
-        assert "harness.wormhole" in res.output + (res.stderr or "")
+        assert name in res.output + (res.stderr or "")
 
     @pytest.mark.parametrize("section, key, value", [
         ("estimator", "tau", "abc"),
@@ -650,12 +657,17 @@ class TestSimulate:
         assert res.exit_code == 3, res.output
         assert "NumericalError" in res.stderr
 
-    def test_no_completed_replication_on_bad_input_exit_2(self, runner, tmp_path):
-        # a burn-in beyond numpy's dimension limit fails every replication with
-        # a ValueError (nothing is allocated); the CSV and the warning come
-        # out, then exit 2, not a partial grid point with exit 0
-        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": None, "theta": "0.5",
-                                            "burn_in": str(10 ** 20)},
+    def test_no_completed_replication_on_bad_input_exit_2(self, runner, tmp_path, monkeypatch):
+        # a non-numerical error in every replication: the CSV and the warning
+        # come out, then exit 2, not a partial grid point with exit 0. With
+        # the sizes an estimator cannot read rejected before any draw, no
+        # config reaches this (a hand-edited calibration cache does), so the
+        # draw raises numpy's error for an array past its size limit
+        def oversized(model, rng):
+            raise ValueError("Maximum allowed dimension exceeded")
+
+        monkeypatch.setattr(harness_mod, "simulate", oversized)
+        cfg = write_config(tmp_path, model={"kind": "autocov", "spikes": None, "theta": "0.5"},
                            harness={"grid": "p:10 T:20", "estimators": "lwy"},
                            calibration={"reps": "20"})
         res = runner.invoke(main, ["simulate", "--config", cfg, "--reps", "2",
@@ -761,12 +773,12 @@ class TestSimulate:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("model, key", [
-        ({"burn_in": "-5"}, "burn_in"),
+        ({"theta": "0.5"}, "theta"),
         ({"alpha": "1, 2, 3"}, "alpha"),
         ({"kind": "fisher", "spikes": None, "alpha": "10, 5", "theta": "0.5"}, "theta"),
         ({"kind": "autocov", "theta": "0.5"}, "spikes"),
         ({"kind": "autocov", "spikes": None, "theta": "0.5", "noise_diag": "1"}, "noise_diag"),
-    ], ids=["population-burn_in", "population-alpha", "fisher-theta", "autocov-spikes",
+    ], ids=["population-theta", "population-alpha", "fisher-theta", "autocov-spikes",
             "autocov-noise_diag"])
     def test_other_family_model_key_named(self, runner, tmp_path, model, key):
         # a key the model's family has no field for would be dropped unread

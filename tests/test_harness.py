@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import autocov_reference
 import numpy as np
 import population_reference
 import pytest
@@ -114,7 +115,7 @@ class TestDeterminism:
         assert [metrics(r) for r in a] == [metrics(r) for r in b]
 
     @pytest.mark.parametrize("family, digest", [
-        ("autocov", "efd20afec8d4752acb4250de7e2facb0105b1356a0f821fd0d5c1352bae9fa2d"),
+        ("autocov", "3cc73a8cd0a0638048d397355c60df5daf21a900cf75e313677c0fd3eb407497"),
         ("fisher", "e5793c2df4f10ffb5e9d076c536e736d39e6e9e2ddc2357da89a7eb8920ddab1"),
         ("population", "f1d35567cc83007e4f2843f318ab5560e58a77084bcacf314f604878754b39a1"),
     ])
@@ -138,6 +139,17 @@ class TestDeterminism:
                                      cache_dir=str(tmp_path / f"w{workers}")).reports
             assert csv_digest(reports) == (
                 "5d1fe2a73f5e9a2edcb7d56b15a844d0eb92b007404e7bd89807eb27c755f288")
+
+    def test_autocov_reference_digest(self, tmp_path, monkeypatch):
+        # likewise for autocov: with the burn-in reference generator in place of
+        # the stationary start, the rows are those pinned before it replaced it
+        monkeypatch.setattr(harness_mod, "simulate", autocov_reference.simulate_autocov)
+        cfg = family_config("autocov", reps=8)
+        for workers in (1, 2):
+            reports = run_experiment(cfg, workers=workers,
+                                     cache_dir=str(tmp_path / f"w{workers}")).reports
+            assert csv_digest(reports) == (
+                "efd20afec8d4752acb4250de7e2facb0105b1356a0f821fd0d5c1352bae9fa2d")
 
     def test_paired_spectra(self, cache_dir):
         # adding an estimator must not change the spectra fed to the others
@@ -258,9 +270,9 @@ class TestFamilies:
         with pytest.raises(ConfigurationError, match=message):
             run_experiment(small_config(estimators=(EstimatorSetting(**setting),)))
 
-    def test_later_grid_point_checked_before_any_draw(self, monkeypatch, tmp_path):
-        # the bad setting sits at the second point; the first point's
-        # calibration and replications must not run and be thrown away
+    @pytest.fixture
+    def simulate_calls(self, monkeypatch):
+        """The modules' ``simulate`` calls, in order, by module name."""
         calls = []
 
         def counting(module):
@@ -272,11 +284,31 @@ class TestFamilies:
 
         for module in (harness_mod, calibration_mod):
             monkeypatch.setattr(module, "simulate", counting(module))
+        return calls
+
+    def test_later_grid_point_checked_before_any_draw(self, simulate_calls, tmp_path):
+        # the bad setting sits at the second point; the first point's
+        # calibration and replications must not run and be thrown away
         cfg = small_config(grid=(GridPoint(p=50, n=200), GridPoint(p=10, n=40)),
                            estimators=(EstimatorSetting("vacle"),), reps=3)
         with pytest.raises(ConfigurationError, match=r"L = 20 .* p = 10"):
             run_experiment(cfg, cache_dir=tmp_path)
-        assert calls == []
+        assert simulate_calls == []
+
+    @pytest.mark.parametrize("point, setting, message", [
+        (GridPoint(p=10, n=2), EstimatorSetting("py"), "py needs n >= 3, got n = 2"),
+        (GridPoint(p=2, n=50), EstimatorSetting("lwy", d_t=0.5),
+         "lwy needs at least 3 eigenvalues, got p = 2"),
+    ], ids=["py-n2", "lwy-p2"])
+    def test_too_small_for_estimator_checked_before_any_draw(self, simulate_calls, tmp_path,
+                                                             point, setting, message):
+        # the estimator rejects every spectrum of this size: reject the
+        # size itself, not each replication once all are drawn
+        cfg = small_config(model=PopulationModel(p=point.p, n=point.n), grid=(point,),
+                           estimators=(setting,), reps=3)
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment(cfg, cache_dir=tmp_path)
+        assert simulate_calls == []
 
     def test_calibrates_each_point_once_before_its_draws(self, monkeypatch, tmp_path):
         events = []

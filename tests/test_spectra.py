@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import autocov_reference
 import fisher_reference
 import numpy as np
 import population_reference
@@ -369,13 +371,37 @@ class TestAutocov:
     def test_draw_matches_lfilter_reference(self):
         from scipy import signal
         theta = (0.999, -0.999, 0.0, 0.6)
-        model = AutocovModel(p=12, T=30, theta=theta, gamma_diag=2.0, burn_in=0)
+        model = AutocovModel(p=12, T=30, theta=theta, gamma_diag=2.0)
         g = rng(5)
         e = g.standard_normal((4, 31)) * np.sqrt(2.0)
+        e[:, 0] /= np.sqrt(1.0 - np.square(theta))  # the stationary start
         Y = g.standard_normal((12, 31))
         Y[:4] += [signal.lfilter([1.0], [1.0, -th], row) for th, row in zip(theta, e)]
         Sig = Y[:, 1:] @ Y[:, :-1].T / 30
         assert np.array_equal(model.draw(rng(5)), spectra_module._eigvals(Sig @ Sig.T, 12))
+
+    def test_first_value_has_stationary_variance(self, monkeypatch):
+        # the first of the T + 1 values of each factor series, read through
+        # draw's own filter call, at theta = 0.999, where a path started at
+        # zero has only 1 - theta^2002 = 0.865 of the stationary variance
+        # even after 1000 steps
+        q, T = 50, 3
+        real, firsts = spectra_module._sigtools, []
+
+        def recording(b, a, x, axis):
+            out = real._linear_filter(b, a, x, axis)
+            firsts.append(out[-(T + 1)])
+            return out
+
+        monkeypatch.setattr(spectra_module, "_sigtools",
+                            types.SimpleNamespace(_linear_filter=recording))
+        model = AutocovModel(p=q + 2, T=T, theta=(0.999,) * q, gamma_diag=2.0)
+        g = rng(43)
+        for _ in range(400):
+            model.draw(g)
+        # 20,000 values of mean 0: the ratio's standard deviation is 0.01
+        ratio = np.mean(np.square(firsts)) / model.signatures[0].gamma0
+        assert len(firsts) == 20_000 and abs(ratio - 1.0) < 0.05, ratio
 
     def test_tall_ratio_edge_and_rank(self):
         # y = 2: rank T leaves p - T eigenvalues at solver-noise level and
@@ -626,7 +652,11 @@ NAN, INF = math.nan, math.inf
 # finite values is a separate matter
 SPECIAL = st.sampled_from([NAN, INF, -INF])
 FIELD = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3), SPECIAL)
-THETA = st.one_of(st.floats(-1.5, 1.5), SPECIAL)
+# the floats next to +-1 give the stationary start's largest scaling of the
+# first innovation, 1 / sqrt(1 - theta^2) = 6.7e7
+THETA = st.one_of(st.floats(-1.5, 1.5),
+                  st.sampled_from([math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0)]),
+                  SPECIAL)
 
 
 def fields_of(field, size):
@@ -641,7 +671,7 @@ FIELDS = {
         "sigma2": FIELD, "noise_diag": fields_of(FIELD, 2)}),
     "autocov": st.integers(0, 2).flatmap(lambda q: st.fixed_dictionaries({
         "theta": fields_of(THETA, q), "gamma_diag": fields_of(FIELD, q),
-        "sigma2": FIELD, "burn_in": st.integers(-1, 30)})),
+        "sigma2": FIELD})),
 }
 
 
@@ -817,6 +847,43 @@ class TestPopulationBanded:
                           for _ in range(self.DRAWS)])
         for name, stat in self.stats(model).items():
             pvalue = ks_2samp(stat(dense), stat(drawn)).pvalue
+            assert pvalue > self.LEVEL, f"{name}: KS p = {pvalue:.2g}"
+
+
+class TestAutocovStationary:
+    """The stationary-start autocov generator against the burn-in reference."""
+
+    # |theta| <= 0.9, where the reference's burn-in of 1000 is stationary to
+    # within theta^2000: T = 3 (the start weighs most), p < T, p > T, p = T
+    # with a negative theta, and unequal gamma with sigma2 != 1
+    CASES = {
+        "T-3": AutocovModel(p=6, T=3, theta=(0.9,)),
+        "p-below-T": AutocovModel(p=20, T=60, theta=(0.9, 0.6, -0.5)),
+        "p-above-T": AutocovModel(p=40, T=20, theta=(0.8, -0.6)),
+        "negative-theta": AutocovModel(p=10, T=10, theta=(-0.9,)),
+        "gamma-sigma2": AutocovModel(p=15, T=30, theta=(0.9, 0.3), gamma_diag=(0.5, 3.0),
+                                     sigma2=2.0),
+    }
+    DRAWS = 2000
+    LEVEL = 1e-3  # two-sample KS, fixed before looking
+
+    @staticmethod
+    def stats(model):
+        """l1, the first bulk value l_{q+1}, l_m (m = min(p, T), the rank) and the trace."""
+        q, m = model.q, min(model.p, model.T)
+        return {"l1": lambda v: v[:, 0], "l_q+1": lambda v: v[:, q],
+                "l_m": lambda v: v[:, m - 1], "trace": lambda v: v.sum(axis=1)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_reference(self, case):
+        from scipy.stats import ks_2samp
+        model = self.CASES[case]
+        reference_rng, drawn_rng = rng(33), rng(34)
+        reference = np.array([autocov_reference.simulate_autocov(model, reference_rng).values
+                              for _ in range(self.DRAWS)])
+        drawn = np.array([simulate(model, drawn_rng).values for _ in range(self.DRAWS)])
+        for name, stat in self.stats(model).items():
+            pvalue = ks_2samp(stat(reference), stat(drawn)).pvalue
             assert pvalue > self.LEVEL, f"{name}: KS p = {pvalue:.2g}"
 
 
