@@ -138,6 +138,12 @@ class CalibrationResult:
         vals = [self.quantiles[a] for a in sorted(self.quantiles)]
         if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
             raise ConfigurationError("quantiles must be nondecreasing in alpha")
+        # the values the estimators accept, so a bad cache entry is a miss, not a failed run
+        ridges = (self.c1, self.c2, self.c3a, self.c3b)
+        if not all(0.0 < c < math.inf for c in ridges):
+            raise ConfigurationError(f"ridges must be positive and finite, got {ridges}")
+        if not 0.0 < self.d_t_lwy < 1.0:
+            raise ConfigurationError(f"d_t_lwy must lie in (0, 1), got {self.d_t_lwy}")
 
     def ridge(self, name: str) -> float:
         return getattr(self, check_ridge(name))

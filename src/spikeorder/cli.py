@@ -1,11 +1,11 @@
 """Command-line surface: calibrate, estimate, simulate, report, limits.
 
-Exit codes: 0 on success, 2 on configuration or ingestion errors and on a
-path that cannot be read or written, 3 on numerical failures.  A ``simulate``
-grid point none of whose replications completed exits 3 when a numerical
-failure stopped it and 2 for any other failure (reported after the CSV is
-written).  The ``main`` group maps every error to its exit code in one place;
-the commands raise.
+Exit codes: 0 on success, 2 on bad input (a ConfigurationError) and on a
+path that cannot be read or written, 3 on numerical failures (a
+NumericalError).  A ``simulate`` grid point none of whose replications
+completed exits 3 when a numerical failure stopped it and 2 for any other
+failure (reported after the CSV is written).  The ``main`` group maps every
+error to its exit code in one place; the commands raise.
 With ``--json``, stdout carries one JSON object per line for machine
 consumption.
 """
@@ -130,6 +130,10 @@ def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed
              cache_dir, trace_path, plot_data, as_json, **tuning):
     """Estimate the order of an ingested spectrum file."""
     check_noise_run(cal_reps, cal_seed)  # before any work, whether or not a calibration runs
+    given = [o for o, path in (("--trace", trace_path), ("--plot-data", plot_data)) if path]
+    if given and method not in ("vacle", "tvacle"):
+        raise ConfigurationError(f"{given[0]} writes a ratio trace, which only vacle and "
+                                 f"tvacle have, not {method}")
     raw = ingest_spectrum(spectrum, column=column)
     model = at_size(family, raw.p, n, t_)
     spec = dataclasses.replace(raw, n=model.count, scale_power=model.scale_power)
@@ -145,10 +149,10 @@ def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed
                             cache_dir=_cache_dir(cache_dir)) if setting.reads_calibration else None
     q_hat, trace = run(spec, calib)
 
-    if trace_path and trace is not None:
+    if trace_path:
         with open(trace_path, "w") as fh:
             fh.write(json.dumps(trace.to_dict()))
-    if plot_data and trace is not None:
+    if plot_data:
         with open(plot_data, "w") as fh:
             fh.write("i,ratio,tau\n")
             for i, r in enumerate(trace.ratios, start=1):
@@ -303,6 +307,10 @@ def simulate(config_path, seed, reps, out, workers, want_trace, cache_dir):
     keep = want_trace or cfg_trace
     if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
         raise ConfigurationError(f"cannot write {out_path}: its directory does not exist")
+    json_path = os.path.splitext(out_path or "")[0] + ".json"
+    if keep and (not out_path or json_path == out_path):
+        raise ConfigurationError("the JSON mirror goes next to the CSV, in a file of its own: "
+                                 "give --out or io.out, not ending in .json")
     result = run_experiment(cfg, workers=workers, cache_dir=_cache_dir(cache_dir),
                             keep_traces=keep)
     csv_text = summarize(result.reports)
@@ -311,7 +319,6 @@ def simulate(config_path, seed, reps, out, workers, want_trace, cache_dir):
             fh.write(csv_text)
         click.echo(f"wrote {out_path}")
         if keep:
-            json_path = os.path.splitext(out_path)[0] + ".json"
             with open(json_path, "w") as fh:
                 fh.write(result.to_json())
             click.echo(f"wrote {json_path}")
@@ -367,6 +374,13 @@ def limits(family, c, y, sigma2, spikes, theta, gamma, as_json):
     if None in ratios.values():
         raise ConfigurationError(f"{family} limits need "
                                  + " and ".join(f"--{name}" for name in ratios))
+    reads = fields | ({"theta", "gamma"} if family == "autocov" else {"spikes"})
+    options = {"c": c, "y": y, "spikes": spikes, "theta": theta, "gamma": gamma}
+    for name, val in options.items():
+        if val is not None and name not in reads:
+            raise ConfigurationError(f"--{name} does not apply to {family} limits")
+    if gamma is not None and not theta:
+        raise ConfigurationError("--gamma needs --theta")
     law = law_cls(**ratios, sigma2=sigma2)
     payload = {"family": family, **ratios, "sigma2": sigma2}
     if family == "autocov":

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Two broad classes matter to callers (and to the CLI exit-code contract):
-configuration problems (bad parameters, bad input files) and numerical
-failures inside the random-matrix machinery.
+One class per CLI exit code: a ``ConfigurationError`` (exit 2) is bad input,
+whether a parameter, a model, a spectrum file or a config file; a
+``NumericalError`` (exit 3) is a failure inside the random-matrix machinery.
 """
 
 
@@ -11,20 +11,8 @@ class SpikeOrderError(Exception):
 
 
 class ConfigurationError(SpikeOrderError):
-    """Invalid parameter combination or malformed configuration."""
-
-
-class IngestionError(ConfigurationError):
-    """A spectrum file could not be parsed or validated."""
+    """Bad input: a parameter, model, spectrum file or configuration."""
 
 
 class NumericalError(SpikeOrderError):
     """A numerical routine failed to reach its tolerance or bracket."""
-
-
-class SubcriticalSpikeError(ValueError, SpikeOrderError):
-    """Spike at or below the phase-transition threshold; no sample limit exists."""
-
-
-class QuantileAtomError(ValueError, SpikeOrderError):
-    """Requested quantile falls inside the point mass at zero (c > 1)."""

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, QuantileAtomError, SubcriticalSpikeError
+from .errors import ConfigurationError, NumericalError
 
 __all__ = [
     "AutocovLaw",
@@ -125,7 +125,7 @@ class MpLaw:
         """
         x = lam / self.sigma2
         if x <= 1.0 + np.sqrt(self.c):
-            raise SubcriticalSpikeError(
+            raise ConfigurationError(
                 f"spike {lam} at or below threshold {self.spike_threshold}"
             )
         return _finite_limit(lam, self.sigma2 * (x + self.c * x / (x - 1.0)))
@@ -171,7 +171,7 @@ def mp_quantile(alpha: float, c: float) -> float:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     law = MpLaw(c=c, sigma2=1.0)
     if c > 1 and alpha <= law.atom_at_zero + 1e-15:
-        raise QuantileAtomError(
+        raise ConfigurationError(
             f"alpha={alpha} falls inside the point mass of size {law.atom_at_zero:.6f} at 0"
         )
     a, b = law.lower_edge, law.upper_edge
@@ -253,7 +253,7 @@ class FisherLaw:
         defined for x above the spike threshold (which exceeds the pole gamma).
         """
         if lam <= self.spike_threshold:
-            raise SubcriticalSpikeError(
+            raise ConfigurationError(
                 f"spike {lam} at or below threshold {self.spike_threshold:.6f}"
             )
         x = lam / self.sigma2

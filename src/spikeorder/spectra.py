@@ -47,7 +47,7 @@ import numpy as np
 import scipy
 
 from . import rmt
-from .errors import ConfigurationError, IngestionError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .rmt import FactorSignature
 
 __all__ = [
@@ -644,11 +644,11 @@ def ingest_spectrum(path, column=None) -> Spectrum:
         with open(path, newline="") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not a text file: {exc}") from None
+        raise ConfigurationError(f"{path}: not a text file: {exc}") from None
     if column is not None:
         reader = csv.DictReader(lines)
         if reader.fieldnames is None or column not in reader.fieldnames:
-            raise IngestionError(f"column {column!r} not found in {path}")
+            raise ConfigurationError(f"column {column!r} not found in {path}")
         # the reader skips blank lines, so number cells by line, not by row
         cells = ((reader.line_num, row[column] or "") for row in reader)
     else:
@@ -661,14 +661,14 @@ def ingest_spectrum(path, column=None) -> Spectrum:
         try:
             raw.append(float(cell))
         except ValueError:
-            raise IngestionError(f"{path}:{lineno}: cannot parse {cell!r} as a float") from None
+            raise ConfigurationError(f"{path}:{lineno}: cannot parse {cell!r} as a float") from None
 
     if len(raw) < 3:
-        raise IngestionError(f"{path}: need at least 3 eigenvalues, found {len(raw)}")
+        raise ConfigurationError(f"{path}: need at least 3 eigenvalues, found {len(raw)}")
     values = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(values)):
-        raise IngestionError(f"{path}: non-finite eigenvalues present")
+        raise ConfigurationError(f"{path}: non-finite eigenvalues present")
     if np.any(values < -1e-12):
-        raise IngestionError(f"{path}: negative eigenvalue {values.min()} beyond tolerance")
+        raise ConfigurationError(f"{path}: negative eigenvalue {values.min()} beyond tolerance")
     values = np.sort(np.maximum(values, 0.0))[::-1]
     return Spectrum(values=values, p=values.size)

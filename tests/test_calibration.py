@@ -253,6 +253,19 @@ class TestResultValidation:
                               seed=0, m_pn=0.1, quantiles={0.05: 0.1, 0.95: 0.2},
                               c1=0.1, c2=0.1, c3a=0.1, c3b=0.1, d_t_lwy=0.1)
 
+    # values no estimator accepts, so a cache entry holding one is a miss
+    @pytest.mark.parametrize("field, value, message", [
+        ("d_t_lwy", 1.5, "d_t_lwy must lie in"), ("d_t_lwy", 0.0, "d_t_lwy must lie in"),
+        ("c1", -0.1, "ridges must be"), ("c3b", math.inf, "ridges must be"),
+        ("c2", math.nan, "ridges must be"),
+    ])
+    def test_values_estimators_reject(self, field, value, message):
+        fields = dict(c1=0.1, c2=0.1, c3a=0.1, c3b=0.1, d_t_lwy=0.1)
+        with pytest.raises(ConfigurationError, match=message):
+            CalibrationResult(kind="population", p=10, n=10, T=None, reps=5,
+                              seed=0, m_pn=0.1, quantiles={0.05: 0.1, 0.95: 0.2},
+                              **{**fields, field: value})
+
 
 class TestSigma2Trend:
     def test_error_shrinks_with_size(self):

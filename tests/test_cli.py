@@ -137,6 +137,21 @@ class TestLimits:
             assert res.exit_code == 2
             assert f"error: {message}" in res.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (["population", "--c", "0.5", "--theta", "0.5"], "--theta does not apply to population"),
+        (["autocov", "--y", "0.5", "--c", "3", "--spikes", "9"], "--c does not apply to autocov"),
+        (["autocov", "--y", "0.5", "--spikes", "9"], "--spikes does not apply to autocov"),
+        (["autocov", "--y", "0.5", "--gamma", "3"], "--gamma needs --theta"),
+        (["population", "--c", "0.5", "--y", "0.5"], "--y does not apply to population"),
+        (["fisher", "--c", "0.2", "--y", "0.5", "--gamma", "2"],
+         "--gamma does not apply to fisher"),
+    ], ids=["population-theta", "autocov-c", "autocov-spikes", "autocov-gamma-alone",
+            "population-y", "fisher-gamma"])
+    def test_option_the_family_does_not_read_exit_2(self, runner, args, message):
+        res = runner.invoke(main, ["limits", "--family", *args])
+        assert res.exit_code == 2, res.output
+        assert f"error: {message}" in res.stderr
+
     def test_overflowing_spike_limit_exit_3(self, runner):
         # sigma2 is subnormal, so the normalized spike 5 / sigma2 overflows
         res = runner.invoke(main, ["limits", "--family", "population", "--c", "1",
@@ -184,8 +199,9 @@ class TestLimits:
            y=st.none() | st.floats(), sigma2=st.floats(),
            spikes=st.lists(st.floats(), max_size=3))
     def test_any_numbers_keep_exit_contract(self, family, c, y, sigma2, spikes):
-        args = ["limits", "--family", family, f"--sigma2={sigma2!r}", "--json",
-                f"--spikes={','.join(map(repr, spikes))}"]
+        args = ["limits", "--family", family, f"--sigma2={sigma2!r}", "--json"]
+        # autocov reads no spikes, and exits 2 on them before its law is built
+        args += [f"--spikes={','.join(map(repr, spikes))}"] if family != "autocov" else []
         args += [f"--{name}={val!r}" for name, val in (("c", c), ("y", y)) if val is not None]
         res = CliRunner().invoke(main, args)
         assert res.exit_code in (0, 2, 3), res.output
@@ -329,6 +345,27 @@ class TestEstimate:
                                    "--family", "population", "--n", "240",
                                    "--d-t", "0.1", "--json"])
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("option", ["--trace", "--plot-data"])
+    @pytest.mark.parametrize("method", [
+        ["py", "--family", "population"],
+        ["lwy", "--family", "population", "--cal-reps", "20"],  # calibrates d_T
+        ["wy", "--family", "fisher", "--t", "120"],
+    ], ids=["py", "lwy", "wy"])
+    def test_trace_of_a_method_without_one_exit_2(self, runner, spectrum_file, tmp_path,
+                                                  monkeypatch, method, option):
+        calls = []
+        for name in ("ingest_spectrum", "calibrate_ridge"):
+            real = getattr(cli_mod, name)
+            monkeypatch.setattr(cli_mod, name, lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["estimate", spectrum_file, "--n", "240", "--method", *method,
+                                   option, str(out), "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert f"error: {option} writes a ratio trace" in res.stderr
+        assert calls == []
+        assert not out.exists()
 
     def test_short_spectrum_exit_2(self, runner, tmp_path):
         f = tmp_path / "tiny.txt"
@@ -513,6 +550,24 @@ class TestSimulate:
         assert payload["reports"]
         assert payload["details"][0]["reps"][0]["spectrum_sha1"]
         assert "traces" in payload["details"][0]["reps"][0]
+
+    def test_cache_value_no_estimator_accepts_recomputed(self, runner, tmp_path):
+        # a d_T of 1.5 would fail every lwy replication after the draws
+        cfg = write_config(tmp_path, harness={"grid": "p:30 n:60", "reps": "4",
+                                              "estimators": "lwy"})
+        args = ["simulate", "--config", cfg, "--cache-dir", str(tmp_path / "cache")]
+        assert runner.invoke(main, args).exit_code == 0
+        first = (tmp_path / "out.csv").read_text()
+        (path,) = (tmp_path / "cache").glob("calib_*.json")
+        good = path.read_bytes()
+        path.write_text(json.dumps({**json.loads(good), "d_t_lwy": 1.5}))
+        with pytest.warns(RuntimeWarning, match="d_t_lwy must lie in"):
+            res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert path.read_bytes() == good  # recomputed and replaced
+        again = (tmp_path / "out.csv").read_text()
+        assert ([row.rsplit(",", 1)[0] for row in again.splitlines()]
+                == [row.rsplit(",", 1)[0] for row in first.splitlines()])
 
     def test_seed_override(self, runner, tmp_path):
         cfg = write_config(tmp_path)
@@ -967,6 +1022,16 @@ EXIT_2_CASES = {
     "simulate-unwritable-out": lambda tmp, spec: [
         "simulate", "--config", write_config(tmp), "--out", str(tmp / "no" / "x.csv"),
         "--cache-dir", str(tmp / "cache")],
+    # a JSON mirror with no file of its own: the CSV's name, or no CSV path at all
+    "simulate-trace-out-json": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp), "--out", str(tmp / "r.json"), "--trace",
+        "--cache-dir", str(tmp / "cache")],
+    "simulate-trace-without-out": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp, io={"out": None}), "--trace",
+        "--cache-dir", str(tmp / "cache")],
+    "simulate-io-trace-without-out": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp, io={"out": None, "trace": "true"}),
+        "--cache-dir", str(tmp / "cache")],
     "limits-bad-theta": lambda tmp, spec: [
         "limits", "--family", "autocov", "--y", "0.5", "--theta", "abc"],
     "limits-bad-spikes": lambda tmp, spec: [
@@ -1150,7 +1215,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["simulate-unwritable-out",
                                       "calibrate-uncreatable-cache-dir",
-                                      "simulate-negative-harness-seed"])
+                                      "simulate-negative-harness-seed",
+                                      "simulate-trace-out-json", "simulate-trace-without-out",
+                                      "simulate-io-trace-without-out"])
     def test_unusable_output_fails_before_any_draw(self, runner, tmp_path, spectrum_file,
                                                     monkeypatch, case):
         calls = []

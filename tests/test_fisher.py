@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikeorder.errors import ConfigurationError, SubcriticalSpikeError
+from spikeorder.errors import ConfigurationError
 from spikeorder.rmt import FisherLaw, spike_identifiable_count
 
 from conftest import gauss_legendre_mass
@@ -80,9 +80,9 @@ class TestSpikeMap:
 
     def test_subcritical(self):
         law = FisherLaw(c=0.2, y=0.5)
-        with pytest.raises(SubcriticalSpikeError):
+        with pytest.raises(ConfigurationError):
             law.spike_map(law.spike_threshold)
-        with pytest.raises(SubcriticalSpikeError):
+        with pytest.raises(ConfigurationError):
             law.spike_map(2.0)
 
     def test_strictly_increasing(self):

@@ -12,8 +12,8 @@ def test_python_blocks_run():
     for block in blocks:
         scope = {}
         exec(compile(block, str(README), "exec"), scope)
-    # the library example ends with an estimate of its model's order
-    assert scope["q_hat"] == scope["model"].true_order()
+    # the library example ends with an estimate of its model's order, made twice
+    assert scope["q_same"] == scope["q_hat"] == scope["model"].true_order()
 
 
 def test_config_example_loads(tmp_path):

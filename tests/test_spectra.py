@@ -20,7 +20,7 @@ from scipy import linalg
 
 from spikeorder import rmt
 from spikeorder import spectra as spectra_module
-from spikeorder.errors import ConfigurationError, IngestionError, NumericalError
+from spikeorder.errors import ConfigurationError, NumericalError
 from spikeorder.rmt import AutocovLaw, FisherLaw, MpLaw, mp_cdf
 from spikeorder.spectra import (
     AutocovModel,
@@ -1020,13 +1020,13 @@ class TestIngest:
     def test_parse_error_names_line(self, tmp_path):
         f = tmp_path / "eig.txt"
         f.write_text("3\nabc\n2\n")
-        with pytest.raises(IngestionError, match=":2:"):
+        with pytest.raises(ConfigurationError, match=":2:"):
             ingest_spectrum(str(f))
 
     def test_too_few(self, tmp_path):
         f = tmp_path / "eig.txt"
         f.write_text("3\n1\n")
-        with pytest.raises(IngestionError, match="at least 3"):
+        with pytest.raises(ConfigurationError, match="at least 3"):
             ingest_spectrum(str(f))
 
     def test_negative_clamped(self, tmp_path):
@@ -1038,7 +1038,7 @@ class TestIngest:
     def test_negative_rejected(self, tmp_path):
         f = tmp_path / "eig.txt"
         f.write_text("3\n1\n-0.5\n")
-        with pytest.raises(IngestionError, match="negative"):
+        with pytest.raises(ConfigurationError, match="negative"):
             ingest_spectrum(str(f))
 
     def test_csv_column(self, tmp_path):
@@ -1046,18 +1046,18 @@ class TestIngest:
         f.write_text("name,value\na,3\nb,1\nc,2\n")
         spec = ingest_spectrum(str(f), column="value")
         assert list(spec.values) == [3.0, 2.0, 1.0]
-        with pytest.raises(IngestionError, match="missing"):
+        with pytest.raises(ConfigurationError, match="missing"):
             ingest_spectrum(str(f), column="missing")
 
     def test_csv_parse_error_names_line_after_blank(self, tmp_path):
         f = tmp_path / "eig.csv"
         f.write_text("v\n1\n\n2\nx\n")
-        with pytest.raises(IngestionError, match=r"eig\.csv:5:"):
+        with pytest.raises(ConfigurationError, match=r"eig\.csv:5:"):
             ingest_spectrum(str(f), column="v")
 
     @pytest.mark.parametrize("column", [None, "v"])
     def test_not_utf8(self, tmp_path, column):
         f = tmp_path / "eig.txt"
         f.write_bytes(b"\xff\xfev\n3\n1\n2\n")
-        with pytest.raises(IngestionError, match=r"eig\.txt"):
+        with pytest.raises(ConfigurationError, match=r"eig\.txt"):
             ingest_spectrum(str(f), column=column)
