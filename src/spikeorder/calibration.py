@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .rmt import mp_quantile
 # simulate is unused here; perfbench/tracing.py wraps it by this module's name
-from .spectra import at_size, replicate, simulate  # noqa: F401
+from .spectra import at_size, check_workers, replicate, simulate  # noqa: F401
 
 __all__ = [
     "DEFAULT_REPS",
@@ -241,6 +241,7 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
     as absent; the directory is created before the first draw.
     """
     check_noise_run(reps, seed)
+    check_workers(workers)  # on a cache hit too
     if p < 3:
         # the noise statistics read the top three eigenvalues
         raise ConfigurationError(f"calibration needs p >= 3, got p = {p}")

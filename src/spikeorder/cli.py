@@ -48,6 +48,13 @@ def _fail(exc):
     sys.exit(code)
 
 
+def _check_sizes(family, n, T, given_as=lambda size: f"--{size.lower()}"):
+    """Reject a size ``family``'s models do not read, named as ``given_as(size)``."""
+    for size, value in (("n", n), ("T", T)):
+        if value is not None and size not in family.sizes:
+            raise ConfigurationError(f"{given_as(size)} does not apply to {family.kind} models")
+
+
 def _emit(payload: dict, as_json: bool):
     if as_json:
         click.echo(json.dumps(payload))
@@ -86,13 +93,12 @@ def main():
 @click.option("--json", "as_json", is_flag=True)
 def calibrate(kind, p, n, t_, reps, seed, workers, cache_dir, force, as_json):
     """Pure-noise ridge calibration; caches and prints the derived ridges."""
+    _check_sizes(spectra.FAMILIES[kind], n, t_)
     cache = _cache_dir(cache_dir)
     result = calibrate_ridge(kind, p=p, n=n, T=t_, reps=reps, seed=seed,
                              workers=workers, cache_dir=cache, force=force)
-    _emit({"kind": kind, "p": p, "n": result.n, "T": result.T, "reps": reps, "seed": seed,
-           "m_pn": result.m_pn, "c1": result.c1, "c2": result.c2,
-           "c3a": result.c3a, "c3b": result.c3b, "d_t_lwy": result.d_t_lwy,
-           "clamped": list(result.clamped), "cache_dir": cache}, as_json)
+    payload = {k: v for k, v in result.to_dict().items() if k not in ("quantiles", "schema")}
+    _emit({**payload, "cache_dir": cache}, as_json)
 
 
 @main.command()
@@ -134,6 +140,7 @@ def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed
     if given and method not in ("vacle", "tvacle"):
         raise ConfigurationError(f"{given[0]} writes a ratio trace, which only vacle and "
                                  f"tvacle have, not {method}")
+    _check_sizes(spectra.FAMILIES[family], n, t_)
     raw = ingest_spectrum(spectrum, column=column)
     model = at_size(family, raw.p, n, t_)
     spec = dataclasses.replace(raw, n=model.count, scale_power=model.scale_power)
@@ -237,8 +244,6 @@ def _values(parser, section, table):
 def _parse_estimators(text, overrides):
     """One setting per ``name[:ridge]`` entry; a repeated name labels each entry as written."""
     entries = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
-    if not entries:
-        raise ConfigurationError("estimator list is empty")
     names = [entry.partition(":")[0] for entry in entries]
     return tuple(EstimatorSetting(**{**overrides, "name": name,
                                      "ridge": entry.partition(":")[2] or overrides.get("ridge"),
@@ -276,6 +281,8 @@ def load_experiment_config(path, seed=None, reps=None, out=None):
         model = at_size(kind, first.p, first.n, first.T, **_values(parser, "model", {
             key: entry for key, entry in _MODEL_KEYS.items() if entry[0] in fields
         }))
+        for point in settings["grid"]:
+            _check_sizes(family, point.n, point.T, lambda size: f"grid size {size} at p:{point.p}")
         estimators = _parse_estimators(parser.get("harness", "estimators", fallback=""),
                                        _values(parser, "estimator", _ESTIMATOR_KEYS))
         cfg = ExperimentConfig(model_id=os.path.splitext(os.path.basename(path))[0],

@@ -32,6 +32,7 @@ __all__ = [
     "RatioTrace",
     "PyEstimate",
     "LwyEstimate",
+    "check_inputs",
     "loglog",
     "loglog_rate",
     "fn_transform",
@@ -41,6 +42,35 @@ __all__ = [
     "lwy_estimator",
     "wy_estimator",
 ]
+
+
+_UPPER = {"tau": 1, "d_t": 1, "c_n": math.inf, "py_c": math.inf}  # each lies in (0, upper)
+
+
+def check_inputs(name: str, L=None, p=None, n=None, *, k1=0.0, k2=0.0, start_index=0,
+                 **bounded) -> None:
+    """Raise ConfigurationError on an input estimator ``name`` cannot take.
+
+    ``bounded`` takes the keys of ``_UPPER``; p and n are the spectrum's length
+    and sample count.  None, for any of these, is not checked.
+    """
+    for key, value in bounded.items():
+        if value is not None and not 0 < value < _UPPER[key]:
+            raise ConfigurationError(f"{key} must lie in (0, {_UPPER[key]}), got {value}")
+    valley = name in ("vacle", "tvacle")
+    least = 3 if valley else 0
+    if L is not None and L < least:
+        raise ConfigurationError(f"search bound L must be at least {least}, got {L}")
+    if not (0.0 <= k1 < math.inf and 0.0 <= k2 < math.inf):
+        raise ConfigurationError(f"k1 and k2 must be nonnegative and finite, got {k1}, {k2}")
+    if start_index not in (0, 1):
+        raise ConfigurationError(f"py_start_index must be 0 or 1, got {start_index}")
+    if valley and None not in (L, p) and L > p:
+        raise ConfigurationError(f"search bound L = {L} exceeds the spectrum length p = {p}")
+    if name == "py" and n is not None and n < 3:
+        raise ConfigurationError(f"py needs n >= 3, got n = {n}")
+    if name == "lwy" and p is not None and p < 3:
+        raise ConfigurationError(f"lwy needs at least 3 eigenvalues, got p = {p}")
 
 
 def loglog_rate(p: int) -> float:
@@ -91,8 +121,7 @@ def fn_transform(x, e: float, kappa_n: float, k1: float, k2: float):
     """
     if not 0.0 < kappa_n < math.inf:
         raise ConfigurationError(f"kappa_n must be positive and finite, got {kappa_n}")
-    if not (0.0 <= k1 < math.inf and 0.0 <= k2 < math.inf):
-        raise ConfigurationError(f"k1 and k2 must be nonnegative and finite, got {k1}, {k2}")
+    check_inputs("tvacle", k1=k1, k2=k2)
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = xs.copy()
@@ -138,19 +167,6 @@ def _normalized(values: np.ndarray, sigma2: float, scale_power: int) -> np.ndarr
     return values / scale
 
 
-def _normalized_head(spec: Spectrum, sigma2: float, c_n: float, tau: float,
-                     L: int) -> np.ndarray:
-    if not 0.0 < tau < 1.0:
-        raise ConfigurationError(f"tau must lie in (0, 1), got {tau}")
-    if L < 3:
-        raise ConfigurationError(f"search bound L must be at least 3, got {L}")
-    if not 0.0 < c_n < math.inf:
-        raise ConfigurationError(f"ridge c_n must be positive and finite, got {c_n}")
-    if spec.p < L:
-        raise ConfigurationError(f"search bound L = {L} exceeds the spectrum length p = {spec.p}")
-    return _normalized(spec.values[:L], sigma2, spec.scale_power)
-
-
 def vacle(spec: Spectrum, sigma2: float, c_n: float, tau: float = 0.5, L: int = 20):
     """Valley-cliff estimate on the gaps of the spectrum normalized by ``sigma2``.
 
@@ -158,7 +174,8 @@ def vacle(spec: Spectrum, sigma2: float, c_n: float, tau: float = 0.5, L: int = 
     r_1 .. r_{L-2}; q_hat is the thresholded valley index (0 when no ratio
     falls at or below tau).
     """
-    trace = _trace(_normalized_head(spec, sigma2, c_n, tau, L), c_n, tau)
+    check_inputs("vacle", L, spec.p, tau=tau, c_n=c_n)
+    trace = _trace(_normalized(spec.values[:L], sigma2, spec.scale_power), c_n, tau)
     return trace.q_hat, trace
 
 
@@ -170,7 +187,8 @@ def tvacle(spec: Spectrum, sigma2: float, c_n: float, e: float, tau: float = 0.5
     the transformation radius is loglog(p) * p^(-2/3).  With k1 = k2 = 0 this
     reproduces ``vacle`` exactly.
     """
-    x = _normalized_head(spec, sigma2, c_n, tau, L)
+    check_inputs("tvacle", L, spec.p, tau=tau, c_n=c_n)
+    x = _normalized(spec.values[:L], sigma2, spec.scale_power)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported here
         fx = fn_transform(x, e, loglog_rate(spec.p), k1, k2)
     if not np.all(np.isfinite(fx)):
@@ -189,14 +207,9 @@ def py_estimator(spec: Spectrum, sigma2: float, C: float, L: int = 20,
     whose smallest attainable value is 1.  When no index qualifies the
     result is L with the exhausted flag set.
     """
-    if spec.n is None or spec.n < 3:
-        raise ConfigurationError("py_estimator needs n >= 3")
-    if start_index not in (0, 1):
-        raise ConfigurationError("start_index must be 0 or 1")
-    if not 0.0 < C < math.inf:
-        raise ConfigurationError(f"py constant C must be positive and finite, got {C}")
-    if L < 0:
-        raise ConfigurationError(f"search bound L must be at least 0, got {L}")
+    if spec.n is None:
+        raise ConfigurationError("py needs the spectrum's sample count n")
+    check_inputs("py", L, n=spec.n, start_index=start_index, py_c=C)
     n = spec.n
     d_n = C * n ** (-2.0 / 3.0) * math.sqrt(2.0 * loglog(n))
     x = _normalized(spec.values, sigma2, spec.scale_power)
@@ -216,12 +229,7 @@ def lwy_estimator(spec: Spectrum, d_T: float, L: int = 20) -> LwyEstimate:
     lambda_{i+2}/lambda_{i+1} > 1 - d_T, and estimates i - 1.  Ratios of
     two zero eigenvalues count as 1 (the bulk-ratio limit).
     """
-    if not 0.0 < d_T < 1.0:
-        raise ConfigurationError(f"d_T must lie in (0, 1), got {d_T}")
-    if spec.p < 3:
-        raise ConfigurationError("need at least 3 eigenvalues")
-    if L < 0:
-        raise ConfigurationError(f"search bound L must be at least 0, got {L}")
+    check_inputs("lwy", L, spec.p, d_t=d_T)
     v = spec.values
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = v[1:] / v[:-1]

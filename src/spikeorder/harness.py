@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import calibration
+from . import calibration, estimators
 from .calibration import calibrate_ridge, py_constant
 from .errors import ConfigurationError
 from .estimators import loglog_rate, lwy_estimator, py_estimator, tvacle, vacle, wy_estimator
@@ -73,18 +73,9 @@ class EstimatorSetting:
             )
         if self.ridge is not None:
             calibration.check_ridge(self.ridge)
-        least = 3 if self.name in ("vacle", "tvacle") else 0
-        if self.L < least:
-            raise ConfigurationError(f"search bound L must be at least {least}, got {self.L}")
-        for key, value, upper in (("tau", self.tau, 1), ("d_t", self.d_t, 1),
-                                  ("c_n", self.c_n, math.inf), ("py_c", self.py_C, math.inf)):
-            if value is not None and not 0 < value < upper:
-                raise ConfigurationError(f"{key} must lie in (0, {upper}), got {value}")
-        if not (0.0 <= self.k1 < math.inf and 0.0 <= self.k2 < math.inf):
-            raise ConfigurationError(
-                f"k1 and k2 must be nonnegative and finite, got {self.k1}, {self.k2}")
-        if self.py_start_index not in (0, 1):
-            raise ConfigurationError(f"py_start_index must be 0 or 1, got {self.py_start_index}")
+        estimators.check_inputs(self.name, self.L, k1=self.k1, k2=self.k2,
+                                start_index=self.py_start_index, tau=self.tau, d_t=self.d_t,
+                                c_n=self.c_n, py_c=self.py_C)
 
     @property
     def column(self) -> str:
@@ -211,12 +202,9 @@ def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
         return calibration.estimate_sigma2(spec) if estimated else model.sigma2
     tau = setting.tau if setting.tau is not None else model.default_tau
     name = setting.name
+    estimators.check_inputs(name, setting.L, model.p, model.count)  # the sizes every spectrum has
 
     if name in ("vacle", "tvacle"):
-        if setting.L > model.p:
-            raise ConfigurationError(
-                f"search bound L = {setting.L} exceeds the spectrum length p = {model.p}"
-            )
         ridge = setting.ridge or ("c1" if name == "vacle" else model.transformed_ridge)
         def c_n(calib):
             return setting.c_n if setting.c_n is not None else calib.ridge(ridge)
@@ -227,15 +215,11 @@ def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
                                           setting.k1, setting.k2)
 
     if name == "py":
-        if model.count < 3:
-            raise ConfigurationError(f"py needs n >= 3, got n = {model.count}")
         C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count)
         return lambda spec, calib: (py_estimator(spec, scale(spec), C, L=setting.L,
                                                  start_index=setting.py_start_index).q_hat, None)
 
     if name == "lwy":
-        if model.p < 3:
-            raise ConfigurationError(f"lwy needs at least 3 eigenvalues, got p = {model.p}")
         def d_t(calib):
             return setting.d_t if setting.d_t is not None else calib.d_t_lwy
         return lambda spec, calib: (lwy_estimator(spec, d_t(calib), L=setting.L).q_hat, None)

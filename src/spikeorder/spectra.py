@@ -59,6 +59,7 @@ __all__ = [
     "at_size",
     "simulate",
     "replicate",
+    "check_workers",
     "ingest_spectrum",
 ]
 
@@ -601,6 +602,12 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+def check_workers(workers: int) -> None:
+    """Reject a worker count ``replicate`` cannot run on: below 1."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {workers}")
+
+
 def replicate(draw, seed: int, reps: int, workers: int = 1):
     """``draw(rng)`` on each of ``reps`` random streams, as ``(results, error)``.
 
@@ -618,6 +625,7 @@ def replicate(draw, seed: int, reps: int, workers: int = 1):
     serial path.  numpy's overflow and invalid-value warnings are off in the
     draws: an overflowing draw is reported by the NumericalError it raises.
     """
+    check_workers(workers)
     streams = (np.random.Generator(np.random.Philox(child))
                for child in np.random.SeedSequence(seed).spawn(reps))
     results = []

@@ -276,9 +276,13 @@ class TestCalibrate:
 
     def test_reports_the_sizes_the_result_is_keyed_by(self, runner, tmp_path):
         # a population calibration is keyed by (p, n): --t is not one of its sizes
-        res = runner.invoke(main, ["calibrate", "--kind", "population", "--p", "20",
-                                   "--n", "30", "--t", "99", "--reps", "20",
-                                   "--cache-dir", str(tmp_path), "--json"])
+        args = ["calibrate", "--kind", "population", "--p", "20", "--n", "30", "--reps", "20",
+                "--cache-dir", str(tmp_path), "--json"]
+        res = runner.invoke(main, [*args, "--t", "99"])
+        assert res.exit_code == 2, res.output
+        assert "error: --t does not apply to population models" in res.stderr
+        assert list(tmp_path.glob("calib_*.json")) == []
+        res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
         payload = json.loads(res.output)
         (path,) = tmp_path.glob("calib_*.json")
@@ -1048,8 +1052,8 @@ EXIT_2_CASES = {
     # tuning that parses but leaves its range: a negative search bound, a
     # non-finite or nonpositive constant, a non-finite transformation slope
     **{"estimate-" + "-".join(a.lstrip("-") for a in args): lambda tmp, spec, args=args: [
-        "estimate", spec, "--family", args[0], "--method", args[1], "--n", "240", "--t", "120",
-        *args[2:]] for args in (
+        "estimate", spec, "--family", args[0], "--method", args[1], "--n", "240",
+        *(["--t", "120"] if args[0] == "fisher" else []), *args[2:]] for args in (
         ("population", "py", "--bound", "-5"), ("population", "lwy", "--d-t", "0.3", "--bound", "-1"),
         ("fisher", "wy", "--bound", "-1"), ("population", "py", "--py-c", "nan"),
         ("population", "py", "--py-c", "-1"), ("population", "vacle", "--c-n", "nan"),
@@ -1076,6 +1080,13 @@ EXIT_2_CASES = {
         "--cache-dir", str(tmp / "cache")],
     "simulate-negative-harness-seed": lambda tmp, spec: [
         "simulate", "--config", write_config(tmp, harness={"seed": "-4"}),
+        "--cache-dir", str(tmp / "cache")],
+    # no estimator, written as an empty list or by leaving the key out
+    "simulate-empty-estimator-list": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp, harness={"estimators": ","}),
+        "--cache-dir", str(tmp / "cache")],
+    "simulate-no-estimators-key": lambda tmp, spec: [
+        "simulate", "--config", write_config(tmp, harness={"estimators": None}),
         "--cache-dir", str(tmp / "cache")],
     "report-bad-distribution": lambda tmp, spec: ["report", "--in", bad_mirror(tmp)],
     "estimate-unwritable-plot-data": lambda tmp, spec: [
@@ -1199,8 +1210,10 @@ class TestExitCodes:
         options = {own: tune, others[other % len(others)]: other_value,
                    "--tau": tau, "--k1": k1, "--k2": k2}
         options = {name: v for name, v in options.items() if name and v is not None}
+        sizes = spikeorder.spectra.FAMILIES[family].sizes  # an unread size exits 2
         args = ["estimate", str(spectrum), "--method", method, "--family", family,
-                f"--n={n}", f"--t={t}", f"--sigma2={sigma2}"]
+                *([f"--n={n}"] if "n" in sizes else []), *([f"--t={t}"] if "T" in sizes else []),
+                f"--sigma2={sigma2}"]
         args += [f"--bound={bound}"] if bound is not None else []
         args += [f"--ridge={ridge}"] if ridge is not None else []
         args += [f"{name}={v!r}" for name, v in options.items()]
@@ -1230,6 +1243,79 @@ class TestExitCodes:
         res = runner.invoke(main, EXIT_2_CASES[case](tmp_path, spectrum_file))
         assert res.exit_code == 2, res.output
         assert calls == []
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """One entry per draw the harness or the calibration makes; each goes through replicate."""
+        calls = []
+        for module in (harness_mod, calibration_mod):
+            def counting(draw, *args, _real=module.replicate, **kwargs):
+                return _real(lambda rng: calls.append(None) or draw(rng), *args, **kwargs)
+            monkeypatch.setattr(module, "replicate", counting)
+        return calls
+
+    # population models read no T, autocov models no n
+    @pytest.mark.parametrize("family, option, size", [("population", "--t", "T"),
+                                                      ("autocov", "--n", "n")])
+    @pytest.mark.parametrize("command", ["estimate", "calibrate", "simulate"])
+    def test_size_the_family_does_not_read_exit_2(self, runner, tmp_path, spectrum_file,
+                                                  monkeypatch, draws, command, family,
+                                                  option, size):
+        ingested = []
+        monkeypatch.setattr(cli_mod, "ingest_spectrum", lambda *a, **k: ingested.append(a))
+        model = {"kind": "autocov", "spikes": None, "theta": "0.5"} if family == "autocov" else {}
+        args = {
+            "estimate": ["estimate", spectrum_file, "--method", "vacle", "--family", family,
+                         "--n", "60", "--t", "40"],
+            "calibrate": ["calibrate", "--kind", family, "--p", "30", "--n", "60", "--t", "40"],
+            "simulate": ["simulate", "--config", write_config(
+                tmp_path, model=model, harness={"grid": "p:30 n:60 T:40"})],
+        }[command]
+        res = runner.invoke(main, [*args, "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        named = f"grid size {size} at p:30" if command == "simulate" else option
+        assert f"error: {named} does not apply to {family} models" in res.stderr
+        assert draws == [] and ingested == []
+
+    @pytest.mark.parametrize("command, workers, warm", [
+        ("calibrate", "-3", False), ("calibrate", "0", True), ("simulate", "0", False),
+    ], ids=["calibrate", "calibrate-cache-hit", "simulate"])
+    def test_workers_below_one_exit_2_before_any_draw(self, runner, tmp_path, draws,
+                                                      command, workers, warm):
+        cache = str(tmp_path / "cache")
+        if warm:
+            calibrate_ridge("population", p=30, n=60, reps=20, cache_dir=cache)
+            draws.clear()
+        args = {"calibrate": ["calibrate", "--kind", "population", "--p", "30", "--n", "60",
+                              "--reps", "20"],
+                # py reads no calibration: the spiked draws are the first to need workers
+                "simulate": ["simulate", "--config",
+                             write_config(tmp_path, harness={"estimators": "py"})]}[command]
+        res = runner.invoke(main, [*args, "--workers", workers, "--cache-dir", cache])
+        assert res.exit_code == 2, res.output
+        assert f"error: workers must be at least 1, got {workers}" in res.stderr
+        assert draws == []
+
+    # sampled_from draws about uniformly, where integers() favours values near 0, which
+    # are out of range here; so that some examples pass every check and calibrate
+    SIZES = st.sampled_from(range(-3, 41))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(FAMILIES), p=SIZES, n=SIZES, t=SIZES, unread=st.booleans(),
+           reps=st.sampled_from(range(-3, 26)), seed=st.sampled_from((-3, -1, 0, 7, 2**64)),
+           workers=st.sampled_from(range(-2, 3)), force=st.booleans())
+    def test_calibrate_keeps_exit_contract(self, tmp_path_factory, kind, p, n, t, unread, reps,
+                                           seed, workers, force):
+        # one cache directory for every example, so that some hit an earlier entry
+        cache = tmp_path_factory.getbasetemp() / "calibrate-fuzz"
+        sizes = spikeorder.spectra.FAMILIES[kind].sizes
+        args = ["calibrate", "--kind", kind, f"--p={p}", f"--reps={reps}", f"--seed={seed}",
+                f"--workers={workers}", f"--cache-dir={cache}"]
+        args += [f"--n={n}"] * (unread or "n" in sizes) + [f"--t={t}"] * (unread or "T" in sizes)
+        args += ["--force"] * force
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code in (0, 2, 3), res.output
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("case", ["config-not-utf8", "spectrum-not-utf8"])
     def test_not_utf8_names_path(self, runner, tmp_path, spectrum_file, case):

@@ -16,10 +16,12 @@ from spikeorder.harness import (
     ExperimentConfig,
     GridPoint,
     SimulationReport,
+    build_estimator,
     run_experiment,
     summarize,
 )
-from spikeorder.spectra import AutocovModel, FisherModel, PopulationModel
+from spikeorder.estimators import lwy_estimator, py_estimator, vacle
+from spikeorder.spectra import AutocovModel, FisherModel, PopulationModel, Spectrum
 
 
 def small_config(**kw):
@@ -89,6 +91,31 @@ class TestConfigValidation:
         # checked whether or not an estimator reads the calibration
         with pytest.raises(ConfigurationError, match=message):
             small_config(estimators=(EstimatorSetting("py"),), **run)
+
+    # one bad input per case, at the spectrum's sizes (p, n): the estimator
+    # function and EstimatorSetting/build_estimator reject it with one message
+    @pytest.mark.parametrize("estimate, setting, sizes, message", [
+        (lambda spec: lwy_estimator(spec, d_T=1.5), {"name": "lwy", "d_t": 1.5}, (20, 40),
+         "d_t must lie in (0, 1), got 1.5"),
+        (lambda spec: vacle(spec, 1.0, c_n=-1), {"name": "vacle", "c_n": -1}, (20, 40),
+         "c_n must lie in (0, inf), got -1"),
+        (lambda spec: py_estimator(spec, 1.0, C=-1), {"name": "py", "py_C": -1}, (20, 40),
+         "py_c must lie in (0, inf), got -1"),
+        (lambda spec: py_estimator(spec, 1.0, C=6.3, start_index=4),
+         {"name": "py", "py_start_index": 4}, (20, 40), "py_start_index must be 0 or 1, got 4"),
+        (lambda spec: py_estimator(spec, 1.0, C=6.3), {"name": "py"}, (10, 2),
+         "py needs n >= 3, got n = 2"),
+        (lambda spec: lwy_estimator(spec, d_T=0.5), {"name": "lwy", "d_t": 0.5}, (2, 50),
+         "lwy needs at least 3 eigenvalues, got p = 2"),
+    ], ids=["lwy-d_t", "vacle-c_n", "py-C", "py-start_index", "py-n2", "lwy-p2"])
+    def test_library_and_harness_reject_alike(self, estimate, setting, sizes, message):
+        p, n = sizes
+        spec = Spectrum(values=np.linspace(3.0, 1.0, p), p=p, n=n, scale_power=1)
+        with pytest.raises(ConfigurationError) as library:
+            estimate(spec)
+        with pytest.raises(ConfigurationError) as harness:
+            build_estimator(EstimatorSetting(**setting), PopulationModel(p=p, n=n), "known")
+        assert str(library.value) == str(harness.value) == message
 
     def test_duplicate_column_rejected(self):
         # results are keyed by column, so two settings with one column would
