@@ -155,6 +155,21 @@ class TestDeterminism:
                                      cache_dir=str(tmp_path / f"w{workers}")).reports
             assert csv_digest(reports) == digest
 
+    @pytest.mark.parametrize("family, digest", [
+        ("autocov", "b1cba2e6a0c847b636077919fe0ab687ae9e4cfa673966f3adc3af8e98209eff"),
+        ("fisher", "649fc3de7488c5c691179fc6d81c6a48f5f416e397c8ea5251e960d1218476ac"),
+        ("population", "a4d9cf010cadcd19aa4c5050137ee6bce0f77be184dc4b761ce939febe9ba7c1"),
+    ])
+    def test_json_mirror_digest_pinned(self, tmp_path, family, digest):
+        # likewise for the JSON mirror: each replication's estimates, ratio
+        # traces and spectrum digest, at one and two workers
+        cfg = family_config(family, reps=8)
+        for workers in (1, 2):
+            details = run_experiment(cfg, workers=workers, keep_traces=True,
+                                     cache_dir=str(tmp_path / f"w{workers}")).details
+            text = json.dumps(details, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_dense_reference_digest(self, tmp_path, monkeypatch):
         # the harness path alone, pinned: with the dense reference generator in
         # place of the banded one, the population rows are those pinned before

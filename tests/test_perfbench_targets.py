@@ -4,8 +4,9 @@
 and raises when a pattern matches nothing, so renaming or dropping one of
 those names breaks every traced benchmark run.  The benchmark's own smoke
 test is outside this suite's ``testpaths``; these checks only read its files.
-The oracle counts must also be called through the attributes the tracer
-wraps, or the benchmark's per-layer oracle metrics read 0 calls.  Each
+The oracle counts and the estimators must also be called through the
+attributes the tracer wraps, or the benchmark's per-layer oracle and
+estimator metrics read 0 calls.  Each
 workload also runs once at its toy size, in this process, so a change to the
 API it calls (``ExperimentConfig``, ``GridPoint``, ``calibrate_ridge``,
 ``run_experiment``, the ``simulate`` command) fails here.  Until the benchmark
@@ -68,6 +69,37 @@ def test_true_order_count_is_traced(monkeypatch, kind, count):
              "autocov": AutocovModel(p=20, T=40, theta=(0.6,))}[kind]
     assert model.true_order() >= 1
     assert seen == [count]
+
+
+@pytest.mark.parametrize("kind", ["population", "fisher", "autocov"])
+def test_every_estimator_call_is_traced(monkeypatch, tmp_path, kind):
+    # likewise the estimators.*.calls metrics: the harness must reach each
+    # estimator through its spikeorder.harness attribute at call time, so a
+    # table holding the function objects themselves would read 0 calls
+    harness = importlib.import_module("spikeorder.harness")
+    from spikeorder.spectra import AutocovModel, FisherModel, PopulationModel
+
+    attrs = [attr for module, attr, span in span_targets()
+             if module == "spikeorder.harness" and span.startswith("estimators.")]
+    seen = set()
+    for attr in attrs:
+        real = getattr(harness, attr)
+        monkeypatch.setattr(harness, attr, lambda *a, _real=real, _attr=attr, **kw:
+                            seen.add(_attr) or _real(*a, **kw))
+    model, point = {
+        "population": (PopulationModel(p=50, n=200, spikes=(7.0, 4.0)),
+                       harness.GridPoint(p=50, n=200)),
+        "fisher": (FisherModel(p=40, n=200, T=80, alpha=(10.0, 5.0, 5.0)),
+                   harness.GridPoint(p=40, n=200, T=80)),
+        "autocov": (AutocovModel(p=40, T=80, theta=(0.6,)), harness.GridPoint(p=40, T=80)),
+    }[kind]
+    names = [n for n in harness.ESTIMATOR_NAMES if n != "wy" or kind == "fisher"]  # wy: Fisher only
+    cfg = harness.ExperimentConfig(model_id=kind, model=model, grid=(point,), reps=1,
+                                   estimators=tuple(harness.EstimatorSetting(n) for n in names),
+                                   calibration_reps=20)
+    reports = harness.run_experiment(cfg, cache_dir=str(tmp_path)).reports
+    assert not any(r.partial for r in reports)
+    assert seen == {a for a in attrs if a.removesuffix("_estimator") in names}
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
