@@ -154,22 +154,22 @@ def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed
     run = build_estimator(setting, model, sigma2_mode)
     calib = calibrate_ridge(family, p=spec.p, n=n, T=t_, reps=cal_reps, seed=cal_seed,
                             cache_dir=_cache_dir(cache_dir)) if setting.reads_calibration else None
-    q_hat, trace = run(spec, calib)
+    est = run(spec, calib)
 
     if trace_path:
         with open(trace_path, "w") as fh:
-            fh.write(json.dumps(trace.to_dict()))
+            fh.write(json.dumps(est.trace.to_dict()))
     if plot_data:
         with open(plot_data, "w") as fh:
             fh.write("i,ratio,tau\n")
-            for i, r in enumerate(trace.ratios, start=1):
-                fh.write(f"{i},{r!r},{trace.tau!r}\n")
+            for i, r in enumerate(est.trace.ratios, start=1):
+                fh.write(f"{i},{r!r},{est.trace.tau!r}\n")
 
     if as_json:
-        payload = {"method": method, "family": family, "p": spec.p, "q_hat": int(q_hat)}
+        payload = {"method": method, "family": family, "p": spec.p, "q_hat": int(est.q_hat)}
         click.echo(json.dumps(payload))
     else:
-        click.echo(f"q_hat = {int(q_hat)}")
+        click.echo(f"q_hat = {int(est.q_hat)}")
 
 
 def _floats(text):

@@ -15,7 +15,8 @@ Three baselines are included for comparison: a consecutive-gap threshold
 rule (``py_estimator``), a consecutive-eigenvalue-ratio rule
 (``lwy_estimator``) and a bulk-edge exceedance count (``wy_estimator``).
 Every estimator takes its tuning (c_n, tau, the search bound L, the slopes
-k1 and k2, the baselines' constants) as plain arguments.
+k1 and k2, the baselines' constants) as plain arguments and returns an
+``Estimate``.
 """
 
 import math
@@ -30,8 +31,7 @@ from .spectra import Spectrum
 
 __all__ = [
     "RatioTrace",
-    "PyEstimate",
-    "LwyEstimate",
+    "Estimate",
     "check_inputs",
     "loglog",
     "loglog_rate",
@@ -44,15 +44,16 @@ __all__ = [
 ]
 
 
-_UPPER = {"tau": 1, "d_t": 1, "c_n": math.inf, "py_c": math.inf}  # each lies in (0, upper)
+_UPPER = {"tau": 1, "d_t": 1, "c_n": math.inf, "py_c": math.inf, "d_n": math.inf}  # in (0, upper)
 
 
 def check_inputs(name: str, L=None, p=None, n=None, *, k1=0.0, k2=0.0, start_index=0,
-                 **bounded) -> None:
+                 edge=0.0, **bounded) -> None:
     """Raise ConfigurationError on an input estimator ``name`` cannot take.
 
     ``bounded`` takes the keys of ``_UPPER``; p and n are the spectrum's length
-    and sample count.  None, for any of these, is not checked.
+    and sample count; ``edge`` is the bulk edge tvacle and wy read.  None, for
+    L, p, n or a key of ``bounded``, is not checked.
     """
     for key, value in bounded.items():
         if value is not None and not 0 < value < _UPPER[key]:
@@ -63,6 +64,8 @@ def check_inputs(name: str, L=None, p=None, n=None, *, k1=0.0, k2=0.0, start_ind
         raise ConfigurationError(f"search bound L must be at least {least}, got {L}")
     if not (0.0 <= k1 < math.inf and 0.0 <= k2 < math.inf):
         raise ConfigurationError(f"k1 and k2 must be nonnegative and finite, got {k1}, {k2}")
+    if not math.isfinite(edge):
+        raise ConfigurationError(f"the bulk edge must be finite, got {edge}")
     if start_index not in (0, 1):
         raise ConfigurationError(f"py_start_index must be 0 or 1, got {start_index}")
     if valley and None not in (L, p) and L > p:
@@ -99,16 +102,12 @@ class RatioTrace:
 
 
 @dataclass(frozen=True)
-class PyEstimate:
-    q_hat: int
-    exhausted: bool
-    d_n: float
+class Estimate:
+    """An estimator's order, whether it was cut off at L, and vacle's or tvacle's trace."""
 
-
-@dataclass(frozen=True)
-class LwyEstimate:
     q_hat: int
-    exhausted: bool
+    exhausted: bool = False
+    trace: RatioTrace | None = None
 
 
 def fn_transform(x, e: float, kappa_n: float, k1: float, k2: float):
@@ -121,7 +120,7 @@ def fn_transform(x, e: float, kappa_n: float, k1: float, k2: float):
     """
     if not 0.0 < kappa_n < math.inf:
         raise ConfigurationError(f"kappa_n must be positive and finite, got {kappa_n}")
-    check_inputs("tvacle", k1=k1, k2=k2)
+    check_inputs("tvacle", k1=k1, k2=k2, edge=e)
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = xs.copy()
@@ -167,21 +166,21 @@ def _normalized(values: np.ndarray, sigma2: float, scale_power: int) -> np.ndarr
     return values / scale
 
 
-def vacle(spec: Spectrum, sigma2: float, c_n: float, tau: float = 0.5, L: int = 20):
+def vacle(spec: Spectrum, sigma2: float, c_n: float, tau: float = 0.5, L: int = 20) -> Estimate:
     """Valley-cliff estimate on the gaps of the spectrum normalized by ``sigma2``.
 
-    Returns ``(q_hat, trace)``.  The trace holds delta_1 .. delta_{L-1} and
-    r_1 .. r_{L-2}; q_hat is the thresholded valley index (0 when no ratio
-    falls at or below tau).
+    The estimate's trace holds delta_1 .. delta_{L-1} and r_1 .. r_{L-2};
+    q_hat is the thresholded valley index (0 when no ratio falls at or below
+    tau).
     """
     check_inputs("vacle", L, spec.p, tau=tau, c_n=c_n)
     trace = _trace(_normalized(spec.values[:L], sigma2, spec.scale_power), c_n, tau)
-    return trace.q_hat, trace
+    return Estimate(trace.q_hat, trace=trace)
 
 
 def tvacle(spec: Spectrum, sigma2: float, c_n: float, e: float, tau: float = 0.5,
-           L: int = 20, k1: float = 5.0, k2: float = 5.0):
-    """Valley-cliff estimate on transformed gaps; returns ``(q_hat, trace)``.
+           L: int = 20, k1: float = 5.0, k2: float = 5.0) -> Estimate:
+    """Valley-cliff estimate, with its trace, on transformed gaps.
 
     ``e`` is the bulk upper edge of the model family on the normalized scale;
     the transformation radius is loglog(p) * p^(-2/3).  With k1 = k2 = 0 this
@@ -194,11 +193,11 @@ def tvacle(spec: Spectrum, sigma2: float, c_n: float, e: float, tau: float = 0.5
     if not np.all(np.isfinite(fx)):
         raise NumericalError(f"the transformed spectrum leaves the float range (top {x[0]})")
     trace = _trace(fx, c_n, tau)
-    return trace.q_hat, trace
+    return Estimate(trace.q_hat, trace=trace)
 
 
 def py_estimator(spec: Spectrum, sigma2: float, C: float, L: int = 20,
-                 start_index: int = 0) -> PyEstimate:
+                 start_index: int = 0) -> Estimate:
     """Consecutive-gap threshold rule with d_n = C n^(-2/3) sqrt(2 loglog n).
 
     Scans i = start_index, ..., L and stops at the first i whose next two
@@ -218,11 +217,11 @@ def py_estimator(spec: Spectrum, sigma2: float, C: float, L: int = 20,
         if i + 1 >= deltas.size:
             break
         if deltas[i] < d_n and deltas[i + 1] < d_n:
-            return PyEstimate(q_hat=i, exhausted=False, d_n=d_n)
-    return PyEstimate(q_hat=L, exhausted=True, d_n=d_n)
+            return Estimate(i)
+    return Estimate(L, exhausted=True)
 
 
-def lwy_estimator(spec: Spectrum, d_T: float, L: int = 20) -> LwyEstimate:
+def lwy_estimator(spec: Spectrum, d_T: float, L: int = 20) -> Estimate:
     """Consecutive-eigenvalue-ratio rule; scale-free by construction.
 
     Stops at the first i >= 1 with lambda_{i+1}/lambda_i > 1 - d_T and
@@ -239,12 +238,12 @@ def lwy_estimator(spec: Spectrum, d_T: float, L: int = 20) -> LwyEstimate:
         if i >= ratios.size:
             break
         if ratios[i - 1] > cut and ratios[i] > cut:
-            return LwyEstimate(q_hat=i - 1, exhausted=False)
-    return LwyEstimate(q_hat=L, exhausted=True)
+            return Estimate(i - 1)
+    return Estimate(L, exhausted=True)
 
 
-def wy_estimator(spec: Spectrum, edge: float, d_n: float) -> int:
-    """Count of eigenvalues at or above the bulk edge plus the shift d_n."""
-    if d_n <= 0:
-        raise ConfigurationError(f"d_n must be positive, got {d_n}")
-    return int(np.sum(spec.values >= edge + d_n))
+def wy_estimator(spec: Spectrum, edge: float, d_n: float, L: int = 20) -> Estimate:
+    """Count of eigenvalues at or above the bulk edge plus d_n; above L, L and exhausted."""
+    check_inputs("wy", L, edge=edge, d_n=d_n)
+    count = int(np.sum(spec.values >= edge + d_n))
+    return Estimate(min(count, L), exhausted=count > L)

@@ -184,7 +184,7 @@ class ExperimentResult:
 
 
 def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
-    """Return a callable (spectrum, calibration) -> (q_hat, trace-or-None) for ``model``'s family.
+    """Return a callable (spectrum, calibration) -> Estimate for ``model``'s family.
 
     ``calibration`` is the pure-noise CalibrationResult at the model's size
     when ``setting.reads_calibration``, and None otherwise.
@@ -216,20 +216,20 @@ def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
 
     if name == "py":
         C = setting.py_C if setting.py_C is not None else py_constant(model.p / model.count)
-        return lambda spec, calib: (py_estimator(spec, scale(spec), C, L=setting.L,
-                                                 start_index=setting.py_start_index).q_hat, None)
+        return lambda spec, calib: py_estimator(spec, scale(spec), C, L=setting.L,
+                                                start_index=setting.py_start_index)
 
     if name == "lwy":
         def d_t(calib):
             return setting.d_t if setting.d_t is not None else calib.d_t_lwy
-        return lambda spec, calib: (lwy_estimator(spec, d_t(calib), L=setting.L).q_hat, None)
+        return lambda spec, calib: lwy_estimator(spec, d_t(calib), L=setting.L)
 
     # wy: bulk-edge exceedance count, Fisher family only
     if model.kind != "fisher":
         raise ConfigurationError("the wy estimator applies to Fisher spectra only")
     edge = model.sigma2 * model.bulk_edge()
     d_n = loglog_rate(model.p)
-    return lambda spec, calib: (min(wy_estimator(spec, edge, d_n), setting.L), None)
+    return lambda spec, calib: wy_estimator(spec, edge, d_n, L=setting.L)
 
 
 def _aggregate(model_id, model, setting, q_true, qs, seed, runtime_s,
@@ -284,10 +284,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
             out = {}
             traces = {}
             for setting, fn in runners:
-                q, trace = fn(spec, calib)
-                out[setting.column] = q
-                if keep_traces and trace is not None:
-                    traces[setting.column] = trace.to_dict()
+                est = fn(spec, calib)
+                out[setting.column] = est.q_hat
+                if keep_traces and est.trace is not None:
+                    traces[setting.column] = est.trace.to_dict()
             digest = hashlib.sha1(spec.values.tobytes()).hexdigest() if keep_traces else None
             return out, traces, digest
 

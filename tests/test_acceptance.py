@@ -130,9 +130,9 @@ def test_criterion_8_property_suite(cache_dir):
     spec = Spectrum(values=vals, p=26, n=150)
     spec_s = Spectrum(values=vals * s, p=26, n=150)
     scale_ok = (
-        vacle(spec, 1.0, c_n=0.15, L=20)[0] == vacle(spec_s, s, c_n=0.15, L=20)[0]
-        and (tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0)[0]
-             == tvacle(spec_s, s, c_n=0.15, L=20, e=4.0)[0])
+        vacle(spec, 1.0, c_n=0.15, L=20).q_hat == vacle(spec_s, s, c_n=0.15, L=20).q_hat
+        and (tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0).q_hat
+             == tvacle(spec_s, s, c_n=0.15, L=20, e=4.0).q_hat)
         and py_estimator(spec, 1.0, C=6.3).q_hat == py_estimator(spec_s, s, C=6.3).q_hat
         and lwy_estimator(spec, 0.07).q_hat == lwy_estimator(spec_s, 0.07).q_hat
         and wy_estimator(spec, edge=4.0, d_n=0.2) == wy_estimator(spec_s, edge=4.0 * s, d_n=0.2 * s)
@@ -141,10 +141,10 @@ def test_criterion_8_property_suite(cache_dir):
     msgs.append(f"scale-invariance exact={scale_ok}")
 
     # transformed variant degenerates to the plain one at k1 = k2 = 0 (bitwise)
-    q_v, tr_v = vacle(spec, 1.0, c_n=0.15, L=20)
-    q_t, tr_t = tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0, k1=0.0, k2=0.0)
-    degen_ok = (q_v == q_t and np.array_equal(tr_v.deltas, tr_t.deltas)
-                and np.array_equal(tr_v.ratios, tr_t.ratios))
+    v = vacle(spec, 1.0, c_n=0.15, L=20)
+    t = tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0, k1=0.0, k2=0.0)
+    degen_ok = (v.q_hat == t.q_hat and np.array_equal(v.trace.deltas, t.trace.deltas)
+                and np.array_equal(v.trace.ratios, t.trace.ratios))
     ok &= degen_ok
     msgs.append(f"k1=k2=0 degeneracy bitwise={degen_ok}")
 
@@ -215,7 +215,8 @@ def test_criterion_9_oracle_valley_cliff():
     vals = np.array(images + [law.upper_edge] * 16)
     spec = Spectrum(values=vals, p=20, n=200)
     c_n = 0.1
-    q, trace = vacle(spec, 1.0, c_n=c_n, tau=0.5, L=20)
+    est = vacle(spec, 1.0, c_n=c_n, tau=0.5, L=20)
+    q, trace = est.q_hat, est.trace
     cliff_exact = bool(np.all(trace.ratios[4:] == 1.0))
     d_minus_e = images[-1] - law.upper_edge
     valley_exact = trace.ratios[3] == c_n / (d_minus_e + c_n)

@@ -418,7 +418,7 @@ class TestEstimate:
         f = tmp_path / "auto_eigs.txt"
         f.write_text("\n".join(repr(float(v)) for v in spec.values) + "\n")
         assert np.array_equal(ingest_spectrum(str(f)).values, spec.values)
-        expected = {"tvacle": tvacle(spec, 1.0, 0.2, model.bulk_edge())[0],
+        expected = {"tvacle": tvacle(spec, 1.0, 0.2, model.bulk_edge()).q_hat,
                     "lwy": lwy_estimator(spec, 0.15).q_hat}
         for method, option in (("tvacle", ["--c-n", "0.2"]), ("lwy", ["--d-t", "0.15"])):
             res = runner.invoke(main, ["estimate", str(f), "--method", method,
@@ -513,7 +513,7 @@ class TestCliHarnessAgreement:
                                 T=getattr(model, "T", None), reps=20, seed=7,
                                 cache_dir=cache)
         run = build_estimator(EstimatorSetting(method), model, sigma2_mode)
-        q_harness, _ = run(spec, calib)
+        q_harness = run(spec, calib).q_hat
         sigma2 = "estimated" if sigma2_mode == "estimated" else "1.0"
         res = runner.invoke(main, ["estimate", f, "--method", method, "--family",
                                    family, *sizes, "--sigma2", sigma2,

@@ -25,22 +25,22 @@ def make_spec(values, n=200, scale_power=1):
 class TestRidgeRatios:
     def test_hand_example(self):
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
-        trace = vacle(spec, 1.0, c_n=0.1, tau=0.5, L=6)[1]
+        trace = vacle(spec, 1.0, c_n=0.1, tau=0.5, L=6).trace
         expected = [3.9 / 4.1, 0.2 / 3.9, 0.15 / 0.2, 0.15 / 0.15]
         assert np.allclose(trace.ratios, expected, atol=1e-14)
         assert trace.q_hat == 2
 
     def test_all_equal(self):
         spec = make_spec([2.0] * 10)
-        trace = vacle(spec, 1.0, c_n=0.3, L=10)[1]
+        trace = vacle(spec, 1.0, c_n=0.3, L=10).trace
         assert np.all(trace.ratios == 1.0)
         assert trace.q_hat == 0
 
     def test_scale_cancellation_power_of_two(self):
         # joint scaling by a power of two is exact in IEEE arithmetic
         vals = np.array([9.0, 5.0, 1.2, 1.1, 1.07, 1.01, 0.95, 0.9])
-        base = vacle(make_spec(vals), 1.0, c_n=0.07, L=8)[1]
-        scaled = vacle(make_spec(vals * 4.0), 4.0, c_n=0.07, L=8)[1]
+        base = vacle(make_spec(vals), 1.0, c_n=0.07, L=8).trace
+        scaled = vacle(make_spec(vals * 4.0), 4.0, c_n=0.07, L=8).trace
         assert np.array_equal(base.ratios, scaled.ratios)
         assert np.array_equal(base.deltas, scaled.deltas)
         assert base.q_hat == scaled.q_hat
@@ -50,7 +50,7 @@ class TestRidgeRatios:
         with pytest.raises(ConfigurationError, match="exceeds"):
             vacle(spec, 1.0, c_n=0.1, L=20)
         # p == L is the boundary case that still works (delta_{L-1} exists)
-        trace = vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0, c_n=0.1, L=4)[1]
+        trace = vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0, c_n=0.1, L=4).trace
         assert trace.ratios.size == 2
         with pytest.raises(ConfigurationError):
             vacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0, c_n=0.1, L=5)
@@ -58,7 +58,7 @@ class TestRidgeRatios:
     def test_trace_serialization(self):
         import json
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
-        trace = vacle(spec, 1.0, c_n=0.1, L=6)[1]
+        trace = vacle(spec, 1.0, c_n=0.1, L=6).trace
         d = json.loads(json.dumps(trace.to_dict()))
         assert set(d) == {"deltas", "ratios", "tau", "c_n", "q_hat"}
         assert d["q_hat"] == 2
@@ -174,6 +174,15 @@ class TestFnTransform:
         with pytest.raises(ConfigurationError):
             fn_transform(1.0, self.E, kappa, k1, k2)
 
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_edge(self, e):
+        # a NaN edge made the map the identity, so tvacle answered as vacle,
+        # and an infinite one raised NumericalError, the class for exit 3
+        with pytest.raises(ConfigurationError, match="bulk edge must be finite"):
+            fn_transform(1.0, e, self.KAPPA, self.K1, self.K2)
+        with pytest.raises(ConfigurationError, match="bulk edge must be finite"):
+            tvacle(make_spec([4.0, 3.0, 2.0, 1.0]), 1.0, c_n=0.1, e=e, L=4)
+
     def test_scalar_round_trip(self):
         assert fn_transform(4.0, self.E, self.KAPPA, self.K1, self.K2) == 4.0
         assert isinstance(fn_transform(1.0, self.E, self.KAPPA, self.K1, self.K2), float)
@@ -182,13 +191,12 @@ class TestFnTransform:
 class TestVacle:
     def test_selection_rule(self):
         spec = make_spec([9.0, 5.0, 1.2, 1.1, 1.05, 1.0])
-        q, trace = vacle(spec, 1.0, c_n=0.1, tau=0.5, L=6)
-        assert q == 2 and trace.q_hat == 2
+        est = vacle(spec, 1.0, c_n=0.1, tau=0.5, L=6)
+        assert est.q_hat == 2 and est.trace.q_hat == 2 and not est.exhausted
 
     def test_empty_set_gives_zero(self):
         spec = make_spec(np.linspace(5.0, 4.0, 10))
-        q, _ = vacle(spec, 1.0, c_n=5.0, tau=0.2, L=10)
-        assert q == 0
+        assert vacle(spec, 1.0, c_n=5.0, tau=0.2, L=10).q_hat == 0
 
 
 class TestTvacle:
@@ -196,11 +204,11 @@ class TestTvacle:
         g = np.random.default_rng(3)
         vals = np.sort(g.uniform(1.0, 9.0, 30))[::-1]
         spec = make_spec(vals)
-        q_v, tr_v = vacle(spec, 1.0, c_n=0.2, L=20)
-        q_t, tr_t = tvacle(spec, 1.0, c_n=0.2, L=20, e=4.0, k1=0.0, k2=0.0)
-        assert q_v == q_t
-        assert np.array_equal(tr_v.deltas, tr_t.deltas)
-        assert np.array_equal(tr_v.ratios, tr_t.ratios)
+        v = vacle(spec, 1.0, c_n=0.2, L=20)
+        t = tvacle(spec, 1.0, c_n=0.2, L=20, e=4.0, k1=0.0, k2=0.0)
+        assert v.q_hat == t.q_hat
+        assert np.array_equal(v.trace.deltas, t.trace.deltas)
+        assert np.array_equal(v.trace.ratios, t.trace.ratios)
 
     def test_sharpens_valley(self):
         # spike above the window, bulk inside the default radius
@@ -209,8 +217,8 @@ class TestTvacle:
         e = 4.0
         vals = np.array([9.0, e + 0.02, e + 0.01, e - 0.002, e - 0.01, e - 0.02])
         spec = make_spec(vals)
-        _, tr_plain = vacle(spec, 1.0, c_n=0.05, L=6)
-        _, tr_tr = tvacle(spec, 1.0, c_n=0.05, L=6, e=e, k1=5.0, k2=5.0)
+        tr_plain = vacle(spec, 1.0, c_n=0.05, L=6).trace
+        tr_tr = tvacle(spec, 1.0, c_n=0.05, L=6, e=e, k1=5.0, k2=5.0).trace
         assert tr_tr.ratios[0] <= tr_plain.ratios[0]
 
     def test_default_kappa(self):
@@ -228,8 +236,9 @@ class TestOracleValleyCliff:
         vals = np.array(images + [law.upper_edge] * 16)
         spec = make_spec(vals, n=200)
         c_n = 0.1
-        q, trace = vacle(spec, 1.0, c_n=c_n, tau=0.5, L=20)
-        assert q == 4
+        est = vacle(spec, 1.0, c_n=c_n, tau=0.5, L=20)
+        trace = est.trace
+        assert est.q_hat == 4
         # the cliff is exactly one
         assert np.all(trace.ratios[4:] == 1.0)
         # the valley equals c_n / (d - e + c_n) exactly
@@ -243,16 +252,19 @@ class TestPy:
         est = py_estimator(make_spec(vals, n=200), 1.0, C=6.3424)
         assert est.q_hat == 0 and not est.exhausted
 
-    def test_hand_gaps(self):
-        # gaps 6, 3, 0.001, 0.0005, ... with d_n = 0.01 stops at i = 2
+    @pytest.mark.parametrize("d_target, q", [
+        (0.01, 2), (3.0 * (1 - 1e-12), 2), (3.0 * (1 + 1e-12), 1), (6.0 * (1 + 1e-12), 0),
+    ])
+    def test_hand_gaps(self, d_target, q):
+        # gaps 6, 3, 0.001, 0.0005, ...: C is chosen so that d_n = C n^(-2/3)
+        # sqrt(2 loglog n) equals d_target, which stops at i = 2 below the gap
+        # of 3, at i = 1 just above it and at i = 0 just above the gap of 6
         gaps = [6.0, 3.0] + [0.001, 0.0005] + [0.0002] * 20
         vals = 12.0 - np.concatenate([[0.0], np.cumsum(gaps)])
         n = 200
-        d_target = 0.01
         C = d_target / (n ** (-2 / 3) * np.sqrt(2 * np.log(np.log(n))))
         est = py_estimator(make_spec(vals, n=n), 1.0, C=C)
-        assert est.d_n == pytest.approx(d_target, abs=1e-15)
-        assert est.q_hat == 2
+        assert est.q_hat == q and not est.exhausted
 
     def test_exhausted(self):
         vals = np.linspace(100.0, 10.0, 30)  # all gaps large
@@ -303,16 +315,31 @@ class TestLwy:
 
 class TestWy:
     def test_all_below(self):
-        assert wy_estimator(make_spec([3.0, 2.0, 1.0]), edge=5.0, d_n=0.1) == 0
+        assert wy_estimator(make_spec([3.0, 2.0, 1.0]), edge=5.0, d_n=0.1).q_hat == 0
 
     def test_direct_count(self):
         edge, d = 10.0, 0.2
         vals = np.array([30.0, 20.0, edge + 2 * d, edge - d, edge - 2 * d])
-        assert wy_estimator(make_spec(vals), edge=edge, d_n=d) == 3
+        assert wy_estimator(make_spec(vals), edge=edge, d_n=d).q_hat == 3
 
     def test_boundary_inclusive(self):
         vals = np.array([10.2, 5.0, 1.0])
-        assert wy_estimator(make_spec(vals), edge=10.0, d_n=0.2) == 1
+        assert wy_estimator(make_spec(vals), edge=10.0, d_n=0.2).q_hat == 1
+
+    @pytest.mark.parametrize("L, q, exhausted", [(5, 4, False), (4, 4, False), (3, 3, True)])
+    def test_caps_at_L(self, L, q, exhausted):
+        # four eigenvalues above the edge: a bound below the count caps it
+        est = wy_estimator(make_spec([9.0, 8.0, 7.0, 6.0, 1.0]), edge=5.0, d_n=0.1, L=L)
+        assert (est.q_hat, est.exhausted) == (q, exhausted)
+
+    @pytest.mark.parametrize("edge, d_n", [
+        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -0.1),
+        (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+    ])
+    def test_rejects_non_finite_edge_and_shift(self, edge, d_n):
+        # a NaN edge or shift counted no eigenvalue, an edge of -inf every one
+        with pytest.raises(ConfigurationError):
+            wy_estimator(make_spec([3.0, 2.0, 1.0]), edge=edge, d_n=d_n)
 
     def test_scale_equivariance(self):
         # scaling spectrum, edge and shift jointly by a power of two is exact
@@ -330,9 +357,9 @@ class TestScaleInvariance:
         spec = make_spec(vals, n=150)
         s = 4.0  # power of two: exact in floating point
         spec_s = make_spec(vals * s, n=150)
-        assert vacle(spec, 1.0, c_n=0.15, L=20)[0] == vacle(spec_s, s, c_n=0.15, L=20)[0]
-        assert (tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0)[0]
-                == tvacle(spec_s, s, c_n=0.15, L=20, e=4.0)[0])
+        assert vacle(spec, 1.0, c_n=0.15, L=20).q_hat == vacle(spec_s, s, c_n=0.15, L=20).q_hat
+        assert (tvacle(spec, 1.0, c_n=0.15, L=20, e=4.0).q_hat
+                == tvacle(spec_s, s, c_n=0.15, L=20, e=4.0).q_hat)
         assert (py_estimator(spec, 1.0, C=6.3).q_hat
                 == py_estimator(spec_s, s, C=6.3).q_hat)
 
@@ -343,7 +370,7 @@ class TestScaleInvariance:
         s = 2.0
         spec = make_spec(vals, n=100, scale_power=2)
         spec_s = make_spec(vals * s ** 2, n=100, scale_power=2)
-        a, tr_a = vacle(spec, 1.0, c_n=0.1, L=20)
-        b, tr_b = vacle(spec_s, s, c_n=0.1, L=20)
-        assert a == b
-        assert np.array_equal(tr_a.ratios, tr_b.ratios)
+        a = vacle(spec, 1.0, c_n=0.1, L=20)
+        b = vacle(spec_s, s, c_n=0.1, L=20)
+        assert a.q_hat == b.q_hat
+        assert np.array_equal(a.trace.ratios, b.trace.ratios)

@@ -20,7 +20,7 @@ from spikeorder.harness import (
     run_experiment,
     summarize,
 )
-from spikeorder.estimators import lwy_estimator, py_estimator, vacle
+from spikeorder.estimators import lwy_estimator, py_estimator, vacle, wy_estimator
 from spikeorder.spectra import AutocovModel, FisherModel, PopulationModel, Spectrum
 
 
@@ -107,7 +107,9 @@ class TestConfigValidation:
          "py needs n >= 3, got n = 2"),
         (lambda spec: lwy_estimator(spec, d_T=0.5), {"name": "lwy", "d_t": 0.5}, (2, 50),
          "lwy needs at least 3 eigenvalues, got p = 2"),
-    ], ids=["lwy-d_t", "vacle-c_n", "py-C", "py-start_index", "py-n2", "lwy-p2"])
+        (lambda spec: wy_estimator(spec, edge=1.0, d_n=0.1, L=-1), {"name": "wy", "L": -1},
+         (20, 40), "search bound L must be at least 0, got -1"),
+    ], ids=["lwy-d_t", "vacle-c_n", "py-C", "py-start_index", "py-n2", "lwy-p2", "wy-L"])
     def test_library_and_harness_reject_alike(self, estimate, setting, sizes, message):
         p, n = sizes
         spec = Spectrum(values=np.linspace(3.0, 1.0, p), p=p, n=n, scale_power=1)
