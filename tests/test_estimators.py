@@ -252,19 +252,18 @@ class TestPy:
         est = py_estimator(make_spec(vals, n=200), 1.0, C=6.3424)
         assert est.q_hat == 0 and not est.exhausted
 
-    @pytest.mark.parametrize("d_target, q", [
-        (0.01, 2), (3.0 * (1 - 1e-12), 2), (3.0 * (1 + 1e-12), 1), (6.0 * (1 + 1e-12), 0),
-    ])
-    def test_hand_gaps(self, d_target, q):
+    def test_hand_gaps(self):
         # gaps 6, 3, 0.001, 0.0005, ...: C is chosen so that d_n = C n^(-2/3)
         # sqrt(2 loglog n) equals d_target, which stops at i = 2 below the gap
         # of 3, at i = 1 just above it and at i = 0 just above the gap of 6
         gaps = [6.0, 3.0] + [0.001, 0.0005] + [0.0002] * 20
         vals = 12.0 - np.concatenate([[0.0], np.cumsum(gaps)])
         n = 200
-        C = d_target / (n ** (-2 / 3) * np.sqrt(2 * np.log(np.log(n))))
-        est = py_estimator(make_spec(vals, n=n), 1.0, C=C)
-        assert est.q_hat == q and not est.exhausted
+        for d_target, q in ((0.01, 2), (3.0 * (1 - 1e-12), 2), (3.0 * (1 + 1e-12), 1),
+                            (6.0 * (1 + 1e-12), 0)):
+            C = d_target / (n ** (-2 / 3) * np.sqrt(2 * np.log(np.log(n))))
+            est = py_estimator(make_spec(vals, n=n), 1.0, C=C)
+            assert (est.q_hat, est.exhausted) == (q, False), d_target
 
     def test_exhausted(self):
         vals = np.linspace(100.0, 10.0, 30)  # all gaps large
