@@ -6,12 +6,11 @@ those names breaks every traced benchmark run.  The benchmark's own smoke
 test is outside this suite's ``testpaths``; these checks only read its files.
 The oracle counts and the estimators must also be called through the
 attributes the tracer wraps, or the benchmark's per-layer oracle and
-estimator metrics read 0 calls.  Each
-workload also runs once at its toy size, in this process, so a change to the
-API it calls (``ExperimentConfig``, ``GridPoint``, ``calibrate_ridge``,
-``run_experiment``, the ``simulate`` command) fails here.  Until the benchmark
-loads ``acceptance_table.py`` itself, its copies of criteria 6 and 7 must
-match the table's.
+estimator metrics read 0 calls.  Each workload also runs once at its toy
+size, in this process, so a change to the API it calls (``ExperimentConfig``,
+``GridPoint``, ``calibrate_ridge``, ``run_experiment``, the ``simulate``
+command) fails here.  Until the benchmark loads ``acceptance_table.py``
+itself, its copies of criteria 6 and 7 must match the table's.
 """
 
 import fnmatch
