@@ -172,6 +172,21 @@ class TestDeterminism:
             text = json.dumps(details, sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("family", sorted(FAMILY_RUNS))
+    def test_detail_states_the_point_its_reports_state(self, cache_dir, family):
+        # keep_traces drops only the replication records: the point's identity,
+        # true order and calibration are in every detail, as in its reports
+        cfg = family_config(family, reps=8)
+        bare = run_experiment(cfg, cache_dir=cache_dir)
+        kept = run_experiment(cfg, cache_dir=cache_dir, keep_traces=True)
+        assert len(bare.details) == len(kept.details) == len(cfg.grid)
+        for i, (plain, full) in enumerate(zip(bare.details, kept.details)):
+            assert plain["reps"] == []
+            assert plain == {**full, "reps": []}
+            for report in bare.reports[i * len(cfg.estimators):(i + 1) * len(cfg.estimators)]:
+                for key in ("model_id", "p", "n", "T", "q_true"):
+                    assert getattr(report, key) == plain[key], key
+
     def test_dense_reference_digest(self, tmp_path, monkeypatch):
         # the harness path alone, pinned: with the dense reference generator in
         # place of the banded one, the population rows are those pinned before
@@ -454,6 +469,25 @@ class TestPartial:
         assert r.partial
         assert "synthetic failure" in r.error
         assert r.reps == 3
+
+    def test_partial_point_keeps_completed_records(self, cache_dir, monkeypatch):
+        # the replications before the failure keep their estimate and trace
+        real = harness_mod.simulate
+        calls = {"k": 0}
+
+        def flaky(model, rng):
+            calls["k"] += 1
+            if calls["k"] == 4:
+                raise RuntimeError("synthetic failure")
+            return real(model, rng)
+
+        monkeypatch.setattr(harness_mod, "simulate", flaky)
+        cfg = small_config(reps=6, estimators=(EstimatorSetting("vacle"),))
+        (detail,) = run_experiment(cfg, cache_dir=cache_dir, keep_traces=True).details
+        assert [r["rep"] for r in detail["reps"]] == [0, 1, 2]
+        for record in detail["reps"]:
+            assert set(record["estimates"]) == set(record["traces"]) == {"vacle"}
+            assert record["estimates"]["vacle"] == record["traces"]["vacle"]["q_hat"]
 
 
 class TestSummarize:
