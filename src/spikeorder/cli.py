@@ -13,6 +13,7 @@ consumption.
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -147,9 +148,12 @@ def estimate(spectrum, method, family, n, t_, sigma2, column, cal_reps, cal_seed
     sigma2_mode = "estimated" if sigma2 == "estimated" else "known"
     if sigma2_mode == "known":
         try:
-            model = dataclasses.replace(model, sigma2=float(sigma2))
+            value = float(sigma2)
         except ValueError:
             raise ConfigurationError(f"--sigma2 {sigma2!r} is not a float or 'estimated'") from None
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(f"--sigma2 must be positive and finite, got {sigma2}")
+        model = dataclasses.replace(model, sigma2=value)
     setting = EstimatorSetting(method, **tuning)
     run = build_estimator(setting, model, sigma2_mode)
     calib = calibrate_ridge(family, p=spec.p, n=n, T=t_, reps=cal_reps, seed=cal_seed,

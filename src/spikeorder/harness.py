@@ -19,7 +19,7 @@ import numpy as np
 
 from . import calibration, estimators
 from .calibration import calibrate_ridge, py_constant
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .estimators import loglog_rate, lwy_estimator, py_estimator, tvacle, vacle, wy_estimator
 from .spectra import at_size, replicate, simulate
 
@@ -227,28 +227,28 @@ def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
     # wy: bulk-edge exceedance count, Fisher family only
     if model.kind != "fisher":
         raise ConfigurationError("the wy estimator applies to Fisher spectra only")
-    edge = model.sigma2 * model.bulk_edge()
+    edge = float(model.sigma2) * float(model.bulk_edge())  # overflows to inf, without a warning
+    if not math.isfinite(edge):
+        raise NumericalError(f"sigma2 = {model.sigma2} puts the wy bulk edge out of float range")
     d_n = loglog_rate(model.p)
     return lambda spec, calib: wy_estimator(spec, edge, d_n, L=setting.L)
 
 
-def _aggregate(model_id, model, setting, q_true, qs, seed, runtime_s,
-               partial=False, error=None) -> SimulationReport:
+def _aggregate(head, setting, qs, seed, runtime_s, partial, error) -> SimulationReport:
+    """The report of one estimator over a grid point's replications; ``head`` names the point."""
     qs = np.asarray(qs, dtype=int)
     reps = qs.size
     if reps:
         mean = float(np.mean(qs))
-        mse = float(np.mean((qs - q_true) ** 2))
-        misest = float(np.mean(qs != q_true))
+        mse = float(np.mean((qs - head["q_true"]) ** 2))
+        misest = float(np.mean(qs != head["q_true"]))
         buckets = np.bincount(np.minimum(qs, N_BUCKETS), minlength=N_BUCKETS + 1) / reps
     else:
         mean = mse = misest = float("nan")
         buckets = np.zeros(N_BUCKETS + 1)
     return SimulationReport(
-        model_id=model_id, p=model.p, n=getattr(model, "n", None),
-        T=getattr(model, "T", None), estimator=setting.column, reps=int(reps),
-        q_true=int(q_true), mean=mean, mse=mse, misest_rate=misest,
-        distribution=tuple(float(b) for b in buckets), seed=seed,
+        **head, estimator=setting.column, reps=int(reps), mean=mean, mse=mse,
+        misest_rate=misest, distribution=tuple(float(b) for b in buckets), seed=seed,
         runtime_s=runtime_s, partial=partial, error=error,
     )
 
@@ -257,7 +257,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
                    keep_traces: bool = False) -> ExperimentResult:
     """Run every grid point of the experiment; returns reports (and details).
 
-    Every grid point's model and estimators are built before the first draw.
+    Every grid point's model and estimators are built, then every true
+    order found, before the first calibration or draw.
     A replication failure aborts its grid point: metrics over the completed
     replications are still reported, flagged partial, with the diagnostic in
     ``error``; if none completed, the exception also goes to ``failures``.
@@ -268,28 +269,23 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
         model = at_size(cfg.model, point.p, point.n, point.T)
         runners = [(s, build_estimator(s, model, cfg.sigma2_mode)) for s in cfg.estimators]
         points.append((point, model, runners))
+    heads = [{"model_id": cfg.model_id, "p": model.p, "n": getattr(model, "n", None),
+              "T": getattr(model, "T", None), "q_true": model.true_order()}
+             for _, model, _ in points]
     reads_calibration = any(s.reads_calibration for s in cfg.estimators)
 
     reports, details, failures = [], [], []
-    for point, model, runners in points:
+    for (point, model, runners), head in zip(points, heads):
         t0 = time.perf_counter()
         calib = calibrate_ridge(
             model.kind, p=model.p, n=point.n, T=point.T, reps=cfg.calibration_reps,
             seed=cfg.calibration_seed, workers=workers, cache_dir=cache_dir,
         ) if reads_calibration else None
-        q_true = model.true_order()
 
         def one(rng):
             spec = simulate(model, rng)
-            out = {}
-            traces = {}
-            for setting, fn in runners:
-                est = fn(spec, calib)
-                out[setting.column] = est.q_hat
-                if keep_traces and est.trace is not None:
-                    traces[setting.column] = est.trace.to_dict()
             digest = hashlib.sha1(spec.values.tobytes()).hexdigest() if keep_traces else None
-            return out, traces, digest
+            return digest, {setting.column: fn(spec, calib) for setting, fn in runners}
 
         completed, exc = replicate(one, cfg.seed, cfg.reps, workers)
         partial = exc is not None
@@ -298,23 +294,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, cache_dir=None,
             failures.append(exc)
 
         runtime_s = time.perf_counter() - t0
-        point_detail = {
-            "model_id": cfg.model_id, "p": model.p,
-            "n": getattr(model, "n", None), "T": getattr(model, "T", None),
-            "q_true": q_true, "calibration": calib.to_dict() if calib else None,
-            "reps": [],
-        }
         for setting, _ in runners:
-            qs = [r[0][setting.column] for r in completed]
-            reports.append(_aggregate(cfg.model_id, model, setting, q_true, qs,
-                                      cfg.seed, runtime_s, partial, error))
-        if keep_traces:
-            for i, r in enumerate(completed):
-                point_detail["reps"].append({
-                    "rep": i, "spectrum_sha1": r[2],
-                    "estimates": r[0], "traces": r[1],
-                })
-        details.append(point_detail)
+            qs = [ests[setting.column].q_hat for _, ests in completed]
+            reports.append(_aggregate(head, setting, qs, cfg.seed, runtime_s, partial, error))
+        reps = [{"rep": i, "spectrum_sha1": digest,
+                 "estimates": {col: est.q_hat for col, est in ests.items()},
+                 "traces": {col: est.trace.to_dict() for col, est in ests.items()
+                            if est.trace is not None}}
+                for i, (digest, ests) in enumerate(completed)] if keep_traces else []
+        details.append({**head, "calibration": calib.to_dict() if calib else None, "reps": reps})
     return ExperimentResult(reports=reports, details=details, failures=failures)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spikeorder
@@ -387,6 +387,23 @@ class TestEstimate:
                                    "--family", "population", "--n", "100",
                                    "--c-n", "0.1"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("family, sizes", [("population", ["--n", "240"]),
+                                               ("fisher", ["--n", "240", "--t", "120"])])
+    @pytest.mark.parametrize("sigma2, message", [
+        ("nan", "--sigma2 must be positive and finite, got nan"),
+        ("inf", "--sigma2 must be positive and finite, got inf"),
+        ("0", "--sigma2 must be positive and finite, got 0"),
+        ("-1", "--sigma2 must be positive and finite, got -1"),
+        ("x", "--sigma2 'x' is not a float or 'estimated'"),
+    ])
+    def test_bad_sigma2_named(self, runner, spectrum_file, family, sizes, sigma2, message):
+        # the message names the option, not the model fields it would set
+        res = runner.invoke(main, ["estimate", spectrum_file, "--method", "vacle",
+                                   "--family", family, *sizes, "--c-n", "0.2",
+                                   f"--sigma2={sigma2}"])
+        assert res.exit_code == 2, res.output
+        assert f"error: {message}\n" == res.stderr
 
     def test_wy_family_gate(self, runner, spectrum_file):
         res = runner.invoke(main, ["estimate", spectrum_file, "--method", "wy",
@@ -1153,6 +1170,13 @@ class TestExitCodes:
         assert res.exit_code == 3, res.output
         assert "out of float range" in res.stderr
 
+    def test_overflowing_wy_edge_exit_3(self, runner, spectrum_file):
+        # sigma2 times the Fisher bulk edge (about 59 at these sizes) overflows
+        res = runner.invoke(main, ["estimate", spectrum_file, "--method", "wy", "--family",
+                                   "fisher", "--n", "150", "--t", "80", "--sigma2", "1e308"])
+        assert res.exit_code == 3, res.output
+        assert "error: sigma2 = 1e+308 puts the wy bulk edge out of float range" in res.stderr
+
     def test_overflowing_transform_exit_3(self, runner, tmp_path):
         # the transform squares the top value 8.48e153 past the float range
         spectrum = tmp_path / "huge.txt"
@@ -1200,6 +1224,14 @@ class TestExitCodes:
            k1=st.none() | st.floats(), k2=st.none() | st.floats(),
            other=st.integers(0, 2), other_value=st.none() | st.floats(0.0, 1.0) | st.floats(),
            ridge=st.none() | st.sampled_from(RIDGES) | st.text())
+    # replayed on every run: wy's noise-scaled Fisher edge overflows, and a
+    # sigma2 the model would reject
+    @example(family="fisher", method="wy", values=[float(v) for v in range(40, 0, -1)],
+             n=150, t=80, sigma2="1e+308", tune=0.5, bound=None, tau=None, k1=None, k2=None,
+             other=0, other_value=None, ridge=None)
+    @example(family="population", method="vacle", values=[float(v) for v in range(40, 0, -1)],
+             n=240, t=80, sigma2="nan", tune=0.2, bound=None, tau=None, k1=None, k2=None,
+             other=0, other_value=None, ridge=None)
     def test_any_input_keeps_exit_contract(self, tmp_path_factory, family, method, values,
                                            n, t, sigma2, tune, bound, tau, k1, k2,
                                            other, other_value, ridge):

@@ -9,7 +9,7 @@ import pytest
 
 import spikeorder.calibration as calibration_mod
 import spikeorder.harness as harness_mod
-from spikeorder.errors import ConfigurationError
+from spikeorder.errors import ConfigurationError, NumericalError
 from spikeorder.harness import (
     ESTIMATOR_NAMES,
     EstimatorSetting,
@@ -354,6 +354,40 @@ class TestFamilies:
             run_experiment(cfg, cache_dir=tmp_path)
         assert simulate_calls == []
 
+    @pytest.fixture
+    def work_calls(self, monkeypatch):
+        """The harness's calibration and draw calls, in order."""
+        calls = []
+        for name in ("calibrate_ridge", "simulate"):
+            real = getattr(harness_mod, name)
+            monkeypatch.setattr(harness_mod, name, lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        return calls
+
+    # the factor's T1 = 2 y sigma2^2 / (A + sqrt(disc)) underflows to 0 at
+    # sigma2 = 1e-150 and y = p / T = 3e-24, so the point at T = 1e25 has no
+    # true order (NumericalError); the point at T = 60 has one
+    UNDERFLOWING = dict(model=AutocovModel(p=30, T=60, theta=(0.5,), sigma2=1e-150),
+                        estimators=(EstimatorSetting("tvacle"),), reps=3)
+
+    def test_true_orders_found_before_any_draw(self, work_calls, tmp_path):
+        # the failing true order sits at the second point; the first point's
+        # calibration and replications must not run and be thrown away
+        cfg = small_config(grid=(GridPoint(p=30, T=60), GridPoint(p=30, T=10**25)),
+                           **self.UNDERFLOWING)
+        with pytest.raises(NumericalError):
+            run_experiment(cfg, cache_dir=tmp_path)
+        assert work_calls == []
+
+    def test_configuration_error_wins_over_true_order(self, work_calls, tmp_path):
+        # a bad setting at a later point is bad input (exit 2), whatever the
+        # true order of an earlier point would have raised
+        cfg = small_config(grid=(GridPoint(p=30, T=10**25), GridPoint(p=10, T=60)),
+                           **self.UNDERFLOWING)
+        with pytest.raises(ConfigurationError, match=r"L = 20 .* p = 10"):
+            run_experiment(cfg, cache_dir=tmp_path)
+        assert work_calls == []
+
     @pytest.mark.parametrize("point, setting, message", [
         (GridPoint(p=10, n=2), EstimatorSetting("py"), "py needs n >= 3, got n = 2"),
         (GridPoint(p=2, n=50), EstimatorSetting("lwy", d_t=0.5),
@@ -369,17 +403,12 @@ class TestFamilies:
             run_experiment(cfg, cache_dir=tmp_path)
         assert simulate_calls == []
 
-    def test_calibrates_each_point_once_before_its_draws(self, monkeypatch, tmp_path):
-        events = []
-        for module, name in ((harness_mod, "calibrate_ridge"), (harness_mod, "simulate")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **k:
-                                events.append(_name) or _real(*a, **k))
+    def test_calibrates_each_point_once_before_its_draws(self, work_calls, tmp_path):
         names = ("vacle", "tvacle", "lwy")
         cfg = small_config(grid=(GridPoint(p=50, n=200), GridPoint(p=40, n=100)),
                            estimators=tuple(EstimatorSetting(n) for n in names), reps=3)
         run_experiment(cfg, workers=2, cache_dir=tmp_path)
-        assert events == (["calibrate_ridge"] + ["simulate"] * 3) * 2
+        assert work_calls == (["calibrate_ridge"] + ["simulate"] * 3) * 2
 
     @pytest.mark.parametrize("method", ["py", "lwy"])
     def test_baselines_run_below_search_bound(self, cache_dir, method):
@@ -413,6 +442,12 @@ class TestFamilies:
         )
         reports = run_experiment(cfg, cache_dir=cache_dir).reports
         assert all(r.mean <= 5 for r in reports)
+
+    def test_wy_edge_overflow_is_numerical(self):
+        # sigma2 times the bulk edge leaves the float range from finite inputs
+        model = FisherModel(p=40, n=150, T=80, sigma2=1e308)
+        with pytest.raises(NumericalError, match=r"sigma2 = 1e\+308 .* wy bulk edge"):
+            build_estimator(EstimatorSetting("wy"), model, "known")
 
     def test_autocov_py(self, cache_dir):
         # the py constant is keyed by p over the primary count, T for autocov
