@@ -1,5 +1,7 @@
 import ctypes
 import functools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -90,3 +92,13 @@ def gauss_legendre_mass(density, lo, hi, nodes=1500, weight=None):
     if weight is not None:
         f = f * np.array([weight(xi) for xi in x])
     return float(np.sum(w * f * span * np.sin(2.0 * theta)))
+
+
+# values every limiting law rejects: for a ratio (p/n or p/T), and for sigma2
+BAD_RATIOS = (math.nan, math.inf, 0.0, -1.0)
+BAD_SCALES = (math.nan, math.inf, 0.0)
+
+
+def names(field, value) -> str:
+    """A ``match=`` pattern that asks only that the message name ``field`` and ``value``."""
+    return rf"\b{field}\b.*{re.escape(str(value))}"

@@ -16,7 +16,7 @@ from spikeorder.rmt import (
 from spikeorder.rmt import _z_of_t
 from spikeorder.spectra import AutocovModel
 
-from conftest import gauss_legendre_mass
+from conftest import BAD_RATIOS, BAD_SCALES, gauss_legendre_mass, names
 from rmt_reference import autocov_lsd_density, autocov_support_lo
 
 
@@ -69,6 +69,16 @@ class TestLaw:
     def test_atom(self):
         assert AutocovLaw(y=0.5).atom_at_zero == 0.0
         assert AutocovLaw(y=2.0).atom_at_zero == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("field, value", [*(("y", v) for v in BAD_RATIOS),
+                                              *(("sigma2", v) for v in BAD_SCALES)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ConfigurationError, match=names(field, value)):
+            AutocovLaw(**{"y": 0.5, field: value})
+
+    def test_rejects_overflowing_edge(self):
+        with pytest.raises(ConfigurationError, match=r"overflows.*y=1e\+200"):
+            AutocovLaw(y=1e200)
 
 
 class TestDensity:

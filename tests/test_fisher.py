@@ -4,7 +4,7 @@ import pytest
 from spikeorder.errors import ConfigurationError
 from spikeorder.rmt import FisherLaw, spike_identifiable_count
 
-from conftest import gauss_legendre_mass
+from conftest import BAD_RATIOS, BAD_SCALES, gauss_legendre_mass, names
 from rmt_reference import fisher_lsd_density
 
 
@@ -40,6 +40,21 @@ class TestFisherLaw:
             FisherLaw(c=0.5, y=1.0)
         with pytest.raises(ConfigurationError):
             FisherLaw(c=0.5, y=0.0)
+
+    @pytest.mark.parametrize("field, value", [*(("c", v) for v in BAD_RATIOS),
+                                              *(("y", v) for v in (*BAD_RATIOS, 1.0, 2.0)),
+                                              *(("sigma2", v) for v in BAD_SCALES)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ConfigurationError, match=names(field, value)):
+            FisherLaw(**{"c": 0.2, "y": 0.5, field: value})
+
+    def test_rejects_overflowing_edge(self):
+        with pytest.raises(ConfigurationError, match=r"overflows.*sigma2=1e\+308"):
+            FisherLaw(c=0.2, y=0.5, sigma2=1e308)
+
+    @pytest.mark.parametrize("c, atom", [(0.5, 0.0), (2.0, 0.5)])
+    def test_atom_at_zero(self, c, atom):
+        assert FisherLaw(c=c, y=0.5).atom_at_zero == atom
 
 
 class TestDensity:

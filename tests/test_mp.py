@@ -9,7 +9,7 @@ from spikeorder.rmt import (
     spike_identifiable_count,
 )
 
-from conftest import gauss_legendre_mass
+from conftest import BAD_RATIOS, BAD_SCALES, gauss_legendre_mass, names
 from quadrature_reference import integrate_density
 from rmt_reference import mp_density, mp_quantile_brentq
 
@@ -31,6 +31,20 @@ class TestMpLaw:
             MpLaw(c=-1.0)
         with pytest.raises(ConfigurationError):
             MpLaw(c=1.0, sigma2=0.0)
+
+    @pytest.mark.parametrize("field, value", [*(("c", v) for v in BAD_RATIOS),
+                                              *(("sigma2", v) for v in BAD_SCALES)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ConfigurationError, match=names(field, value)):
+            MpLaw(**{"c": 0.5, field: value})
+
+    def test_rejects_overflowing_edge(self):
+        with pytest.raises(ConfigurationError, match=r"overflows.*c=1e\+308, sigma2=1e\+308"):
+            MpLaw(c=1e308, sigma2=1e308)
+
+    @pytest.mark.parametrize("c, atom", [(0.5, 0.0), (2.0, 0.5)])
+    def test_atom_at_zero(self, c, atom):
+        assert MpLaw(c=c).atom_at_zero == atom
 
 
 class TestDensity:
