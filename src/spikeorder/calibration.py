@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SpikeOrderError
 from .rmt import mp_quantile
 # simulate is unused here; perfbench/tracing.py wraps it by this module's name
 from .spectra import at_size, check_workers, replicate, simulate  # noqa: F401
@@ -238,7 +238,8 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
     model's ``noise_top``.
     With ``cache_dir`` set, results are reused across runs keyed by
     (kind, p, n, T, reps, seed), where a size the family does not use is keyed
-    as absent; the directory is created before the first draw.
+    as absent; the directory is created before the first draw.  A failed noise
+    draw raises its package error, or a chained ConfigurationError for any other.
     """
     check_noise_run(reps, seed)
     check_workers(workers)  # on a cache hit too
@@ -263,8 +264,10 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
         return gap, max(1.0 - r1, 1.0 - r2)
 
     draws, error = replicate(one, seed, reps, workers)
-    if error is not None:
+    if isinstance(error, SpikeOrderError):
         raise error
+    if error is not None:  # numpy's, from a size it cannot allocate, say
+        raise ConfigurationError(f"noise draw {len(draws)} failed: {error!r}") from error
     gaps, lwy_stats = np.array(draws).T
     result = aggregate_gaps(kind, p, n, T, seed, gaps, lwy_stats)
     if cache_dir is not None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import calibration, estimators
 from .calibration import calibrate_ridge, py_constant
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 from .estimators import loglog_rate, lwy_estimator, py_estimator, tvacle, vacle, wy_estimator
 from .spectra import at_size, replicate, simulate
 
@@ -227,9 +227,7 @@ def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
     # wy: bulk-edge exceedance count, Fisher family only
     if model.kind != "fisher":
         raise ConfigurationError("the wy estimator applies to Fisher spectra only")
-    edge = float(model.sigma2) * float(model.bulk_edge())  # overflows to inf, without a warning
-    if not math.isfinite(edge):
-        raise NumericalError(f"sigma2 = {model.sigma2} puts the wy bulk edge out of float range")
+    edge = model.law(c=model.p / model.n, y=model.p / model.T, sigma2=model.sigma2).upper_edge
     d_n = loglog_rate(model.p)
     return lambda spec, calib: wy_estimator(spec, edge, d_n, L=setting.L)
 

@@ -78,22 +78,39 @@ __all__ = [
 ]
 
 
+class _Law:
+    """The checks and the atom shared by the limiting laws below.
+
+    A law states ``_bounds``, each ratio's exclusive upper bound (every ratio
+    and sigma2 must be positive), ``_edge``, the name of its upper edge, and
+    ``_atom_ratio``, the ratio r whose excess over 1 leaves an atom 1 - 1/r at 0.
+    """
+
+    _edge = "upper_edge"
+    _atom_ratio = "c"
+
+    def __post_init__(self):
+        for name, hi in (*self._bounds.items(), ("sigma2", math.inf)):
+            if not 0.0 < (value := getattr(self, name)) < hi:
+                raise ConfigurationError(f"{name} must lie in (0, {hi}), got {value}")
+        with np.errstate(over="ignore"):  # an overflowing edge is reported here
+            edge = getattr(self, self._edge)
+        if not math.isfinite(edge):
+            raise ConfigurationError(f"upper edge overflows for {self}")
+
+    @property
+    def atom_at_zero(self) -> float:
+        """Mass of the point mass at 0 (zero when the ratio is at most 1)."""
+        return max(0.0, 1.0 - 1.0 / getattr(self, self._atom_ratio))
+
+
 @dataclass(frozen=True)
-class MpLaw:
+class MpLaw(_Law):
     """Marchenko-Pastur law with aspect ratio c = p/n and scale sigma2."""
 
     c: float
     sigma2: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.c < math.inf:
-            raise ConfigurationError(f"aspect ratio c must be positive and finite, got {self.c}")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ConfigurationError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        with np.errstate(over="ignore"):  # an overflowing edge is reported here
-            edge = self.upper_edge
-        if not math.isfinite(edge):
-            raise ConfigurationError(f"upper edge overflows for {self}")
+    _bounds = {"c": math.inf}
 
     @property
     def lower_edge(self) -> float:
@@ -102,11 +119,6 @@ class MpLaw:
     @property
     def upper_edge(self) -> float:
         return self.sigma2 * (1.0 + np.sqrt(self.c)) ** 2
-
-    @property
-    def atom_at_zero(self) -> float:
-        """Mass of the point mass at 0 (zero when c <= 1)."""
-        return max(0.0, 1.0 - 1.0 / self.c)
 
     @property
     def continuous_mass(self) -> float:
@@ -202,24 +214,13 @@ def spike_identifiable_count(spikes, law) -> int:
 
 
 @dataclass(frozen=True)
-class FisherLaw:
+class FisherLaw(_Law):
     """Limiting law of a Fisher matrix with ratios c = p/n, y = p/T."""
 
     c: float
     y: float
     sigma2: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.c < math.inf:
-            raise ConfigurationError(f"c must be positive and finite, got {self.c}")
-        if not 0.0 < self.y < 1.0:
-            raise ConfigurationError(f"y must lie in (0, 1), got {self.y}")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ConfigurationError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        with np.errstate(over="ignore"):  # an overflowing edge is reported here
-            edge = self.upper_edge
-        if not math.isfinite(edge):
-            raise ConfigurationError(f"upper edge overflows for {self}")
+    _bounds = {"c": math.inf, "y": 1.0}
 
     @property
     def gamma(self) -> float:
@@ -242,10 +243,6 @@ class FisherLaw:
     def upper_edge(self) -> float:
         return self.sigma2 * ((1.0 + self.h) / (1.0 - self.y)) ** 2
 
-    @property
-    def atom_at_zero(self) -> float:
-        return max(0.0, 1.0 - 1.0 / self.c)
-
     def spike_map(self, lam: float) -> float:
         """Almost-sure limit of the Fisher eigenvalue spawned by spike ``lam``.
 
@@ -262,19 +259,14 @@ class FisherLaw:
 
 
 @dataclass(frozen=True)
-class AutocovLaw:
+class AutocovLaw(_Law):
     """Limiting law of M / sigma^4 for noise with ratio y = p/T."""
 
     y: float
     sigma2: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.y < math.inf:
-            raise ConfigurationError(f"y must be positive and finite, got {self.y}")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ConfigurationError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if not self.b1 < math.inf:  # from y near 6e122
-            raise ConfigurationError(f"upper edge b1 overflows for {self}")
+    _bounds = {"y": math.inf}
+    _edge = "b1"  # overflows from y near 6e122
+    _atom_ratio = "y"
 
     @property
     def a1(self) -> float:
@@ -287,10 +279,6 @@ class AutocovLaw:
         s = math.sqrt(1.0 + 8.0 * self.y)
         c = s + 3.0
         return self.y * c * c * c / (8.0 * (s + 1.0))
-
-    @property
-    def atom_at_zero(self) -> float:
-        return max(0.0, 1.0 - 1.0 / self.y)
 
 
 @dataclass(frozen=True)

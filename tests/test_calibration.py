@@ -15,7 +15,7 @@ from spikeorder.calibration import (
     load_cached,
     py_constant,
 )
-from spikeorder.errors import ConfigurationError
+from spikeorder.errors import ConfigurationError, NumericalError
 from spikeorder.rmt import mp_quantile
 from spikeorder.spectra import FAMILIES, PopulationModel, Spectrum, simulate
 
@@ -212,6 +212,20 @@ class TestCalibrateRidge:
     def test_reps_floor(self):
         with pytest.raises(ConfigurationError):
             calibrate_ridge("population", p=50, n=50, reps=1, seed=0)
+
+    def test_failed_noise_draw_is_configuration(self):
+        # numpy cannot allocate the (30, 10**25 + 1) noise of the first draw
+        with pytest.raises(ConfigurationError, match="noise draw 0 failed") as info:
+            calibrate_ridge("autocov", p=30, T=10**25, reps=10)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_noise_draw_package_error_raised_as_is(self, monkeypatch):
+        def fails(self, rng, k=3):
+            raise NumericalError("synthetic")
+
+        monkeypatch.setattr(PopulationModel, "noise_top", fails)
+        with pytest.raises(NumericalError, match="synthetic"):
+            calibrate_ridge("population", p=30, n=60, reps=10)
 
     # SHA-256 of the cache files, taken when every noise_top bisection went
     # through scipy.linalg.eigvalsh_tridiagonal: a solver change that keeps

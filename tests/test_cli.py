@@ -1115,6 +1115,18 @@ EXIT_2_CASES = {
     "calibrate-uncreatable-cache-dir": lambda tmp, spec: [
         "calibrate", "--kind", "population", "--p", "40", "--n", "60", "--reps", "30",
         "--cache-dir", blocked_dir(tmp)],
+    # a size the family accepts but numpy cannot allocate fails the calibration's first noise draw
+    "calibrate-undrawable-size": lambda tmp, spec: [
+        "calibrate", "--kind", "autocov", "--p", "30", "--t", str(10**25),
+        "--cache-dir", str(tmp / "cache")],
+    "estimate-undrawable-calibration": lambda tmp, spec: [
+        "estimate", spec, "--family", "autocov", "--method", "tvacle", "--t", str(10**25),
+        "--cache-dir", str(tmp / "cache")],
+    "simulate-undrawable-calibration": lambda tmp, spec: [
+        "simulate", "--config", write_config(
+            tmp, model={"kind": "autocov", "spikes": None, "theta": "0.5"},
+            harness={"grid": f"p:30 T:{10**25}", "estimators": "tvacle"}),
+        "--cache-dir", str(tmp / "cache")],
     "config-not-utf8": lambda tmp, spec: [
         "simulate", "--config", write_bytes(tmp / "exp.cfg", b"\xff\xfe[model]\n")],
     "spectrum-not-utf8": lambda tmp, spec: [
@@ -1170,12 +1182,13 @@ class TestExitCodes:
         assert res.exit_code == 3, res.output
         assert "out of float range" in res.stderr
 
-    def test_overflowing_wy_edge_exit_3(self, runner, spectrum_file):
-        # sigma2 times the Fisher bulk edge (about 59 at these sizes) overflows
+    def test_overflowing_wy_edge_exit_2(self, runner, spectrum_file):
+        # sigma2 times the Fisher bulk edge (about 59 at these sizes) overflows,
+        # which the Fisher law rejects, as `limits` does
         res = runner.invoke(main, ["estimate", spectrum_file, "--method", "wy", "--family",
                                    "fisher", "--n", "150", "--t", "80", "--sigma2", "1e308"])
-        assert res.exit_code == 3, res.output
-        assert "error: sigma2 = 1e+308 puts the wy bulk edge out of float range" in res.stderr
+        assert res.exit_code == 2, res.output
+        assert "error: upper edge overflows" in res.stderr
 
     def test_overflowing_transform_exit_3(self, runner, tmp_path):
         # the transform squares the top value 8.48e153 past the float range
@@ -1232,6 +1245,10 @@ class TestExitCodes:
     @example(family="population", method="vacle", values=[float(v) for v in range(40, 0, -1)],
              n=240, t=80, sigma2="nan", tune=0.2, bound=None, tau=None, k1=None, k2=None,
              other=0, other_value=None, ridge=None)
+    # and, with no --c-n, a calibration whose first noise draw numpy cannot allocate
+    @example(family="autocov", method="tvacle", values=[float(v) for v in range(40, 0, -1)],
+             n=240, t=10**25, sigma2="1.0", tune=None, bound=None, tau=None, k1=None, k2=None,
+             other=0, other_value=None, ridge=None)
     def test_any_input_keeps_exit_contract(self, tmp_path_factory, family, method, values,
                                            n, t, sigma2, tune, bound, tau, k1, k2,
                                            other, other_value, ridge):
@@ -1245,7 +1262,7 @@ class TestExitCodes:
         sizes = spikeorder.spectra.FAMILIES[family].sizes  # an unread size exits 2
         args = ["estimate", str(spectrum), "--method", method, "--family", family,
                 *([f"--n={n}"] if "n" in sizes else []), *([f"--t={t}"] if "T" in sizes else []),
-                f"--sigma2={sigma2}"]
+                f"--sigma2={sigma2}", f"--cache-dir={spectrum.parent / 'estimate-fuzz-cache'}"]
         args += [f"--bound={bound}"] if bound is not None else []
         args += [f"--ridge={ridge}"] if ridge is not None else []
         args += [f"{name}={v!r}" for name, v in options.items()]
@@ -1336,6 +1353,9 @@ class TestExitCodes:
     @given(kind=st.sampled_from(FAMILIES), p=SIZES, n=SIZES, t=SIZES, unread=st.booleans(),
            reps=st.sampled_from(range(-3, 26)), seed=st.sampled_from((-3, -1, 0, 7, 2**64)),
            workers=st.sampled_from(range(-2, 3)), force=st.booleans())
+    # replayed on every run: a size numpy cannot allocate fails the first noise draw
+    @example(kind="autocov", p=30, n=5, t=10**25, unread=False, reps=20, seed=0, workers=1,
+             force=False)
     def test_calibrate_keeps_exit_contract(self, tmp_path_factory, kind, p, n, t, unread, reps,
                                            seed, workers, force):
         # one cache directory for every example, so that some hit an earlier entry

@@ -388,6 +388,20 @@ class TestFamilies:
             run_experiment(cfg, cache_dir=tmp_path)
         assert work_calls == []
 
+    @pytest.mark.parametrize("point, names", [
+        (GridPoint(p=40, n=150, T=80), ("tvacle",)),
+        (GridPoint(p=40, n=150, T=80), ("wy",)),
+        (GridPoint(p=10, n=150, T=80), ("wy", "tvacle")),  # p = 10 is below tvacle's L
+    ], ids=["tvacle", "wy", "wy-tvacle-p10"])
+    def test_overflowing_fisher_edge_is_configuration(self, work_calls, tmp_path, point, names):
+        # sigma2 times the Fisher upper edge leaves the float range: the law
+        # rejects it, through the true order and through wy's edge alike
+        cfg = small_config(model=FisherModel(p=40, n=150, T=80, sigma2=1e308), grid=(point,),
+                           estimators=tuple(EstimatorSetting(n) for n in names), reps=3)
+        with pytest.raises(ConfigurationError):
+            run_experiment(cfg, cache_dir=tmp_path)
+        assert work_calls == []
+
     @pytest.mark.parametrize("point, setting, message", [
         (GridPoint(p=10, n=2), EstimatorSetting("py"), "py needs n >= 3, got n = 2"),
         (GridPoint(p=2, n=50), EstimatorSetting("lwy", d_t=0.5),
@@ -443,10 +457,10 @@ class TestFamilies:
         reports = run_experiment(cfg, cache_dir=cache_dir).reports
         assert all(r.mean <= 5 for r in reports)
 
-    def test_wy_edge_overflow_is_numerical(self):
-        # sigma2 times the bulk edge leaves the float range from finite inputs
+    def test_wy_edge_overflow_is_configuration(self):
+        # wy's edge is the Fisher law's, which rejects sigma2 times the bulk edge overflowing
         model = FisherModel(p=40, n=150, T=80, sigma2=1e308)
-        with pytest.raises(NumericalError, match=r"sigma2 = 1e\+308 .* wy bulk edge"):
+        with pytest.raises(ConfigurationError, match=r"upper edge overflows .*sigma2=1e\+308"):
             build_estimator(EstimatorSetting("wy"), model, "known")
 
     def test_autocov_py(self, cache_dir):
