@@ -92,7 +92,7 @@ class _Law:
     def __post_init__(self):
         for name, hi in (*self._bounds.items(), ("sigma2", math.inf)):
             if not 0.0 < (value := getattr(self, name)) < hi:
-                raise ConfigurationError(f"{name} must lie in (0, {hi}), got {value}")
+                raise ConfigurationError(f"{name} must lie in (0, {hi:g}), got {value}")
         with np.errstate(over="ignore"):  # an overflowing edge is reported here
             edge = getattr(self, self._edge)
         if not math.isfinite(edge):
