@@ -465,6 +465,38 @@ class TestDispatch:
             at_size(object(), 10, n=40, T=40)
 
 
+POP_SPIKES = (20.0, 4.0, 2.6, 1.6)
+FISHER_ALPHA = (30.0, 6.0, 2.0)
+AUTOCOV_THETA = (0.9, 0.3, 0.05)
+
+
+@pytest.mark.parametrize("model, count, ratios", [
+    (PopulationModel(p=20, n=40, spikes=POP_SPIKES, sigma2=1.5), 40, {"c": 20 / 40}),
+    (PopulationModel(p=40, n=40, spikes=POP_SPIKES, sigma2=1.5), 40, {"c": 40 / 40}),
+    (PopulationModel(p=60, n=30, spikes=POP_SPIKES, sigma2=1.5), 30, {"c": 60 / 30}),
+    (FisherModel(p=20, n=40, T=80, alpha=FISHER_ALPHA, sigma2=1.2), 40,
+     {"c": 20 / 40, "y": 20 / 80}),
+    (FisherModel(p=40, n=40, T=80, alpha=FISHER_ALPHA, sigma2=1.2), 40,
+     {"c": 40 / 40, "y": 40 / 80}),
+    (FisherModel(p=40, n=20, T=100, alpha=FISHER_ALPHA, sigma2=1.2), 20,
+     {"c": 40 / 20, "y": 40 / 100}),
+    (AutocovModel(p=20, T=40, theta=AUTOCOV_THETA, sigma2=2.0), 40, {"y": 20 / 40}),
+    (AutocovModel(p=40, T=40, theta=AUTOCOV_THETA, sigma2=2.0), 40, {"y": 40 / 40}),
+    (AutocovModel(p=60, T=30, theta=AUTOCOV_THETA, sigma2=2.0), 30, {"y": 60 / 30}),
+])
+def test_model_contract(model, count, ratios):
+    """Sample count, bulk edge and true order equal their family's law at p/n and p/T."""
+    law = {"population": MpLaw, "fisher": FisherLaw, "autocov": AutocovLaw}[model.kind]
+    unit, scaled = law(**ratios), law(**ratios, sigma2=model.sigma2)
+    assert model.count == count
+    if model.kind == "autocov":
+        assert model.bulk_edge() == unit.b1
+        assert model.true_order() == rmt.autocov_identifiable_count(model.signatures, scaled)
+    else:
+        assert model.bulk_edge() == unit.upper_edge
+        assert model.true_order() == rmt.spike_identifiable_count(model.spikes, scaled)
+
+
 class TestEigensolver:
     """``_eigvals``, the dsyevd binding behind the Fisher and auto-covariance
     generators and the dense population reference."""
