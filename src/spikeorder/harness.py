@@ -227,7 +227,7 @@ def build_estimator(setting: EstimatorSetting, model, sigma2_mode: str):
     # wy: bulk-edge exceedance count, Fisher family only
     if model.kind != "fisher":
         raise ConfigurationError("the wy estimator applies to Fisher spectra only")
-    edge = model.law(c=model.p / model.n, y=model.p / model.T, sigma2=model.sigma2).upper_edge
+    edge = model.law_at(model.sigma2).upper_edge
     d_n = loglog_rate(model.p)
     return lambda spec, calib: wy_estimator(spec, edge, d_n, L=setting.L)
 

@@ -82,11 +82,10 @@ class _Law:
     """The checks and the atom shared by the limiting laws below.
 
     A law states ``_bounds``, each ratio's exclusive upper bound (every ratio
-    and sigma2 must be positive), ``_edge``, the name of its upper edge, and
-    ``_atom_ratio``, the ratio r whose excess over 1 leaves an atom 1 - 1/r at 0.
+    and sigma2 must be positive), its ``upper_edge``, and ``_atom_ratio``, the
+    ratio r whose excess over 1 leaves an atom 1 - 1/r at 0.
     """
 
-    _edge = "upper_edge"
     _atom_ratio = "c"
 
     def __post_init__(self):
@@ -94,9 +93,8 @@ class _Law:
             if not 0.0 < (value := getattr(self, name)) < hi:
                 raise ConfigurationError(f"{name} must lie in (0, {hi:g}), got {value}")
         with np.errstate(over="ignore"):  # an overflowing edge is reported here
-            edge = getattr(self, self._edge)
-        if not math.isfinite(edge):
-            raise ConfigurationError(f"upper edge overflows for {self}")
+            if not math.isfinite(self.upper_edge):
+                raise ConfigurationError(f"upper edge overflows for {self}")
 
     @property
     def atom_at_zero(self) -> float:
@@ -265,7 +263,6 @@ class AutocovLaw(_Law):
     y: float
     sigma2: float = 1.0
     _bounds = {"y": math.inf}
-    _edge = "b1"  # overflows from y near 6e122
     _atom_ratio = "y"
 
     @property
@@ -279,6 +276,8 @@ class AutocovLaw(_Law):
         s = math.sqrt(1.0 + 8.0 * self.y)
         c = s + 3.0
         return self.y * c * c * c / (8.0 * (s + 1.0))
+
+    upper_edge = b1  # overflows from y near 6e122
 
 
 @dataclass(frozen=True)

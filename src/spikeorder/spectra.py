@@ -10,10 +10,12 @@ descending sample eigenvalues:
 * lag-1 auto-covariance factor models: VAR(1) factors plus white noise,
   Sigma = sum_{t=2}^{T+1} y_t y_{t-1}' / T, eigenvalues of M = Sigma Sigma'.
 
-Each model class describes its family (limiting law, sizes it needs,
-primary sample count, estimator defaults, oracle order and bulk edge) and
-draws its spiked eigenvalues (``draw``), which ``simulate`` wraps in a
-``Spectrum``; ``FAMILIES`` maps each ``kind`` to its class.  Each model also
+Each model class states its family (limiting ``law``, the ``sizes`` it needs,
+estimator defaults) and draws its spiked eigenvalues (``draw``), which
+``simulate`` wraps in a ``Spectrum``; ``FAMILIES`` maps each ``kind`` to its
+class.  A private base derives from ``sizes`` and ``law`` the sample ``count``
+(the first size after p), ``law_at(sigma2)`` at c = p/n and y = p/T, its
+unit-scale ``bulk_edge()`` and the oracle ``true_order()``.  Each model also
 draws the top three eigenvalues the calibration reads (``noise_top``):
 population and Fisher models from an O(p) bidiagonal pure-noise model, by
 LAPACK ``dstebz`` bisection, auto-covariance models from their dense ``draw``.
@@ -63,8 +65,28 @@ __all__ = [
     "ingest_spectrum",
 ]
 
+class _Model:
+    """Count, law at the model's ratios, bulk edge and true order, from ``sizes`` and ``law``."""
+
+    @property
+    def count(self) -> int:
+        return getattr(self, self.sizes[1])
+
+    def law_at(self, sigma2: float = 1.0):
+        """The family's law at scale sigma2 and c = p/n, y = p/T (whichever it reads)."""
+        ratios = {{"n": "c", "T": "y"}[size]: self.p / getattr(self, size)
+                  for size in self.sizes[1:]}
+        return self.law(**ratios, sigma2=sigma2)
+
+    def bulk_edge(self) -> float:
+        return self.law_at().upper_edge
+
+    def true_order(self) -> int:
+        return rmt.spike_identifiable_count(self.spikes, self.law_at(self.sigma2))
+
+
 @dataclass(frozen=True)
-class PopulationModel:
+class PopulationModel(_Model):
     """Spiked population covariance: diag(spikes, sigma2, ..., sigma2)."""
 
     p: int
@@ -97,17 +119,6 @@ class PopulationModel:
             raise ConfigurationError("spikes must be in descending order")
         if self.sigma2 <= 0:
             raise ConfigurationError("sigma2 must be positive")
-
-    @property
-    def count(self) -> int:
-        return self.n
-
-    def true_order(self) -> int:
-        law = self.law(c=self.p / self.n, sigma2=self.sigma2)
-        return rmt.spike_identifiable_count(self.spikes, law)
-
-    def bulk_edge(self) -> float:
-        return self.law(c=self.p / self.n).upper_edge
 
     def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
         """Top k eigenvalues of a pure-noise draw, on ``simulate``'s scale.
@@ -151,7 +162,7 @@ class PopulationModel:
 
 
 @dataclass(frozen=True)
-class FisherModel:
+class FisherModel(_Model):
     """Spiked Fisher matrix with the three-factor loading structure.
 
     The loading matrix sends three independent unit-variance signals onto
@@ -207,17 +218,6 @@ class FisherModel:
                 "(need p >= 6 when the noise_diag entries differ)"
             )
 
-    @property
-    def count(self) -> int:
-        return self.n
-
-    def true_order(self) -> int:
-        law = self.law(c=self.p / self.n, y=self.p / self.T, sigma2=self.sigma2)
-        return rmt.spike_identifiable_count(self.spikes, law)
-
-    def bulk_edge(self) -> float:
-        return self.law(c=self.p / self.n, y=self.p / self.T).upper_edge
-
     def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
         """Top k eigenvalues of a pure-noise draw, on ``simulate``'s scale.
 
@@ -270,7 +270,7 @@ class FisherModel:
 
 
 @dataclass(frozen=True)
-class AutocovModel:
+class AutocovModel(_Model):
     """Factor model y_t = A x_t + eps_t with diagonal VAR(1) factors.
 
     x_t = Theta x_{t-1} + e_t, e_t ~ N(0, Gamma), loading A = (I_q, O)',
@@ -319,10 +319,6 @@ class AutocovModel:
             raise ConfigurationError("sigma2 must be positive")
 
     @property
-    def count(self) -> int:
-        return self.T
-
-    @property
     def q(self) -> int:
         return len(self.theta)
 
@@ -338,11 +334,7 @@ class AutocovModel:
         return tuple(out)
 
     def true_order(self) -> int:
-        law = self.law(y=self.p / self.T, sigma2=self.sigma2)
-        return rmt.autocov_identifiable_count(self.signatures, law)
-
-    def bulk_edge(self) -> float:
-        return self.law(y=self.p / self.T).b1
+        return rmt.autocov_identifiable_count(self.signatures, self.law_at(self.sigma2))
 
     def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
         """Top k values of ``draw``, zero-padded to length k when p < k.

@@ -489,6 +489,7 @@ def test_model_contract(model, count, ratios):
     law = {"population": MpLaw, "fisher": FisherLaw, "autocov": AutocovLaw}[model.kind]
     unit, scaled = law(**ratios), law(**ratios, sigma2=model.sigma2)
     assert model.count == count
+    assert model.law_at() == unit and model.law_at(model.sigma2) == scaled
     if model.kind == "autocov":
         assert model.bulk_edge() == unit.b1
         assert model.true_order() == rmt.autocov_identifiable_count(model.signatures, scaled)
