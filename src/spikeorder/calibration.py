@@ -191,7 +191,7 @@ def load_cached(cache_dir, kind, p, n=None, T=None, reps=DEFAULT_REPS, seed=DEFA
             return CalibrationResult.from_dict(payload)
     except FileNotFoundError:
         pass
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError,
             ConfigurationError) as exc:
         warnings.warn(f"ignoring unreadable calibration cache file {path}: {exc!r}",
                       RuntimeWarning, stacklevel=2)

@@ -357,7 +357,7 @@ def report(in_path, fmt, out):
         with open(in_path) as fh:
             payload = json.load(fh)
         reports = [SimulationReport.from_dict(r) for r in payload["reports"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigurationError(f"bad report file {in_path}: {exc}") from None
     text = summarize(reports) if fmt == "csv" else json.dumps(payload["reports"])
     if out:

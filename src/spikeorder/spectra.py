@@ -647,10 +647,13 @@ def ingest_spectrum(path, column=None) -> Spectrum:
         raise ConfigurationError(f"{path}: not a text file: {exc}") from None
     if column is not None:
         reader = csv.DictReader(lines)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise ConfigurationError(f"column {column!r} not found in {path}")
-        # the reader skips blank lines, so number cells by line, not by row
-        cells = ((reader.line_num, row[column] or "") for row in reader)
+        try:
+            if reader.fieldnames is None or column not in reader.fieldnames:
+                raise ConfigurationError(f"column {column!r} not found in {path}")
+            # the reader skips blank lines, so number cells by line, not by row
+            cells = [(reader.line_num, row[column] or "") for row in reader]
+        except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+            raise ConfigurationError(f"{path}: {exc}") from None
     else:
         cells = ((lineno, line.split("#", 1)[0]) for lineno, line in enumerate(lines, start=1))
     raw = []

@@ -151,6 +151,9 @@ class TestCalibrateRidge:
         path.write_text(json.dumps({"schema": SCHEMA_VERSION, "kind": "population"}))
         with pytest.warns(RuntimeWarning):
             assert load_cached(d, "population", p=30, n=40, reps=20, seed=1) is None
+        path.write_text("[" * 100_000 + "]" * 100_000)  # deeper than json.load recurses
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert load_cached(d, "population", p=30, n=40, reps=20, seed=1) is None
 
     def test_older_schema_is_a_silent_miss(self, tmp_path, recwarn):
         d = str(tmp_path)

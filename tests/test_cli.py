@@ -443,6 +443,17 @@ class TestEstimate:
             assert res.exit_code == 0, res.output
             assert json.loads(res.output)["q_hat"] == expected[method]
 
+    # csv's default field limit is 131,072 characters, in a data row or the header
+    @pytest.mark.parametrize("text", ["x\n" + "1" * 131_073 + "\n1\n2\n",
+                                      "x" * 131_073 + "\n1\n2\n3\n"], ids=["cell", "header"])
+    def test_oversized_csv_field_exit_2(self, runner, tmp_path, text):
+        path = write_text(tmp_path / "big.csv", text)
+        res = runner.invoke(main, ["estimate", path, "--column", "x", "--method", "tvacle",
+                                   "--family", "population", "--n", "10", "--c-n", "0.1",
+                                   "--bound", "3"])
+        assert res.exit_code == 2, res.output
+        assert f"error: {path}: field larger than field limit (131072)" in res.stderr
+
 
 def write_spectrum(path, spec):
     path.write_text("\n".join(repr(float(v)) for v in spec.values) + "\n")
@@ -1008,19 +1019,32 @@ class TestReport:
         assert res.exit_code == 0, res.output
         assert res.output == summarize(result.reports)
 
+    @pytest.mark.parametrize("case", ["overflowing-bias", "nested-too-deep"])
+    def test_malformed_file_exit_2(self, runner, tmp_path, case):
+        path = write_text(tmp_path / "mirror.json", MALFORMED_REPORTS[case])
+        res = runner.invoke(main, ["report", "--in", path])
+        assert res.exit_code == 2, res.output
+        assert f"error: bad report file {path}: " in res.stderr
+
 
 def write_text(path, text):
     path.write_text(text)
     return str(path)
 
 
+# one complete report of one replication, as a JSON mirror stores it
+REPORT = SimulationReport(model_id="m", p=10, n=40, T=None, estimator="py", reps=1, q_true=1,
+                          mean=1.0, mse=0.0, misest_rate=0.0,
+                          distribution=(0.0, 1.0) + (0.0,) * 19, seed=0,
+                          runtime_s=0.1).to_dict()
+# a squared bias beyond the float range, and nesting deeper than json.load recurses
+MALFORMED_REPORTS = {"overflowing-bias": json.dumps({"reports": [{**REPORT, "mean": 1e200}]}),
+                     "nested-too-deep": "[" * 100_000 + "]" * 100_000}
+
+
 def bad_mirror(tmp_path):
     """A JSON mirror whose one report has a distribution summing to 10.5."""
-    report = SimulationReport(model_id="m", p=10, n=40, T=None, estimator="py",
-                              reps=1, q_true=1, mean=1.0, mse=0.0, misest_rate=0.0,
-                              distribution=(0.0, 1.0) + (0.0,) * 19, seed=0,
-                              runtime_s=0.1)
-    payload = {"reports": [{**report.to_dict(), "distribution": [0.5] * 21}]}
+    payload = {"reports": [{**REPORT, "distribution": [0.5] * 21}]}
     return write_text(tmp_path / "mirror.json", json.dumps(payload))
 
 
@@ -1140,6 +1164,16 @@ def write_bytes(path, data):
     return str(path)
 
 
+@st.composite
+def spectrum_files(draw):
+    """A file's bytes and a --column: any bytes or text, or CSV rows whose header it may name."""
+    rows = draw(st.lists(st.lists(st.floats().map(repr) | st.text(max_size=8),
+                                  min_size=1, max_size=3), min_size=1, max_size=30))
+    csv_text = "\n".join(",".join(row) for row in rows).encode()
+    content = draw(st.just(csv_text) | st.text().map(str.encode) | st.binary())
+    return content, draw(st.none() | st.sampled_from(rows[0]) | st.text(max_size=8))
+
+
 class TestExitCodes:
     @pytest.mark.filterwarnings("ignore:ignoring unreadable calibration cache")
     @pytest.mark.parametrize("case", EXIT_2_CASES)
@@ -1214,7 +1248,10 @@ class TestExitCodes:
 
     # any order of magnitude, the float range's ends and beyond included
     MAGNITUDES = st.integers(-330, 330).map(lambda k: float(f"1e{k}"))
-    COUNTS = st.integers(2, 10_000) | st.integers(0, 340).map(lambda k: 10 ** k) | st.integers()
+    # sizes up to 10,000 (one autocov noise draw at T = 10**8 would ask for gigabytes),
+    # most above every drawn spectrum's length (40), as Fisher's T must be
+    DRAWABLE = (st.integers(41, 10_000) | st.integers(0, 4).map(lambda k: 10 ** k)
+                | st.integers(max_value=10_000))
 
     # every estimator option that needs no calibration draw: a ridge, a ratio
     # tolerance, a py constant, or none for wy; and each tuning option's range
@@ -1228,10 +1265,11 @@ class TestExitCodes:
            method=st.sampled_from(["vacle", "tvacle", "lwy", "py", "wy"]),
            values=st.lists(st.floats(0.0, 1e3) | st.floats(0.0, allow_infinity=False),
                            min_size=3, max_size=40),
-           n=COUNTS, t=COUNTS,
+           n=DRAWABLE, t=DRAWABLE,
            sigma2=(st.floats(0.01, 100.0) | MAGNITUDES | st.floats()).map(repr)
            | st.just("estimated"),
-           tune=st.floats(0.0, 1.0) | st.floats(),
+           tune=st.none() | st.floats(0.0, 1.0) | st.floats(),
+           cal_reps=st.integers(2, 8) | st.integers(max_value=1),
            bound=st.none() | st.integers(3, 40) | st.integers(),
            tau=st.none() | st.floats(0.0, 1.0) | st.floats(),
            k1=st.none() | st.floats(), k2=st.none() | st.floats(),
@@ -1240,17 +1278,17 @@ class TestExitCodes:
     # replayed on every run: wy's noise-scaled Fisher edge overflows, and a
     # sigma2 the model would reject
     @example(family="fisher", method="wy", values=[float(v) for v in range(40, 0, -1)],
-             n=150, t=80, sigma2="1e+308", tune=0.5, bound=None, tau=None, k1=None, k2=None,
-             other=0, other_value=None, ridge=None)
+             n=150, t=80, sigma2="1e+308", tune=0.5, cal_reps=2, bound=None, tau=None,
+             k1=None, k2=None, other=0, other_value=None, ridge=None)
     @example(family="population", method="vacle", values=[float(v) for v in range(40, 0, -1)],
-             n=240, t=80, sigma2="nan", tune=0.2, bound=None, tau=None, k1=None, k2=None,
-             other=0, other_value=None, ridge=None)
+             n=240, t=80, sigma2="nan", tune=0.2, cal_reps=2, bound=None, tau=None,
+             k1=None, k2=None, other=0, other_value=None, ridge=None)
     # and, with no --c-n, a calibration whose first noise draw numpy cannot allocate
     @example(family="autocov", method="tvacle", values=[float(v) for v in range(40, 0, -1)],
-             n=240, t=10**25, sigma2="1.0", tune=None, bound=None, tau=None, k1=None, k2=None,
-             other=0, other_value=None, ridge=None)
+             n=240, t=10**25, sigma2="1.0", tune=None, cal_reps=2, bound=None, tau=None,
+             k1=None, k2=None, other=0, other_value=None, ridge=None)
     def test_any_input_keeps_exit_contract(self, tmp_path_factory, family, method, values,
-                                           n, t, sigma2, tune, bound, tau, k1, k2,
+                                           n, t, sigma2, tune, cal_reps, bound, tau, k1, k2,
                                            other, other_value, ridge):
         spectrum = tmp_path_factory.getbasetemp() / "estimate-fuzz.txt"
         spectrum.write_text("".join(f"{v!r}\n" for v in values))
@@ -1265,6 +1303,7 @@ class TestExitCodes:
                 f"--sigma2={sigma2}", f"--cache-dir={spectrum.parent / 'estimate-fuzz-cache'}"]
         args += [f"--bound={bound}"] if bound is not None else []
         args += [f"--ridge={ridge}"] if ridge is not None else []
+        args += [f"--cal-reps={cal_reps}"] if tune is None else []  # small: it may calibrate
         args += [f"{name}={v!r}" for name, v in options.items()]
         res = CliRunner().invoke(main, args)
         assert res.exit_code in (0, 2, 3), res.output
@@ -1274,6 +1313,37 @@ class TestExitCodes:
             assert all(self.IN_RANGE[name](v) for name, v in options.items()), options
             assert ridge is None or ridge in RIDGES, ridge
             assert 0 <= int(res.stdout.split("=")[-1]) <= (20 if bound is None else bound)
+
+    JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                        lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids))
+
+    # any JSON value, or a valid report with one field replaced by one
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(text=JSON.map(json.dumps)
+           | st.builds(lambda field, value: json.dumps({"reports": [{**REPORT, field: value}]}),
+                       st.sampled_from(sorted(REPORT)), JSON),
+           fmt=st.sampled_from(["csv", "json"]))
+    @example(text=MALFORMED_REPORTS["overflowing-bias"], fmt="csv")
+    @example(text=MALFORMED_REPORTS["nested-too-deep"], fmt="csv")
+    def test_any_report_file_keeps_exit_contract(self, tmp_path_factory, text, fmt):
+        mirror = tmp_path_factory.getbasetemp() / "report-fuzz.json"
+        mirror.write_text(text)
+        res = CliRunner().invoke(main, ["report", "--in", str(mirror), "--format", fmt])
+        assert res.exit_code in (0, 2, 3), res.output
+        assert "Traceback" not in res.output
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(file=spectrum_files())
+    @example(file=(b"x\n" + b"1" * 131_073 + b"\n1\n2\n", "x"))  # past csv's field limit
+    def test_any_spectrum_file_keeps_exit_contract(self, tmp_path_factory, file):
+        content, column = file
+        spectrum = tmp_path_factory.getbasetemp() / "ingest-fuzz.txt"
+        spectrum.write_bytes(content)
+        args = ["estimate", str(spectrum), "--method", "tvacle", "--family", "population",
+                "--n", "10", "--c-n", "0.1", "--bound", "3"]  # --c-n: nothing calibrates
+        res = CliRunner().invoke(main, args + ([] if column is None else ["--column", column]))
+        assert res.exit_code in (0, 2, 3), res.output
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("case", ["simulate-unwritable-out",
                                       "calibrate-uncreatable-cache-dir",
