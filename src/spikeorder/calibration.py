@@ -238,7 +238,8 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
     model's ``noise_top``.
     With ``cache_dir`` set, results are reused across runs keyed by
     (kind, p, n, T, reps, seed), where a size the family does not use is keyed
-    as absent; the directory is created before the first draw.  A failed noise
+    as absent; the directory is created, and a key too long for a file name
+    there rejected, before the first draw.  A failed noise
     draw raises its package error, or a chained ConfigurationError for any other.
     """
     check_noise_run(reps, seed)
@@ -251,6 +252,10 @@ def calibrate_ridge(kind: str, p: int, n=None, T=None, reps: int = DEFAULT_REPS,
     loglog(model.count)  # c1's and c2's rate: a count it cannot take fails before any draw
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)  # an unusable path fails before any draw
+        name = os.fsencode(os.path.basename(_cache_path(cache_dir, kind, p, n, T, reps, seed)))
+        if 0 <= (limit := os.pathconf(cache_dir, "PC_NAME_MAX")) < len(name):
+            raise ConfigurationError(f"calibration cache file name of {len(name)} bytes exceeds "
+                                     f"the {limit}-byte limit of {cache_dir}")
         cached = None if force else load_cached(cache_dir, kind, p, n, T, reps, seed)
         if cached is not None:
             return cached

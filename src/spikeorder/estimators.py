@@ -196,6 +196,14 @@ def tvacle(spec: Spectrum, sigma2: float, c_n: float, e: float, tau: float = 0.5
     return Estimate(trace.q_hat, trace=trace)
 
 
+def _first_pair(hit: np.ndarray, start: int, stop: int, L: int) -> Estimate:
+    """The first i in [start, stop] with hit[i] and hit[i + 1]; L, exhausted, if none."""
+    for i in range(start, min(stop, hit.size - 2) + 1):
+        if hit[i] and hit[i + 1]:
+            return Estimate(i)
+    return Estimate(L, exhausted=True)
+
+
 def py_estimator(spec: Spectrum, sigma2: float, C: float, L: int = 20,
                  start_index: int = 0) -> Estimate:
     """Consecutive-gap threshold rule with d_n = C n^(-2/3) sqrt(2 loglog n).
@@ -213,12 +221,7 @@ def py_estimator(spec: Spectrum, sigma2: float, C: float, L: int = 20,
     d_n = C * n ** (-2.0 / 3.0) * math.sqrt(2.0 * loglog(n))
     x = _normalized(spec.values, sigma2, spec.scale_power)
     deltas = x[:-1] - x[1:]
-    for i in range(start_index, L + 1):
-        if i + 1 >= deltas.size:
-            break
-        if deltas[i] < d_n and deltas[i + 1] < d_n:
-            return Estimate(i)
-    return Estimate(L, exhausted=True)
+    return _first_pair(deltas < d_n, start_index, L, L)
 
 
 def lwy_estimator(spec: Spectrum, d_T: float, L: int = 20) -> Estimate:
@@ -233,13 +236,7 @@ def lwy_estimator(spec: Spectrum, d_T: float, L: int = 20) -> Estimate:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = v[1:] / v[:-1]
     ratios[np.isnan(ratios)] = 1.0  # 0/0 in the zero tail
-    cut = 1.0 - d_T
-    for i in range(1, L + 1):
-        if i >= ratios.size:
-            break
-        if ratios[i - 1] > cut and ratios[i] > cut:
-            return Estimate(i - 1)
-    return Estimate(L, exhausted=True)
+    return _first_pair(ratios > 1.0 - d_T, 0, L - 1, L)
 
 
 def wy_estimator(spec: Spectrum, edge: float, d_n: float, L: int = 20) -> Estimate:

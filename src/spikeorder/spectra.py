@@ -13,9 +13,9 @@ descending sample eigenvalues:
 Each model class states its family (limiting ``law``, the ``sizes`` it needs,
 estimator defaults) and draws its spiked eigenvalues (``draw``), which
 ``simulate`` wraps in a ``Spectrum``; ``FAMILIES`` maps each ``kind`` to its
-class.  A private base derives from ``sizes`` and ``law`` the sample ``count``
-(the first size after p), ``law_at(sigma2)`` at c = p/n and y = p/T, its
-unit-scale ``bulk_edge()`` and the oracle ``true_order()``.  Each model also
+class.  A private base runs the field checks the families share, and derives
+the sample ``count`` (the first size after p), ``law_at(sigma2)`` at c = p/n,
+y = p/T, ``bulk_edge()`` and the oracle ``true_order()``.  Each model also
 draws the top three eigenvalues the calibration reads (``noise_top``):
 population and Fisher models from an O(p) bidiagonal pure-noise model, by
 LAPACK ``dstebz`` bisection, auto-covariance models from their dense ``draw``.
@@ -66,7 +66,24 @@ __all__ = [
 ]
 
 class _Model:
-    """Count, law at the model's ratios, bulk edge and true order, from ``sizes`` and ``law``."""
+    """Field checks, count, law at the model's ratios, bulk edge and true order, from a family's
+    ``sizes``, ``law``, ``_floats`` (its float-tuple fields, signal first) and ``_least`` (its
+    count's lower bound).  A family's own ``__post_init__`` adds its own rules."""
+
+    def __post_init__(self):
+        for name in self._floats:
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        floats = [v for name in self._floats for v in getattr(self, name)]
+        if not all(map(math.isfinite, (*floats, self.sigma2))):
+            raise ConfigurationError(f"{', '.join(self._floats)} and sigma2 must be finite")
+        if self.sigma2 <= 0:
+            raise ConfigurationError("sigma2 must be positive")
+        size, signal = self.sizes[1], self._floats[0]
+        if self.count < self._least:
+            raise ConfigurationError(
+                f"{size} = {self.count} too small (need {size} >= {self._least})")
+        if self.p < (q := len(getattr(self, signal))) + 2:
+            raise ConfigurationError(f"p = {self.p} too small for {q} {signal} (need p >= q + 2)")
 
     @property
     def count(self) -> int:
@@ -101,24 +118,15 @@ class PopulationModel(_Model):
     transformed_ridge = "c2"
     scale_power = 1
     sigma2_estimable = True
+    _floats = ("spikes",)
+    _least = 2
 
     def __post_init__(self):
-        spikes = tuple(float(s) for s in self.spikes)
-        object.__setattr__(self, "spikes", spikes)
-        if not all(map(math.isfinite, (*spikes, self.sigma2))):
-            raise ConfigurationError("spikes and sigma2 must be finite")
-        if self.n < 2:
-            raise ConfigurationError(f"n = {self.n} too small (need n >= 2)")
-        if self.p < len(spikes) + 2:
-            raise ConfigurationError(
-                f"p = {self.p} too small for {len(spikes)} spikes (need p >= q + 2)"
-            )
-        if any(s <= self.sigma2 for s in spikes):
+        super().__post_init__()
+        if any(s <= self.sigma2 for s in self.spikes):
             raise ConfigurationError("spikes must exceed the noise level sigma2")
-        if any(spikes[i] < spikes[i + 1] for i in range(len(spikes) - 1)):
+        if any(a < b for a, b in zip(self.spikes, self.spikes[1:])):
             raise ConfigurationError("spikes must be in descending order")
-        if self.sigma2 <= 0:
-            raise ConfigurationError("sigma2 must be positive")
 
     def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
         """Top k eigenvalues of a pure-noise draw, on ``simulate``'s scale.
@@ -190,33 +198,26 @@ class FisherModel(_Model):
     transformed_ridge = "c3a"
     scale_power = 1
     sigma2_estimable = False
+    _floats = ("alpha", "noise_diag")
+    _least = 2
 
     def __post_init__(self):
-        alpha = tuple(float(a) for a in self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        if len(alpha) not in (0, 3):
+        super().__post_init__()
+        if len(self.alpha) not in (0, 3):
             raise ConfigurationError("alpha must have length 0 (pure noise) or 3")
         if len(self.noise_diag) != 2:
             raise ConfigurationError("noise_diag must have 2 entries (d1, d2)")
-        if not all(map(math.isfinite, (*alpha, self.sigma2, *self.noise_diag))):
-            raise ConfigurationError("alpha, sigma2 and noise_diag must be finite")
-        if any(a < 0 for a in alpha):
+        if any(a < 0 for a in self.alpha):
             raise ConfigurationError("alpha entries must be nonnegative")
+        if any(d <= 0 for d in self.noise_diag):
+            raise ConfigurationError("noise_diag entries must be positive")
         if self.T <= self.p:
-            raise ConfigurationError(
-                f"need T > p for an invertible noise covariance (T={self.T}, p={self.p})"
-            )
-        if self.n < 2:
-            raise ConfigurationError("n must be at least 2")
-        if self.p < len(alpha) + 2:
-            raise ConfigurationError("p too small for the loading structure")
-        if self.sigma2 <= 0 or any(d <= 0 for d in self.noise_diag):
-            raise ConfigurationError("sigma2 and noise_diag entries must be positive")
-        if alpha and self.noise_diag[0] != self.noise_diag[1] and self.p // 2 < 3:
+            raise ConfigurationError(f"need T > p for an invertible noise covariance "
+                                     f"(T={self.T}, p={self.p})")
+        if self.alpha and self.noise_diag[0] != self.noise_diag[1] and self.p // 2 < 3:
             raise ConfigurationError(
                 f"p = {self.p} puts loaded coordinates in the d2 noise block "
-                "(need p >= 6 when the noise_diag entries differ)"
-            )
+                "(need p >= 6 when the noise_diag entries differ)")
 
     def noise_top(self, rng: np.random.Generator, k: int = 3) -> np.ndarray:
         """Top k eigenvalues of a pure-noise draw, on ``simulate``'s scale.
@@ -292,31 +293,20 @@ class AutocovModel(_Model):
     transformed_ridge = "c2"
     scale_power = 2
     sigma2_estimable = False
+    _floats = ("theta", "gamma_diag")
+    _least = 3
 
     def __post_init__(self):
-        theta = tuple(float(t) for t in self.theta)
-        object.__setattr__(self, "theta", theta)
         gd = self.gamma_diag
-        if isinstance(gd, (int, float)):
-            gd = (float(gd),) * len(theta)
-        gd = tuple(float(g) for g in gd)
-        if not gd and theta:
-            gd = (2.0,) * len(theta)
-        object.__setattr__(self, "gamma_diag", gd)
-        if not all(map(math.isfinite, (*theta, *gd, self.sigma2))):
-            raise ConfigurationError("theta, gamma_diag and sigma2 must be finite")
-        if self.T < 3:
-            raise ConfigurationError(f"T = {self.T} too small (need T >= 3)")
-        if len(gd) != len(theta):
+        gd = (gd,) * len(self.theta) if isinstance(gd, (int, float)) else tuple(gd)
+        object.__setattr__(self, "gamma_diag", gd or (2.0,) * len(self.theta))
+        super().__post_init__()
+        if len(self.gamma_diag) != len(self.theta):
             raise ConfigurationError("theta and gamma_diag lengths differ")
-        if any(abs(t) >= 1.0 for t in theta):
+        if any(abs(t) >= 1.0 for t in self.theta):
             raise ConfigurationError("VAR(1) coefficients must satisfy |theta| < 1")
-        if any(g <= 0 for g in gd):
+        if any(g <= 0 for g in self.gamma_diag):
             raise ConfigurationError("innovation variances must be positive")
-        if self.p < len(theta) + 2:
-            raise ConfigurationError("p too small for the factor count")
-        if self.sigma2 <= 0:
-            raise ConfigurationError("sigma2 must be positive")
 
     @property
     def q(self) -> int:
@@ -604,10 +594,10 @@ def replicate(draw, seed: int, reps: int, workers: int = 1):
     """``draw(rng)`` on each of ``reps`` random streams, as ``(results, error)``.
 
     Stream i is a Philox generator seeded by child i of the seed's
-    ``SeedSequence``, so its value depends on (seed, i) alone.  ``results``
-    holds the values in replication order up to the first replication that
-    raised, ``error`` that exception (None if none did); work not yet started
-    is then cancelled.  ``workers > 1`` runs the draws on that many threads
+    ``SeedSequence``, built when the draws reach it, so its value depends on
+    (seed, i) alone.  ``results`` holds the values in replication order up to
+    the first replication that raised, ``error`` that exception (None if none
+    did); work not yet started is then cancelled.  ``workers > 1`` runs the draws on that many threads
     without changing either, so results never depend on the worker count.
 
     Replications are the unit of parallelism: at every worker count, the
@@ -618,8 +608,9 @@ def replicate(draw, seed: int, reps: int, workers: int = 1):
     draws: an overflowing draw is reported by the NumericalError it raises.
     """
     check_workers(workers)
-    streams = (np.random.Generator(np.random.Philox(child))
-               for child in np.random.SeedSequence(seed).spawn(reps))
+    entropy = np.random.SeedSequence(seed).entropy  # a bad seed raises here, not in a draw
+    seeds = (np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(reps))
+    streams = (np.random.Generator(np.random.Philox(child)) for child in seeds)
     results = []
     pooled = futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext()
     quiet = np.errstate(over="ignore", invalid="ignore")(draw)  # per call, on the draw's thread

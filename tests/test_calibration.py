@@ -194,6 +194,16 @@ class TestCalibrateRidge:
         calibrate_ridge(kind, p=30, reps=20, seed=1, **sizes)
         assert len(calls) == (20 if dense else 0)
 
+    def test_key_too_long_for_a_file_name(self, tmp_path, monkeypatch, recwarn):
+        # rejected before any draw, even when the cache is not read
+        calls = []
+        monkeypatch.setattr(PopulationModel, "noise_top", lambda *a: calls.append(a))
+        with pytest.raises(ConfigurationError, match="cache file name of 291 bytes exceeds"):
+            calibrate_ridge("population", p=30, n=40, reps=2, seed=10**250,
+                            cache_dir=str(tmp_path), force=True)
+        assert calls == [] and not recwarn.list
+        assert list(tmp_path.iterdir()) == []
+
     def test_needs_three_eigenvalues(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("drew before validating p")

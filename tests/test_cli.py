@@ -371,6 +371,17 @@ class TestEstimate:
         assert calls == []
         assert not out.exists()
 
+    def test_cache_key_too_long_exit_2_before_any_draw(self, runner, spectrum_file, tmp_path,
+                                                       monkeypatch):
+        calls = count_noise_draws(monkeypatch)
+        res = runner.invoke(main, ["estimate", spectrum_file, "--method", "lwy",
+                                   "--family", "population", "--n", "240", "--cal-reps", "2",
+                                   "--cal-seed", str(10**250),
+                                   "--cache-dir", str(tmp_path / "cache")])
+        assert res.exit_code == 2, res.output
+        assert "cache file name of 292 bytes exceeds" in res.stderr
+        assert calls == []
+
     def test_short_spectrum_exit_2(self, runner, tmp_path):
         f = tmp_path / "tiny.txt"
         f.write_text("3\n2\n1\n")

@@ -312,6 +312,39 @@ class TestLwy:
             lwy_estimator(make_spec([3.0, 2.0, 1.0]), d_T=1.5)
 
 
+class TestStoppingBoundary:
+    """py and lwy at the last index each may return (L and L - 1), one index later, and where
+    the spectrum ends."""
+
+    L = 4
+
+    @staticmethod
+    def py(before, pair):
+        # gaps of 1 up to the index, then gaps of 0.001 under d_n = 0.01
+        n = 200
+        C = 0.01 / (n ** (-2 / 3) * math.sqrt(2 * math.log(math.log(n))))
+        gaps = [1.0] * before + [0.001] * pair
+        vals = 10.0 - np.concatenate([[0.0], np.cumsum(gaps)])
+        return py_estimator(make_spec(vals, n=n), 1.0, C=C, L=TestStoppingBoundary.L)
+
+    @staticmethod
+    def lwy(before, pair):
+        # ratios of 0.5 up to the index, then ratios of 0.999 above 1 - d_T = 0.95
+        vals = 100.0 * np.cumprod([1.0] + [0.5] * before + [0.999] * pair)
+        return lwy_estimator(make_spec(vals), d_T=0.05, L=TestStoppingBoundary.L)
+
+    @pytest.mark.parametrize("rule, last", [("py", L), ("lwy", L - 1)])
+    @pytest.mark.parametrize("later, pair, found", [
+        (0, 10, True),   # a pair at the last index, spectrum going on
+        (0, 2, True),    # a pair at the last index, spectrum ending right after it
+        (1, 10, False),  # a pair one index later
+        (0, 1, False),   # the spectrum ends inside the pair
+    ])
+    def test_last_index(self, rule, last, later, pair, found):
+        est = getattr(self, rule)(last + later, pair)
+        assert (est.q_hat, est.exhausted) == ((last, False) if found else (self.L, True))
+
+
 class TestWy:
     def test_all_below(self):
         assert wy_estimator(make_spec([3.0, 2.0, 1.0]), edge=5.0, d_n=0.1).q_hat == 0

@@ -2,8 +2,10 @@ import ast
 import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -709,6 +711,37 @@ FIELDS = {
 
 
 class TestModelFields:
+    @pytest.mark.parametrize("kind, sizes, fields, message", [
+        ("population", dict(p=30, n=60), {"spikes": (NAN,)}, "spikes and sigma2 must be finite"),
+        ("population", dict(p=30, n=60), {"sigma2": 0.0}, "sigma2 must be positive"),
+        ("population", dict(p=30, n=1), {}, "n = 1 too small (need n >= 2)"),
+        ("population", dict(p=3, n=60), {"spikes": (5.0, 4.0)},
+         "p = 3 too small for 2 spikes (need p >= q + 2)"),
+        ("fisher", dict(p=30, n=60, T=80), {"noise_diag": (INF, 1.0)},
+         "alpha, noise_diag and sigma2 must be finite"),
+        ("fisher", dict(p=30, n=60, T=80), {"sigma2": -1.0}, "sigma2 must be positive"),
+        ("fisher", dict(p=30, n=1, T=80), {}, "n = 1 too small (need n >= 2)"),
+        ("fisher", dict(p=4, n=60, T=80), {"alpha": (10.0, 5.0, 5.0)},
+         "p = 4 too small for 3 alpha (need p >= q + 2)"),
+        ("autocov", dict(p=30, T=80), {"theta": (0.5,), "gamma_diag": (INF,)},
+         "theta, gamma_diag and sigma2 must be finite"),
+        ("autocov", dict(p=30, T=80), {"sigma2": 0.0}, "sigma2 must be positive"),
+        ("autocov", dict(p=30, T=2), {}, "T = 2 too small (need T >= 3)"),
+        ("autocov", dict(p=3, T=80), {"theta": (0.5, 0.4)},
+         "p = 3 too small for 2 theta (need p >= q + 2)"),
+    ])
+    def test_shared_rules(self, kind, sizes, fields, message):
+        # one check and one message for each rule the three families share
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            at_size(kind, **sizes, **fields)
+
+    @pytest.mark.parametrize("gamma", [np.array([2.0, 2.0]), [2, 2], 2, 2.0, ()])
+    def test_gamma_diag_forms(self, gamma):
+        # any sequence, numpy arrays included, a scalar broadcast, or the default 2
+        model = AutocovModel(p=10, T=30, theta=(0.5, 0.4), gamma_diag=gamma)
+        assert model.gamma_diag == (2.0, 2.0)
+        assert all(type(g) is float for g in model.gamma_diag)
+
     @pytest.mark.parametrize("kind, fields", [
         ("population", {"spikes": (NAN,)}),
         ("population", {"sigma2": NAN}),
@@ -943,6 +976,20 @@ class TestReplicate:
         assert pooled == serial
         assert type(err3) is type(err1) is ValueError
         assert str(err3) == str(err1)
+
+    def test_streams_built_as_reached(self):
+        # a first draw that fails builds one stream, not all reps of them up front
+        def fails(rng):
+            raise ValueError("first draw")
+
+        tracemalloc.start()
+        try:
+            results, error = replicate(fails, seed=3, reps=20_000, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results == [] and isinstance(error, ValueError)
+        assert peak < 1_000_000
 
     def test_serial_stops_at_failure(self):
         calls = []
